@@ -1,9 +1,9 @@
 // Micro-benchmarks of the substrates: two-level minimizer, cover algebra,
-// BDD operations, kernel extraction, region computation, SI verification.
+// kernel extraction, region computation, SI verification.  The BDD layer is
+// measured where the flow uses it, by BM_CheckEquivalence (bench_scaling).
 
 #include <benchmark/benchmark.h>
 
-#include "bdd/bdd.hpp"
 #include "benchlib/generators.hpp"
 #include "boolf/minimize.hpp"
 #include "core/mc_cover.hpp"
@@ -74,39 +74,6 @@ void BM_Kernels(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(all_kernels(f));
 }
 BENCHMARK(BM_Kernels)->DenseRange(1, 3);
-
-void BM_BddReachSweep(benchmark::State& state) {
-  // BDD stress: build the characteristic function of an n-bit counter's
-  // reachable set by repeated image computation.
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    BddManager mgr(2 * n);
-    // transition relation for increment: next = current + 1 (mod 2^n)
-    BddRef rel = mgr.bdd_true();
-    BddRef carry = mgr.bdd_true();
-    for (int i = 0; i < n; ++i) {
-      const BddRef cur = mgr.literal(i);
-      const BddRef nxt = mgr.literal(n + i);
-      rel = mgr.bdd_and(rel, mgr.bdd_not(mgr.bdd_xor(nxt, mgr.bdd_xor(cur, carry))));
-      carry = mgr.bdd_and(carry, cur);
-    }
-    // image iterations from state 0
-    BddRef reached = mgr.bdd_true();
-    for (int i = 0; i < n; ++i)
-      reached = mgr.bdd_and(reached, mgr.literal(i, false));
-    for (int step = 0; step < 8; ++step) {
-      BddRef img = mgr.bdd_and(reached, rel);
-      std::uint64_t mask = (std::uint64_t{1} << n) - 1;
-      img = mgr.exists_mask(img, mask);
-      // rename next -> current
-      for (int i = 0; i < n; ++i)
-        img = mgr.compose(img, n + i, mgr.literal(i));
-      reached = mgr.bdd_or(reached, img);
-    }
-    benchmark::DoNotOptimize(mgr.dag_size(reached));
-  }
-}
-BENCHMARK(BM_BddReachSweep)->DenseRange(4, 12, 4);
 
 void BM_Regions(benchmark::State& state) {
   const StateGraph sg =

@@ -9,7 +9,8 @@
 //   * mapping wall-clock time at i = 2.
 //
 // The benchmark STGs are reconstructed equivalents of the historical suite
-// (see DESIGN.md), so absolute values differ from the publication; the
+// (the `kSuite` family table in src/benchlib/suite.cpp maps each name to its
+// generator), so absolute values differ from the publication; the
 // qualitative shape — high-fanin circuits (vbe10b, pe-send-ifc, tsend-bm,
 // mr0) needing several insertions, most circuits mappable even at i = 2 —
 // is the reproduction target.
@@ -28,7 +29,8 @@ using namespace sitm::bench;
 
 int main() {
   std::printf("Table 1: technology mapping of the benchmark suite\n");
-  std::printf("(reconstructed STGs; see DESIGN.md for the family mapping)\n\n");
+  std::printf("(reconstructed STGs; family mapping: kSuite in "
+              "src/benchlib/suite.cpp)\n\n");
   std::printf("%-16s %-18s %6s | %-24s | %-17s | %8s\n", "circuit", "family",
               "states", "# gates with n literals", "signals inserted",
               "time i=2");

@@ -92,60 +92,12 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   return result;
 }
 
-BddRef BddManager::cofactor(BddRef f, int var, bool value) {
-  if (is_const(f)) return f;
-  const int v = nodes_[f].var;
-  if (v > var) return f;
-  if (v == var) return value ? nodes_[f].high : nodes_[f].low;
-  const BddRef low = cofactor(nodes_[f].low, var, value);
-  const BddRef high = cofactor(nodes_[f].high, var, value);
-  return make(v, low, high);
-}
-
-BddRef BddManager::exists(BddRef f, int var) {
-  return bdd_or(cofactor(f, var, false), cofactor(f, var, true));
-}
-
-BddRef BddManager::exists_mask(BddRef f, std::uint64_t vars) {
-  while (vars) {
-    const int v = __builtin_ctzll(vars);
-    vars &= vars - 1;
-    f = exists(f, v);
-  }
-  return f;
-}
-
-BddRef BddManager::forall(BddRef f, int var) {
-  return bdd_and(cofactor(f, var, false), cofactor(f, var, true));
-}
-
-BddRef BddManager::compose(BddRef f, int var, BddRef g) {
-  return ite(g, cofactor(f, var, true), cofactor(f, var, false));
-}
-
 bool BddManager::eval(BddRef f, std::uint64_t assignment) const {
   while (!is_const(f)) {
     const Node& n = nodes_[f];
     f = ((assignment >> n.var) & 1) ? n.high : n.low;
   }
   return f == kTrue;
-}
-
-double BddManager::sat_count(BddRef f) {
-  FlatMap<BddRef, double> memo;
-  // fractional count: fraction of assignments satisfying f
-  auto rec = [&](auto&& self, BddRef node) -> double {
-    if (node == kFalse) return 0.0;
-    if (node == kTrue) return 1.0;
-    if (const double* hit = memo.find(node)) return *hit;
-    const double r =
-        0.5 * self(self, nodes_[node].low) + 0.5 * self(self, nodes_[node].high);
-    memo.emplace(node, r);
-    return r;
-  };
-  double frac = rec(rec, f);
-  for (int i = 0; i < num_vars_; ++i) frac *= 2.0;
-  return frac;
 }
 
 bool BddManager::pick_one(BddRef f, std::uint64_t* assignment) const {
@@ -179,39 +131,6 @@ std::size_t BddManager::dag_size(BddRef f) const {
     }
   }
   return n;
-}
-
-BddRef BddManager::from_cover(const Cover& cover) {
-  BddRef sum = kFalse;
-  for (const auto& cube : cover.cubes()) {
-    BddRef product = kTrue;
-    // AND literals from the highest variable down so intermediate BDDs stay
-    // ordered-cheap.
-    for (int v = num_vars_ - 1; v >= 0; --v) {
-      if (!cube.has_literal(v)) continue;
-      product = bdd_and(product, literal(v, cube.polarity(v)));
-    }
-    sum = bdd_or(sum, product);
-  }
-  return sum;
-}
-
-Cover BddManager::to_cover(BddRef f) {
-  Cover out(num_vars_);
-  Cube path = Cube::one();
-  auto rec = [&](auto&& self, BddRef node, Cube cube) -> void {
-    if (node == kFalse) return;
-    if (node == kTrue) {
-      out.add(cube);
-      return;
-    }
-    const Node& n = nodes_[node];
-    self(self, n.low, cube.with_literal(n.var, false));
-    self(self, n.high, cube.with_literal(n.var, true));
-  };
-  rec(rec, f, path);
-  out.make_minimal_wrt_containment();
-  return out;
 }
 
 }  // namespace sitm

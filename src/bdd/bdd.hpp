@@ -3,13 +3,14 @@
 //
 // A small, self-contained ROBDD package in the style of the classic
 // Brace-Rudell-Bryant design: a unique table for node hashing, a computed
-// table for ITE memoization, and the usual operator set.  Used by the STG
-// engine for symbolic reachability and by the tests to cross-check the
-// explicit cover algebra.
+// table for ITE memoization, and just the operators the check stage needs:
+// its equivalence proof (netlist/equiv.hpp) encodes state codes and covers
+// over the SG signal variables, and its optional variable sifting
+// (bdd/reorder.hpp) rebuilds those BDDs in a new order.
 //
 // Node 0 is the constant FALSE, node 1 the constant TRUE.  Variables are
-// ordered by their index (no dynamic reordering; specifications here have at
-// most a few dozen variables).
+// ordered by their index; reordering builds a permuted copy
+// (bdd/reorder.hpp) instead of swapping levels in place.
 //
 // Both hash tables follow the classic package design instead of generic
 // containers: the unique table is an open-addressing power-of-two table
@@ -18,11 +19,9 @@
 // cache — colliding entries simply overwrite, which caps memory and matches
 // how production BDD packages (CUDD, BuDDy) behave.
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "boolf/cover.hpp"
 
 namespace sitm {
 
@@ -47,33 +46,16 @@ class BddManager {
   BddRef bdd_not(BddRef f) { return ite(f, kFalse, kTrue); }
   BddRef bdd_and(BddRef f, BddRef g) { return ite(f, g, kFalse); }
   BddRef bdd_or(BddRef f, BddRef g) { return ite(f, kTrue, g); }
-  BddRef bdd_xor(BddRef f, BddRef g) { return ite(f, bdd_not(g), g); }
-  BddRef bdd_imp(BddRef f, BddRef g) { return ite(f, g, kTrue); }
-
-  /// Shannon cofactor with respect to var=value.
-  BddRef cofactor(BddRef f, int var, bool value);
-  /// Existential quantification over one variable or a set (mask).
-  BddRef exists(BddRef f, int var);
-  BddRef exists_mask(BddRef f, std::uint64_t vars);
-  BddRef forall(BddRef f, int var);
-  /// Compose: substitute function g for variable var in f.
-  BddRef compose(BddRef f, int var, BddRef g);
 
   // ----- queries ----------------------------------------------------------
+  /// Value of f under `assignment` (bit v = variable v): the truth-table
+  /// probe the tests check every operator against.
   bool eval(BddRef f, std::uint64_t assignment) const;
-  /// Number of satisfying assignments over all num_vars variables.
-  double sat_count(BddRef f);
   /// Any satisfying assignment; returns false if f == FALSE.
   bool pick_one(BddRef f, std::uint64_t* assignment) const;
   /// Node count of the (shared) graph rooted at f.
   std::size_t dag_size(BddRef f) const;
   std::size_t num_nodes() const { return nodes_.size(); }
-
-  // ----- conversions -------------------------------------------------------
-  /// Build a BDD from an SOP cover (variables must fit num_vars).
-  BddRef from_cover(const Cover& cover);
-  /// Extract an (irredundant-path) SOP from the BDD.
-  Cover to_cover(BddRef f);
 
   int var_of(BddRef f) const { return nodes_[f].var; }
   BddRef low_of(BddRef f) const { return nodes_[f].low; }

@@ -3,10 +3,10 @@
 //
 // The original SIS/petrify .g files are not redistributable here, so each
 // name is mapped to a reconstructed STG of the same structural family and
-// size class (see DESIGN.md).  Absolute literal counts therefore differ from
-// the published table; the qualitative shape (which circuits need large
-// gates, which are mappable at i = 2, the SI-vs-non-SI cost ratio) is what
-// the benches reproduce.
+// size class (the `kSuite` family table in suite.cpp).  Absolute literal
+// counts therefore differ from the published table; the qualitative shape
+// (which circuits need large gates, which are mappable at i = 2, the
+// SI-vs-non-SI cost ratio) is what the benches reproduce.
 
 #include <string>
 #include <vector>

@@ -86,7 +86,6 @@ std::uint64_t FlowOptions::fingerprint() const {
   h.boolean(mapper.prune_pre_checks);
   // verify / reachability.
   h.u64(verify_max_states);
-  h.boolean(symbolic_check);
   // The lint gate decides whether a bad spec fails before reachability, so
   // toggling it changes which outcome a run settles on.
   h.boolean(lint);
@@ -360,29 +359,12 @@ void Flow::stage_reachability(StageReport& sr) {
     ctx_.sg = std::make_shared<const StateGraph>(
         ctx_.spec.stg->to_state_graph(max_states, ctx_.guard.get()));
     sr.note("engine", "token game");
-    if (opts_.symbolic_check) {
-      ctx_.bdd = std::make_unique<BddManager>(
-          static_cast<int>(ctx_.spec.stg->num_places()));
-      ctx_.symbolic =
-          symbolic_reachability(*ctx_.spec.stg, *ctx_.bdd, ctx_.guard.get());
-      sr.metric("symbolic_markings", ctx_.symbolic->num_markings);
-      sr.metric("symbolic_iterations", ctx_.symbolic->iterations);
-      sr.metric("symbolic_bdd_size",
-                static_cast<double>(ctx_.symbolic->bdd_size));
-      if (ctx_.symbolic->has_deadlock)
-        sr.warnings.push_back("symbolic check: reachable deadlock marking");
-    }
   } else {
     throw Error("reachability: no specification loaded");
   }
   sr.metric("states", static_cast<double>(ctx_.sg->num_states()));
   sr.metric("arcs", static_cast<double>(ctx_.sg->num_arcs()));
   sr.metric("signals", static_cast<double>(ctx_.sg->num_signals()));
-  if (ctx_.symbolic &&
-      ctx_.symbolic->num_markings !=
-          static_cast<double>(ctx_.sg->num_states()))
-    sr.warnings.push_back(
-        "symbolic marking count disagrees with the explicit state count");
 }
 
 void Flow::stage_properties(StageReport& sr) {

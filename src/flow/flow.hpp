@@ -11,16 +11,14 @@
 // `FlowOptions` struct, with
 //   * a shared `FlowContext` owning the expensive artifacts the stages
 //     exchange (the current StateGraph revision, the cached CSC conflict
-//     analysis, the BDD manager of the symbolic cross-check, the minimized
-//     covers and netlists),
+//     analysis, the minimized covers and netlists),
 //   * one structured `StageReport` per stage (wall time, state/literal
 //     counts, warnings) serializable to JSON, and
 //   * `stop_after` / per-stage `skip` controls.
 //
 // Stage semantics:
 //   load          parse .g/.sg text into a Spec (shared loader)
-//   reachability  token-game reachability (Stg -> StateGraph); optional
-//                 symbolic (BDD) cross-check
+//   reachability  token-game reachability (Stg -> StateGraph)
 //   properties    consistency / determinism / commutativity / output
 //                 persistency; CSC + USC status recorded (CSC violations are
 //                 the csc stage's job, not a failure here)
@@ -54,7 +52,6 @@
 #include <utility>
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "core/csc.hpp"
 #include "core/mapper.hpp"
 #include "core/mc_cover.hpp"
@@ -64,7 +61,6 @@
 #include "netlist/tech_decomp.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/load.hpp"
-#include "stg/symbolic.hpp"
 #include "util/json.hpp"
 #include "util/run_guard.hpp"
 
@@ -130,9 +126,6 @@ struct FlowOptions {
   CscOptions csc;
   MapperOptions mapper;
   std::size_t verify_max_states = std::size_t{1} << 20;
-  /// Run the symbolic (BDD) reachability cross-check in the reachability
-  /// stage (.g specs only); mismatches are reported as warnings.
-  bool symbolic_check = false;
   /// Run the static spec lint (stg/lint.hpp) at the reachability gate,
   /// before any state graph is built: lint errors fail the stage with a
   /// typed `spec` failure_kind (the serve/batch fast reject path), lint
@@ -281,10 +274,6 @@ struct FlowContext {
   /// then the mapped SG.  Earlier revisions stay alive through `csc` /
   /// `mapped` below, so netlists referencing them remain valid.
   std::shared_ptr<const StateGraph> sg;
-
-  /// Symbolic cross-check artifacts (reachability stage, symbolic_check).
-  std::unique_ptr<BddManager> bdd;
-  std::optional<SymbolicReachability> symbolic;
 
   /// Cached CSC conflict analysis of the *pre-resolution* SG, computed once
   /// in the properties stage and reused by the csc stage.

@@ -13,6 +13,18 @@ namespace sitm {
 
 namespace {
 
+/// The distinct codes of the states in `set`, ascending.
+std::vector<std::uint64_t> distinct_codes(const StateGraph& sg,
+                                          const DynBitset& set) {
+  std::vector<std::uint64_t> codes;
+  codes.reserve(set.count());
+  set.for_each(
+      [&](std::size_t s) { codes.push_back(sg.code(static_cast<StateId>(s))); });
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  return codes;
+}
+
 /// BDD encoding of SG state codes and SOP covers under a (possibly sifted)
 /// variable order: signal v lives at BDD variable level[v].  Conjunctions
 /// are built from the deepest level upward so every intermediate AND is a
@@ -38,15 +50,8 @@ class Encoder {
 
   /// OR of the minterms of every distinct code of `states`.
   BddRef states(const StateGraph& sg, const DynBitset& set) {
-    std::vector<std::uint64_t> codes;
-    codes.reserve(set.count());
-    set.for_each([&](std::size_t s) {
-      codes.push_back(sg.code(static_cast<StateId>(s)));
-    });
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
     BddRef r = BddManager::kFalse;
-    for (const std::uint64_t code : codes) {
+    for (const std::uint64_t code : distinct_codes(sg, set)) {
       guard_charge(guard_, 1, "check.state");
       r = mgr_.bdd_or(r, minterm(code));
     }
@@ -151,14 +156,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
     Encoder identity(mgr, level, guard);
     reach = identity.states(sg, reachable);
   }
-  {
-    std::vector<std::uint64_t> codes;
-    reachable.for_each(
-        [&](std::size_t s) { codes.push_back(sg.code(static_cast<StateId>(s))); });
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-    rep.reach_states = codes.size();
-  }
+  rep.reach_states = distinct_codes(sg, reachable).size();
 
   if (opts.reorder && n > 1) {
     const SiftResult sift =

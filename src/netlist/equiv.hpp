@@ -12,14 +12,13 @@
 //   reach := OR of the reachable state-code minterms
 //   prove  reach ⇒ (gate ≡ spec)   per gate, per network
 //
-// The reachable set is built from the explicit SG codes rather than the
-// STG-level `symbolic_reachability`: gates speak SG *signal* variables,
-// and the post-CSC graph contains inserted signals that do not exist as
-// STG places, so the place-variable BDD cannot be compared against covers
-// directly.  Don't-cares are handled by restriction to `reach`; the
-// off-space of a sequential network is built from the explicit off-state
-// codes (NOT as a complement), mirroring `minimize_onoff`'s treatment of a
-// code shared by a quiescent and an off state as hard-off.
+// The reachable set is built from the explicit SG codes over the signal
+// variables the gates speak, inserted state signals included; the encoder
+// in equiv.cpp is the library's only SG-code -> BDD encoding.  Don't-cares
+// are handled by restriction to `reach`; the off-space of a sequential
+// network is built from the explicit off-state codes (NOT as a
+// complement), mirroring `minimize_onoff`'s treatment of a code shared by a
+// quiescent and an off state as hard-off.
 //
 // On mismatch the checker extracts a satisfying assignment of the
 // violation BDD (`pick_one`) and maps it back to a concrete reachable

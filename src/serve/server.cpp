@@ -101,8 +101,6 @@ void apply_options(const Json& o, FlowOptions* flow) {
       flow->mapper.prune_pre_checks = want_bool(v, "map_prune");
     } else if (key == "map_threads") {
       flow->mapper.threads = want_int(v, "map_threads", 0);
-    } else if (key == "symbolic_check") {
-      flow->symbolic_check = want_bool(v, "symbolic_check");
     } else if (key == "lint") {
       flow->lint = want_bool(v, "lint");
     } else if (key == "check") {

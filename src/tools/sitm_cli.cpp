@@ -65,7 +65,6 @@
 #include "stg/g_io.hpp"
 #include "stg/lint.hpp"
 #include "stg/load.hpp"
-#include "stg/symbolic.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -297,14 +296,9 @@ void print_report(const FlowReport& report) {
 
 int cmd_info(const std::string& path) {
   const Spec spec = load_spec_file(path);
-  if (spec.stg) {
-    const auto sym = symbolic_reachability(*spec.stg);
-    std::printf("%s: %zu transitions, %zu places, %.0f reachable markings "
-                "(%d symbolic iterations)%s\n",
-                spec.name.c_str(), spec.stg->num_transitions(),
-                spec.stg->num_places(), sym.num_markings, sym.iterations,
-                sym.has_deadlock ? ", DEADLOCK" : "");
-  }
+  if (spec.stg)
+    std::printf("%s: %zu transitions, %zu places\n", spec.name.c_str(),
+                spec.stg->num_transitions(), spec.stg->num_places());
   const StateGraph sg =
       spec.sg ? *spec.sg : spec.stg->to_state_graph();
   std::printf("%s: %d signals (%zu inputs), %zu states, %zu arcs\n",

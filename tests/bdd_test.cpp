@@ -1,7 +1,9 @@
-// Unit tests for the ROBDD package, including cross-checks against the
-// explicit cover algebra.
+// Unit tests for the ROBDD package: every operator against its truth table
+// (eval), plus a cross-check against the explicit cover algebra.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "bdd/bdd.hpp"
 #include "boolf/cover.hpp"
@@ -40,33 +42,32 @@ TEST(Bdd, Canonicity) {
   EXPECT_EQ(mgr.bdd_not(mgr.bdd_not(f)), f);
 }
 
-TEST(Bdd, XorSatCount) {
-  BddManager mgr(2);
-  const BddRef x = mgr.bdd_xor(mgr.literal(0), mgr.literal(1));
-  EXPECT_DOUBLE_EQ(mgr.sat_count(x), 2.0);
-  EXPECT_TRUE(mgr.eval(x, 0b01));
-  EXPECT_TRUE(mgr.eval(x, 0b10));
-  EXPECT_FALSE(mgr.eval(x, 0b00));
-  EXPECT_FALSE(mgr.eval(x, 0b11));
-}
-
-TEST(Bdd, CofactorQuantify) {
+TEST(Bdd, OperatorsMatchTruthTables) {
+  // Every operator, probed with eval on all 2^3 assignments of a pool of
+  // functions that includes the constants, literals and their mixes.
   BddManager mgr(3);
-  const BddRef a = mgr.literal(0), b = mgr.literal(1), c = mgr.literal(2);
-  const BddRef f = mgr.bdd_or(mgr.bdd_and(a, b), c);
-  EXPECT_EQ(mgr.cofactor(f, 2, true), mgr.bdd_true());
-  EXPECT_EQ(mgr.cofactor(f, 2, false), mgr.bdd_and(a, b));
-  EXPECT_EQ(mgr.exists(f, 2), mgr.bdd_true());
-  EXPECT_EQ(mgr.forall(f, 2), mgr.bdd_and(a, b));
-  EXPECT_EQ(mgr.exists_mask(f, 0b110), mgr.bdd_true());
-}
-
-TEST(Bdd, Compose) {
-  BddManager mgr(3);
-  const BddRef a = mgr.literal(0), b = mgr.literal(1), c = mgr.literal(2);
-  // substitute c := a&b inside f = c | a  ->  a&b | a = a
-  const BddRef f = mgr.bdd_or(c, a);
-  EXPECT_EQ(mgr.compose(f, 2, mgr.bdd_and(a, b)), a);
+  std::vector<BddRef> pool = {mgr.bdd_false(), mgr.bdd_true()};
+  for (int v = 0; v < 3; ++v) {
+    pool.push_back(mgr.literal(v));
+    pool.push_back(mgr.literal(v, false));
+  }
+  pool.push_back(mgr.bdd_or(mgr.bdd_and(pool[2], pool[4]), pool[7]));
+  pool.push_back(mgr.ite(pool[2], pool[5], pool[4]));  // x0 ? !x1 : x1
+  for (const BddRef f : pool)
+    for (const BddRef g : pool)
+      for (const BddRef h : pool) {
+        const BddRef i = mgr.ite(f, g, h);
+        const BddRef a = mgr.bdd_and(f, g);
+        const BddRef o = mgr.bdd_or(f, g);
+        const BddRef n = mgr.bdd_not(f);
+        for (std::uint64_t x = 0; x < 8; ++x) {
+          const bool fx = mgr.eval(f, x), gx = mgr.eval(g, x);
+          EXPECT_EQ(mgr.eval(i, x), fx ? gx : mgr.eval(h, x));
+          EXPECT_EQ(mgr.eval(a, x), fx && gx);
+          EXPECT_EQ(mgr.eval(o, x), fx || gx);
+          EXPECT_EQ(mgr.eval(n, x), !fx);
+        }
+      }
 }
 
 TEST(Bdd, PickOne) {
@@ -81,54 +82,38 @@ TEST(Bdd, PickOne) {
 TEST(Bdd, DagSize) {
   BddManager mgr(2);
   EXPECT_EQ(mgr.dag_size(mgr.bdd_true()), 1u);
-  const BddRef x = mgr.bdd_xor(mgr.literal(0), mgr.literal(1));
-  // 2 terminals + 1 node for var1 pos/neg... canonical XOR has 2 internal
-  // nodes sharing both terminals: {x0-node, x1-node, T, F} minus sharing.
-  EXPECT_EQ(mgr.dag_size(x), 5u);  // x0, two x1 branches, T, F
-}
-
-TEST(Bdd, FromToCoverRoundTrip) {
-  Rng rng(11);
-  BddManager mgr(5);
-  for (int round = 0; round < 40; ++round) {
-    Cover f(5);
-    const int terms = 1 + static_cast<int>(rng.below(4));
-    for (int t = 0; t < terms; ++t) {
-      Cube c = Cube::one();
-      for (int v = 0; v < 5; ++v) {
-        const auto r = rng.below(3);
-        if (r == 0) c = c.with_literal(v, false);
-        if (r == 1) c = c.with_literal(v, true);
-      }
-      f.add(c);
-    }
-    const BddRef ref = mgr.from_cover(f);
-    for (std::uint64_t code = 0; code < 32; ++code)
-      EXPECT_EQ(mgr.eval(ref, code), f.eval(code));
-    const Cover back = mgr.to_cover(ref);
-    for (std::uint64_t code = 0; code < 32; ++code)
-      EXPECT_EQ(back.eval(code), f.eval(code));
-  }
+  // x0 ? !x1 : x1 (exclusive or): the x0 node, two x1 nodes, T and F.
+  const BddRef x =
+      mgr.ite(mgr.literal(0), mgr.literal(1, false), mgr.literal(1));
+  EXPECT_EQ(mgr.dag_size(x), 5u);
 }
 
 TEST(Bdd, AgreesWithCoverComplement) {
+  // Random SOPs built side by side as a Cover and as a BDD; the BDD and its
+  // negation must match the cover and the cover complement on every code.
   Rng rng(23);
   BddManager mgr(4);
   for (int round = 0; round < 30; ++round) {
     Cover f(4);
+    BddRef ref = mgr.bdd_false();
     for (int t = 0; t < 3; ++t) {
       Cube c = Cube::one();
+      BddRef product = mgr.bdd_true();
       for (int v = 0; v < 4; ++v) {
         const auto r = rng.below(3);
-        if (r == 0) c = c.with_literal(v, false);
-        if (r == 1) c = c.with_literal(v, true);
+        if (r == 2) continue;
+        c = c.with_literal(v, r == 1);
+        product = mgr.bdd_and(mgr.literal(v, r == 1), product);
       }
       f.add(c);
+      ref = mgr.bdd_or(ref, product);
     }
-    const BddRef nf = mgr.bdd_not(mgr.from_cover(f));
+    const BddRef nf = mgr.bdd_not(ref);
     const Cover fc = f.complement();
-    for (std::uint64_t code = 0; code < 16; ++code)
+    for (std::uint64_t code = 0; code < 16; ++code) {
+      EXPECT_EQ(mgr.eval(ref, code), f.eval(code));
       EXPECT_EQ(mgr.eval(nf, code), fc.eval(code));
+    }
   }
 }
 

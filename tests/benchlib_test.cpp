@@ -1,9 +1,13 @@
-// Tests for the benchmark generators and the named Table-1 suite: every
-// instance must be a valid input to the mapping flow.
+// Tests for the benchmark generators, the random STG generator and the
+// named Table-1 suite: every instance must be a valid input to the mapping
+// flow.
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
 #include "benchlib/suite.hpp"
 #include "core/csc.hpp"
 #include "sg/properties.hpp"
@@ -148,6 +152,41 @@ TEST(Suite, NamesAreUnique) {
   auto names = bench::suite_names();
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+TEST(RandomStg, EveryInstanceIsImplementable) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Stg stg = bench::make_random_stg(seed);
+    const StateGraph sg = stg.to_state_graph();
+    const auto check = check_implementability(sg);
+    EXPECT_TRUE(check.ok) << "seed " << seed << ": " << check.why;
+  }
+}
+
+TEST(RandomStg, DeterministicForSeed) {
+  const Stg a = bench::make_random_stg(7);
+  const Stg b = bench::make_random_stg(7);
+  EXPECT_EQ(a.num_signals(), b.num_signals());
+  EXPECT_EQ(a.num_transitions(), b.num_transitions());
+  EXPECT_EQ(a.to_state_graph().num_states(), b.to_state_graph().num_states());
+}
+
+TEST(RandomStg, SeedsVaryTheShape) {
+  std::set<std::size_t> sizes;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed)
+    sizes.insert(bench::make_random_stg(seed).to_state_graph().num_states());
+  EXPECT_GT(sizes.size(), 3u);
+}
+
+TEST(RandomStg, RespectsSignalBudget) {
+  bench::RandomStgOptions opts;
+  opts.min_signals = 4;
+  opts.max_signals = 8;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Stg stg = bench::make_random_stg(seed, opts);
+    EXPECT_GE(stg.num_signals(), 3);
+    EXPECT_LE(stg.num_signals(), 12);  // small slack over the budget
+  }
 }
 
 }  // namespace

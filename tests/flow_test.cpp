@@ -275,21 +275,6 @@ TEST(Flow, RunSpecAndRunStateGraphRecordTheInputSpine) {
             static_cast<double>(sg.num_states()));
 }
 
-TEST(Flow, SymbolicCrossCheckOwnsTheBddManager) {
-  FlowOptions opts;
-  opts.symbolic_check = true;
-  opts.stop_after = Stage::kReachability;
-  Flow flow(opts);
-  const FlowReport report = flow.run_string(kCscConflictSpec);
-  ASSERT_TRUE(report.ok) << report.failure;
-  const FlowContext& ctx = flow.context();
-  ASSERT_TRUE(ctx.symbolic.has_value());
-  ASSERT_NE(ctx.bdd, nullptr);  // the manager outlives the stage
-  EXPECT_EQ(ctx.symbolic->num_markings,
-            static_cast<double>(ctx.sg->num_states()));
-  EXPECT_TRUE(report.stage(Stage::kReachability).warnings.empty());
-}
-
 // ----- shared loader ---------------------------------------------------
 
 TEST(Loader, SniffsFormatFromExtensionAndContent) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
 #include "benchlib/suite.hpp"
 #include "boolf/bitslice.hpp"
 #include "boolf/minimize.hpp"
@@ -171,6 +172,8 @@ std::vector<Stg> family_instances() {
   for (int k = 2; k <= 5; ++k) out.push_back(bench::make_choice_mixer(k));
   for (int k = 2; k <= 4; ++k) out.push_back(bench::make_shared_out(k));
   out.push_back(bench::make_hazard());
+  for (std::uint64_t seed = 1; seed <= 25; ++seed)
+    out.push_back(bench::make_random_stg(seed));
   return out;
 }
 
@@ -215,15 +218,20 @@ TEST(PerfEquiv, WideMarkingPathMatchesReference) {
 TEST(PerfEquiv, CscConflictCountMatchesReferenceOnFamilies) {
   for (const Stg& stg : family_instances()) {
     const StateGraph sg = stg.to_state_graph();
-    EXPECT_EQ(count_csc_conflicts(sg), reference_csc_conflicts(sg));
+    const int ref = reference_csc_conflicts(sg);
+    EXPECT_EQ(count_csc_conflicts(sg), ref);
+    EXPECT_EQ(static_cast<bool>(check_csc(sg)), ref == 0);
   }
 }
 
 TEST(PerfEquiv, CscConflictCountMatchesReferenceOnCorpus) {
+  // The Table-1 sweep also pins the CSC verdict: check_csc holds exactly
+  // when the reference finds no conflicting pair.
   for (const auto& entry : bench::table1_suite()) {
     const StateGraph sg = entry.stg.to_state_graph();
-    EXPECT_EQ(count_csc_conflicts(sg), reference_csc_conflicts(sg))
-        << entry.name;
+    const int ref = reference_csc_conflicts(sg);
+    EXPECT_EQ(count_csc_conflicts(sg), ref) << entry.name;
+    EXPECT_EQ(static_cast<bool>(check_csc(sg)), ref == 0) << entry.name;
   }
 }
 
@@ -249,6 +257,7 @@ TEST(PerfEquiv, ConflictedRingMatchesReference) {
   const int fast = count_csc_conflicts(sg);
   EXPECT_GT(fast, 0);
   EXPECT_EQ(fast, reference_csc_conflicts(sg));
+  EXPECT_FALSE(check_csc(sg));
 }
 
 TEST(PerfEquiv, ConnectTtReusesManuallyWiredImplicitPlace) {

@@ -269,6 +269,13 @@ TEST(ServeEngine, MalformedRequestsAreContained) {
                 engine.handle_line(R"({"spec":"x","options":{"nope":1}})"))
                 .find("status")->string_value(),
             "error");
+  // `symbolic_check` is not a serve option: naming it rejects the request
+  // even when the spec is valid.
+  Json removed = Json::parse(request("sym", chu133_text()));
+  removed.set("options", Json::parse(R"({"symbolic_check":true})"));
+  EXPECT_EQ(Json::parse(engine.handle_line(removed.dump(0)))
+                .find("status")->string_value(),
+            "error");
   // The engine keeps answering.
   EXPECT_EQ(Json::parse(engine.handle_line(request("ok", chu133_text())))
                 .find("status")->string_value(),

@@ -192,7 +192,6 @@ TEST(OptionsFingerprint, OutputAffectingFieldsChangeTheKey) {
   differs([](FlowOptions& o) { o.mapper.threads = 2; }, "mapper.threads");
   differs([](FlowOptions& o) { o.mapper.prune_pre_checks = true; },
           "mapper.prune_pre_checks");
-  differs([](FlowOptions& o) { o.symbolic_check = true; }, "symbolic_check");
   differs([](FlowOptions& o) { o.lint = true; }, "lint");
   differs([](FlowOptions& o) { o.check = true; }, "check");
   differs([](FlowOptions& o) { o.check_opts.nlint.max_gc_fanin = 4; },

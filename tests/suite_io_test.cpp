@@ -1,5 +1,5 @@
-// Round-trip every suite benchmark through both text formats and the
-// symbolic engine — broad I/O and cross-engine coverage.
+// Round-trip every suite benchmark through both text formats — broad I/O
+// coverage.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "sg/properties.hpp"
 #include "sg/sg_io.hpp"
 #include "stg/g_io.hpp"
-#include "stg/symbolic.hpp"
 
 namespace sitm {
 namespace {
@@ -38,14 +37,6 @@ TEST_P(SuiteRoundTrip, SgFormat) {
   EXPECT_EQ(back.num_arcs(), original.num_arcs());
   EXPECT_EQ(back.code(back.initial()), original.code(original.initial()));
   EXPECT_TRUE(check_implementability(back));
-}
-
-TEST_P(SuiteRoundTrip, SymbolicAgreesWithExplicit) {
-  const auto entry = bench::suite_benchmark(GetParam());
-  const auto sym = symbolic_reachability(entry.stg);
-  const StateGraph sg = entry.stg.to_state_graph();
-  EXPECT_DOUBLE_EQ(sym.num_markings, static_cast<double>(sg.num_states()));
-  EXPECT_FALSE(sym.has_deadlock);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SuiteRoundTrip,
