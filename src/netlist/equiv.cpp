@@ -107,6 +107,13 @@ struct NetworkSpec {
 
 }  // namespace
 
+BddRef encode_states(BddManager& mgr, const StateGraph& sg,
+                     const DynBitset& set, const RunGuard* guard) {
+  std::vector<int> level(static_cast<std::size_t>(sg.num_signals()));
+  std::iota(level.begin(), level.end(), 0);
+  return Encoder(mgr, std::move(level), guard).states(sg, set);
+}
+
 std::string EquivReport::first_failure() const {
   if (failures.empty()) return {};
   return "equiv: " + failures.front().why;
@@ -149,13 +156,9 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
   BddManager mgr(n);
   const DynBitset reachable = sg.reachable();
 
+  BddRef reach = encode_states(mgr, sg, reachable, guard);
   std::vector<int> level(static_cast<std::size_t>(n));
   std::iota(level.begin(), level.end(), 0);
-  BddRef reach;
-  {
-    Encoder identity(mgr, level, guard);
-    reach = identity.states(sg, reachable);
-  }
   rep.reach_states = distinct_codes(sg, reachable).size();
 
   if (opts.reorder && n > 1) {

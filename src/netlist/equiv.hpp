@@ -13,8 +13,9 @@
 //   prove  reach ⇒ (gate ≡ spec)   per gate, per network
 //
 // The reachable set is built from the explicit SG codes over the signal
-// variables the gates speak, inserted state signals included; the encoder
-// in equiv.cpp is the library's only SG-code -> BDD encoding.  Don't-cares
+// variables the gates speak, inserted state signals included; its encoder
+// (`encode_states` below, sifted-order covers in equiv.cpp) is the library's
+// only SG-code -> BDD encoding.  Don't-cares
 // are handled by restriction to `reach`; the off-space of a sequential
 // network is built from the explicit off-state codes (NOT as a
 // complement), mirroring `minimize_onoff`'s treatment of a code shared by a
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/nlint.hpp"
 #include "util/json.hpp"
@@ -80,6 +82,13 @@ struct EquivReport {
 
   Json to_json() const;
 };
+
+/// The SG-code -> BDD encoding the proof runs on: the OR of the minterms of
+/// every distinct code of the states in `set`, signal v at BDD variable v.
+/// Charges `guard` per encoded code at the "check.state" site.  Throws
+/// Error when `mgr` has fewer variables than `sg` has signals.
+BddRef encode_states(BddManager& mgr, const StateGraph& sg,
+                     const DynBitset& set, const RunGuard* guard = nullptr);
 
 /// Prove every gate of `netlist` equivalent to its excitation/next-state
 /// specification over the reachable states.  Charges `guard` (nullptr =

@@ -1,17 +1,13 @@
-// Tests for symbolic SG encodings: code sets, symbolic CSC/USC, and
-// symbolic cover validation — each cross-checked against the explicit
-// algorithms.
+// Tests for the SG-code -> BDD encoding the equivalence proof runs on
+// (encode_states in netlist/equiv.hpp).
 
 #include <gtest/gtest.h>
 
+#include "bdd/bdd.hpp"
 #include "benchlib/generators.hpp"
-#include "benchlib/suite.hpp"
-#include "core/mc_cover.hpp"
-#include "sg/encode.hpp"
-#include "util/error.hpp"
-#include "sg/properties.hpp"
-#include "sg/regions.hpp"
+#include "netlist/equiv.hpp"
 #include "stg/stg.hpp"
+#include "util/error.hpp"
 
 namespace sitm {
 namespace {
@@ -20,7 +16,7 @@ TEST(Encode, CodesRoundTrip) {
   const StateGraph sg = bench::make_hazard().to_state_graph();
   BddManager mgr(sg.num_signals());
   const DynBitset all = sg.reachable();
-  const BddRef codes = encode_codes(mgr, sg, all);
+  const BddRef codes = encode_states(mgr, sg, all);
   // Every reachable code satisfies the BDD; a known-unreachable one doesn't.
   all.for_each([&](std::size_t s) {
     EXPECT_TRUE(mgr.eval(codes, sg.code(static_cast<StateId>(s))));
@@ -40,73 +36,10 @@ TEST(Encode, CodesRoundTrip) {
   EXPECT_GT(unreachable_checked, 0);
 }
 
-TEST(Encode, SymbolicCscAgreesWithExplicit) {
-  for (auto& entry : bench::table1_suite()) {
-    const StateGraph sg = entry.stg.to_state_graph();
-    BddManager mgr(sg.num_signals());
-    EXPECT_EQ(symbolic_csc(mgr, sg), static_cast<bool>(check_csc(sg)))
-        << entry.name;
-  }
-}
-
-TEST(Encode, SymbolicCscDetectsConflict) {
-  // The two-phase ring violates CSC (see csc_test).
-  Stg stg;
-  const int a = stg.add_signal("a", SignalKind::kOutput);
-  const int b = stg.add_signal("b", SignalKind::kOutput);
-  const int c = stg.add_signal("c", SignalKind::kOutput);
-  const int d = stg.add_signal("d", SignalKind::kOutput);
-  const TransId ring[] = {
-      stg.add_transition(a, true),  stg.add_transition(b, true),
-      stg.add_transition(a, false), stg.add_transition(b, false),
-      stg.add_transition(c, true),  stg.add_transition(d, true),
-      stg.add_transition(c, false), stg.add_transition(d, false),
-  };
-  for (int i = 0; i < 7; ++i) stg.connect_tt(ring[i], ring[i + 1]);
-  stg.mark_initial(stg.connect_tt(ring[7], ring[0]));
-  const StateGraph sg = stg.to_state_graph();
-  BddManager mgr(sg.num_signals());
-  EXPECT_FALSE(symbolic_csc(mgr, sg));
-  EXPECT_FALSE(check_csc(sg));
-}
-
-TEST(Encode, SymbolicUscAgreesWithExplicit) {
-  for (const Stg& stg : {bench::make_hazard(), bench::make_parallelizer(3),
-                         bench::make_combo(2, 2)}) {
-    const StateGraph sg = stg.to_state_graph();
-    BddManager mgr(sg.num_signals());
-    EXPECT_EQ(symbolic_usc(mgr, sg), static_cast<bool>(check_usc(sg)));
-  }
-}
-
-TEST(Encode, SymbolicUscWithSpareVariables) {
-  const StateGraph sg = bench::make_hazard().to_state_graph();
-  BddManager mgr(sg.num_signals() + 3);  // spare variables must not matter
-  EXPECT_EQ(symbolic_usc(mgr, sg), static_cast<bool>(check_usc(sg)));
-}
-
-TEST(Encode, SymbolicCoverValidation) {
-  const StateGraph sg = bench::make_parallelizer(3).to_state_graph();
-  BddManager mgr(sg.num_signals());
-  for (int sig : sg.noninput_signals()) {
-    const SignalSynthesis synth = synthesize_signal(sg, sig);
-    // The MC cover is 1 on its on-set and 0 on its off-set, symbolically.
-    EXPECT_TRUE(symbolic_cover_ok(mgr, sg, synth.set.cover, synth.set.on,
-                                  synth.set.off));
-    EXPECT_TRUE(symbolic_cover_ok(mgr, sg, synth.reset.cover, synth.reset.on,
-                                  synth.reset.off));
-    // Swapping on/off must fail for non-trivial covers.
-    if (synth.set.on.any() && synth.set.off.any()) {
-      EXPECT_FALSE(symbolic_cover_ok(mgr, sg, synth.set.cover, synth.set.off,
-                                     synth.set.on));
-    }
-  }
-}
-
 TEST(Encode, TooSmallManagerThrows) {
   const StateGraph sg = bench::make_hazard().to_state_graph();
   BddManager mgr(2);
-  EXPECT_THROW(encode_codes(mgr, sg, sg.reachable()), Error);
+  EXPECT_THROW(encode_states(mgr, sg, sg.reachable()), Error);
 }
 
 }  // namespace
