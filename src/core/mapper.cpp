@@ -52,21 +52,52 @@ Cover latch_reset_partner(const Cover& f) {
   return Cover(f.num_vars(), {partner});
 }
 
+/// Add one signal's gates to the global cost.  Every component only grows,
+/// so the cost of any subset of the signals is a lexicographic lower bound
+/// of the cost of all of them.
+void add_metrics(MapMetrics& m, const SignalSynthesis& s,
+                 const GateLibrary& library) {
+  const int gates[2] = {s.combinational ? s.complete_complexity
+                                        : s.set.complexity,
+                        s.combinational ? -1 : s.reset.complexity};
+  for (int c : gates) {
+    if (c < 0) continue;
+    if (!library.fits(c)) ++m.gates_over_library;
+    m.max_complexity = std::max(m.max_complexity, c);
+    m.total_literals += c;
+  }
+}
+
 MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
                       const GateLibrary& library) {
   MapMetrics m;
-  for (const auto& s : syntheses) {
-    const int gates[2] = {s.combinational ? s.complete_complexity
-                                          : s.set.complexity,
-                          s.combinational ? -1 : s.reset.complexity};
-    for (int c : gates) {
-      if (c < 0) continue;
-      if (!library.fits(c)) ++m.gates_over_library;
-      m.max_complexity = std::max(m.max_complexity, c);
-      m.total_literals += c;
-    }
-  }
+  for (const auto& s : syntheses) add_metrics(m, s, library);
   return m;
+}
+
+/// Order in which a candidate's signals are resynthesized, chosen so that
+/// the partial cost reaches the bound early: the signals over the library
+/// in the current synthesis (the target last: it is the one the insertion
+/// should fix), then the rest by descending current complexity, then the
+/// new signal.
+std::vector<int> bound_order(const std::vector<SignalSynthesis>& syntheses,
+                             const GateLibrary& library, int target,
+                             int new_signal) {
+  std::vector<const SignalSynthesis*> over, rest;
+  for (const auto& s : syntheses) {
+    if (s.signal == target) continue;
+    (library.fits(s.complexity) ? rest : over).push_back(&s);
+  }
+  std::stable_sort(rest.begin(), rest.end(),
+                   [](const SignalSynthesis* a, const SignalSynthesis* b) {
+                     return a->complexity > b->complexity;
+                   });
+  std::vector<int> order;
+  for (const auto* s : over) order.push_back(s->signal);
+  order.push_back(target);
+  for (const auto* s : rest) order.push_back(s->signal);
+  order.push_back(new_signal);
+  return order;
 }
 
 /// Fresh internal signal name.
@@ -87,19 +118,29 @@ struct Candidate {
 
 }  // namespace
 
-Netlist MapResult::build_netlist(const McOptions& mc) const {
+Netlist MapResult::build_netlist(const McOptions& opts) const {
   if (!sg) throw Error("MapResult: no state graph");
-  return synthesize_all(*sg, mc);
+  if (opts.same_results(mc)) return netlist_of(*sg, syntheses);
+  return synthesize_all(*sg, opts);
 }
 
 MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
-                         const RunGuard* guard) {
+                         const RunGuard* guard,
+                         const std::vector<SignalSynthesis>* syntheses) {
   MapResult result;
+  result.mc = opts.mc;
   result.sg = std::make_shared<StateGraph>(input);
-  result.sg->prune_unreachable();
+  const bool pruned = result.sg->prune_unreachable() > 0;
 
   if (auto r = check_implementability(*result.sg); !r)
     throw Error("technology_map: input SG not implementable: " + r.why);
+
+  // `result.syntheses` always describes `*result.sg`: the caller's when
+  // pruning left the input as it was, then each committed winner's.
+  if (syntheses && !pruned)
+    result.syntheses = *syntheses;
+  else
+    synthesize_all(*result.sg, opts.mc, &result.syntheses, guard);
 
   int name_counter = 0;
 
@@ -107,8 +148,6 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     guard_check(guard, "map.iteration");
     fault::hit("map.round");
     StateGraph& sg = *result.sg;
-    result.syntheses.clear();
-    synthesize_all(sg, opts.mc, &result.syntheses, guard);
 
     // Shared per-iteration planning state: one diamond enumeration and one
     // region memo serve every divisor candidate of every target below, and
@@ -195,28 +234,43 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
                          });
       }
 
-      // ---- full evaluation (resynthesis from scratch) ------------------
+      // ---- full evaluation (bounded resynthesis) -----------------------
       // Every candidate evaluation reads only the shared (const) SG and its
       // own plan, so both steps fan out to a worker pool
       // (MapperOptions::threads): the insert/verify pre-check in rank-order
-      // rounds, each round's verified candidates fully resynthesized before
-      // the next round starts.  The evaluated set — the first
-      // max_full_evals candidates whose insertion verifies — and the winner
-      // — the best (metrics, states) key, earliest candidate on ties — are
-      // both determined in candidate order, so the mapped result and the
-      // search counters are bit-identical to the serial loop at every
-      // thread count.  With prune_pre_checks the loop additionally stops
-      // at the first round boundary where a committable running best
-      // exists: the pruned candidates carry estimates no better than what
-      // already won, and never pay for insert_signal/verify_insertion.
+      // rounds, each round's verified candidates resynthesized before the
+      // next round starts.  The evaluated set — the first max_full_evals
+      // candidates whose insertion verifies — and the winner — the best
+      // (metrics, states) key, earliest candidate on ties — are both
+      // determined in candidate order, so the mapped result and the search
+      // counters are bit-identical to the serial loop at every thread count.
+      // With prune_pre_checks the loop additionally stops at the first
+      // round boundary where a committable running best exists: the pruned
+      // candidates carry estimates no better than what already won, and
+      // never pay for insert_signal/verify_insertion.
+      //
+      // Resynthesis is bounded: a candidate is synthesized signal by signal
+      // in bound_order, and the cost of the signals done so far is a
+      // lexicographic lower bound of its final cost.  It is abandoned once
+      // that bound is not below `current_metrics` (it can never be
+      // committed) or, with its state count, not below the best key of the
+      // earlier rounds (it can never replace that best).  Either way the
+      // abandoned candidate could not have won, so the winner is the one
+      // the unbounded loop picks.  Only earlier rounds feed the bound, which
+      // keeps the winner independent of the worker schedule; how much gets
+      // abandoned depends on the round width (resyntheses_pruned).
       struct Evaluated {
         StateGraph sg;
         std::vector<SignalSynthesis> syntheses;
         const Candidate* candidate = nullptr;
         MapMetrics metrics;
         std::size_t states = 0;
+        bool complete = false;  ///< synthesized to the end, within the bound
       };
       const std::string name = fresh_name(sg, name_counter);
+      const std::vector<int> order =
+          bound_order(result.syntheses, opts.library, target.synth->signal,
+                      sg.num_signals());
       const int eval_threads =
           resolve_worker_threads(opts.threads, candidates.size());
       // Round width.  When pruning, the stop decision happens only on round
@@ -264,20 +318,34 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
             ev.candidate = &candidates[pos + k];
             evaluated.push_back(std::move(ev));
           }
-          parallel_for(evaluated.size() - first_new, eval_threads,
-                       [&](std::size_t k) {
-                         Evaluated& ev = evaluated[first_new + k];
-                         synthesize_all(ev.sg, opts.mc, &ev.syntheses, guard);
-                         ev.metrics = metrics_of(ev.syntheses, opts.library);
-                         ev.states = ev.sg.num_states();
-                       });
+          // The running best of the earlier rounds; this round's workers
+          // only write their own new entries, so reading it is race-free.
+          const Evaluated* bar = best_idx ? &evaluated[*best_idx] : nullptr;
+          parallel_for(
+              evaluated.size() - first_new, eval_threads, [&](std::size_t k) {
+                Evaluated& ev = evaluated[first_new + k];
+                ev.states = ev.sg.num_states();
+                // Progress requirement: the global cost tuple strictly
+                // decreases.  This is the termination measure of the whole
+                // loop — temporary growth of one cover (the acknowledgement
+                // literal of Property 3.2) is fine as long as fewer gates
+                // exceed the library.
+                ev.complete = synthesize_while(
+                    ev.sg, order, opts.mc, guard, &ev.syntheses,
+                    [&](const SignalSynthesis& s) {
+                      add_metrics(ev.metrics, s, opts.library);
+                      return ev.metrics < current_metrics &&
+                             (!bar || key(ev) < key(*bar));
+                    });
+                // synthesize_all's signal order, for the next iteration.
+                if (ev.complete)
+                  std::ranges::sort(ev.syntheses, {}, &SignalSynthesis::signal);
+              });
           for (std::size_t i = first_new; i < evaluated.size(); ++i) {
-            // Progress requirement: the global cost tuple strictly
-            // decreases.  This is the termination measure of the whole loop
-            // — temporary growth of one cover (the acknowledgement literal
-            // of Property 3.2) is fine as long as fewer gates exceed the
-            // library.
-            if (!(evaluated[i].metrics < current_metrics)) continue;
+            if (!evaluated[i].complete) {
+              ++result.resyntheses_pruned;
+              continue;
+            }
             if (!best_idx || key(evaluated[i]) < key(evaluated[*best_idx]))
               best_idx = i;
           }
@@ -302,6 +370,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         result.steps.push_back(std::move(step));
 
         result.sg = std::make_shared<StateGraph>(std::move(best->sg));
+        result.syntheses = std::move(best->syntheses);
         ++result.signals_inserted;
         ++name_counter;
         committed = true;

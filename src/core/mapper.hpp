@@ -11,6 +11,15 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
+// The resynthesis is an exact branch-and-bound: a candidate is synthesized
+// signal by signal, and the cost of the signals done so far is a lower
+// bound of its final cost, so a candidate is abandoned as soon as it can no
+// longer beat the current circuit or the best candidate found before it.
+// Abandoned candidates could never have been committed, so the result is
+// the one exhaustive resynthesis would reach.  Each SG revision is
+// synthesized once: the committed winner's syntheses serve the next
+// iteration and MapResult::build_netlist.
+//
 // The paper's tuning knobs (try other events when the worst one is stuck,
 // cap the number of candidates, local-vs-global acknowledgement for the
 // ablation study) are exposed through MapperOptions.
@@ -106,23 +115,34 @@ struct MapResult {
   /// 3.1/3.2 ranking is meant to save).
   long candidates_planned = 0;
   long resyntheses = 0;
-  /// Final SG (with the inserted signals) and its synthesis.
+  /// Of those resyntheses, how many the cost bound abandoned before the
+  /// last signal.  A work counter: it depends on the round width, so unlike
+  /// the result it may differ across thread counts.
+  long resyntheses_pruned = 0;
+  /// Final SG (with the inserted signals), its synthesis, and the options
+  /// that synthesis was made with.
   std::shared_ptr<StateGraph> sg;
   std::vector<SignalSynthesis> syntheses;
+  McOptions mc;
   std::vector<MapStep> steps;
 
-  /// Standard-C netlist of the final SG.  The returned netlist references
-  /// *sg; keep this MapResult alive while using it.
-  Netlist build_netlist(const McOptions& mc = {}) const;
+  /// Standard-C netlist of the final SG, assembled from `syntheses` when
+  /// `opts` gives the same results as `mc` and resynthesized otherwise.
+  /// The returned netlist references *sg; keep this MapResult alive while
+  /// using it.
+  Netlist build_netlist(const McOptions& opts = {}) const;
 };
 
 /// Map `sg` onto the library in `opts`.  The input SG must satisfy the flow
 /// preconditions (consistency, speed-independence, CSC); throws otherwise.
 /// `guard` (optional) bounds the search — polled at every iteration, per
-/// pre-check round and per resynthesis — and throws GuardExhausted on
-/// exhaustion (no partial MapResult: an uncommitted decomposition has no
-/// netlist worth degrading to).
+/// pre-check round and per resynthesized signal — and throws GuardExhausted
+/// on exhaustion (no partial MapResult: an uncommitted decomposition has no
+/// netlist worth degrading to).  `syntheses` (optional) is the synthesis of
+/// `sg` under options giving the same results as `opts.mc`; it replaces the
+/// first synthesis when `sg` has no unreachable states to prune.
 MapResult technology_map(const StateGraph& sg, const MapperOptions& opts = {},
-                         const RunGuard* guard = nullptr);
+                         const RunGuard* guard = nullptr,
+                         const std::vector<SignalSynthesis>* syntheses = nullptr);
 
 }  // namespace sitm

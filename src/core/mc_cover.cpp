@@ -126,31 +126,33 @@ int resolve_synthesis_threads(const McOptions& opts,
 
 namespace {
 
-/// Per-signal syntheses in `sigs` order.  The SG is shared read-only; each
-/// signal's synthesis is independent, so any schedule produces the same
-/// per-slot results as the serial loop.
-std::vector<SignalSynthesis> synthesize_signals(const StateGraph& sg,
-                                                const std::vector<int>& sigs,
-                                                const McOptions& opts,
-                                                const RunGuard* guard) {
-  std::vector<SignalSynthesis> out(sigs.size());
-  parallel_for(sigs.size(), opts.threads, [&](std::size_t i) {
-    fault::hit("synth.signal");
-    guard_charge(guard, 1, "synth.signal");
-    out[i] = synthesize_signal(sg, sigs[i], opts);
-  });
-  return out;
+/// The one per-signal step every synthesis loop runs: fault site, guard
+/// charge, then the pure synthesis.
+SignalSynthesis synthesize_charged(const StateGraph& sg, int sig,
+                                   const McOptions& opts,
+                                   const RunGuard* guard) {
+  fault::hit("synth.signal");
+  guard_charge(guard, 1, "synth.signal");
+  return synthesize_signal(sg, sig, opts);
 }
 
 }  // namespace
 
-Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
-                       std::vector<SignalSynthesis>* out_syntheses,
-                       const RunGuard* guard) {
+bool synthesize_while(
+    const StateGraph& sg, const std::vector<int>& sigs, const McOptions& opts,
+    const RunGuard* guard, std::vector<SignalSynthesis>* out,
+    const std::function<bool(const SignalSynthesis&)>& keep_going) {
+  for (const int sig : sigs) {
+    out->push_back(synthesize_charged(sg, sig, opts, guard));
+    if (!keep_going(out->back())) return false;
+  }
+  return true;
+}
+
+Netlist netlist_of(const StateGraph& sg,
+                   const std::vector<SignalSynthesis>& syntheses) {
   Netlist netlist(&sg);
-  if (out_syntheses) out_syntheses->clear();
-  const std::vector<int> sigs = sg.noninput_signals();
-  for (SignalSynthesis& synth : synthesize_signals(sg, sigs, opts, guard)) {
+  for (const SignalSynthesis& synth : syntheses) {
     SignalImpl impl;
     impl.signal = synth.signal;
     impl.combinational = synth.combinational;
@@ -165,8 +167,22 @@ Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
       impl.reset_complexity = synth.reset.complexity;
     }
     netlist.add_impl(std::move(impl));
-    if (out_syntheses) out_syntheses->push_back(std::move(synth));
   }
+  return netlist;
+}
+
+Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
+                       std::vector<SignalSynthesis>* out_syntheses,
+                       const RunGuard* guard) {
+  // The SG is shared read-only and each signal's synthesis is independent,
+  // so any schedule fills the per-slot results of the serial loop.
+  const std::vector<int> sigs = sg.noninput_signals();
+  std::vector<SignalSynthesis> syntheses(sigs.size());
+  parallel_for(sigs.size(), opts.threads, [&](std::size_t i) {
+    syntheses[i] = synthesize_charged(sg, sigs[i], opts, guard);
+  });
+  Netlist netlist = netlist_of(sg, syntheses);
+  if (out_syntheses) *out_syntheses = std::move(syntheses);
   return netlist;
 }
 

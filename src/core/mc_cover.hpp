@@ -16,6 +16,7 @@
 // more complex than the worse of the set/reset gates; otherwise the
 // standard-C architecture with set/reset networks is used.
 
+#include <functional>
 #include <vector>
 
 #include "boolf/cover.hpp"
@@ -69,6 +70,13 @@ struct McOptions {
   /// bit-identical for every thread count.  1 = serial, 0 = one thread per
   /// hardware core.
   int threads = 1;
+
+  /// Whether `o` synthesizes exactly the same covers: only the minimizer
+  /// passes and the architecture shape results, threads only the schedule.
+  bool same_results(const McOptions& o) const {
+    return minimize_passes == o.minimize_passes &&
+           architecture == o.architecture;
+  }
 };
 
 /// Monotonous cover for one event.  Throws sitm::Error if the SG violates
@@ -92,6 +100,21 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
 Netlist synthesize_all(const StateGraph& sg, const McOptions& opts = {},
                        std::vector<SignalSynthesis>* out_syntheses = nullptr,
                        const RunGuard* guard = nullptr);
+
+/// The standard-C netlist of `sg` assembled from its per-signal syntheses
+/// (in synthesize_all's signal order), without synthesizing anything.
+Netlist netlist_of(const StateGraph& sg,
+                   const std::vector<SignalSynthesis>& syntheses);
+
+/// Synthesize `sigs` serially in the given order, appending each result to
+/// `out`, and stop as soon as `keep_going` rejects the latest one.  Returns
+/// true when every signal was synthesized and accepted.  Each synthesized
+/// signal hits the "synth.signal" fault site and charges `guard` one unit,
+/// exactly as in synthesize_all.
+bool synthesize_while(
+    const StateGraph& sg, const std::vector<int>& sigs, const McOptions& opts,
+    const RunGuard* guard, std::vector<SignalSynthesis>* out,
+    const std::function<bool(const SignalSynthesis&)>& keep_going);
 
 /// Worker count synthesize_all will actually use for `num_signals` work
 /// items: McOptions::threads with 0 resolved to the hardware concurrency,

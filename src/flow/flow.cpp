@@ -494,10 +494,17 @@ void Flow::stage_map(StageReport& sr) {
   sr.metric("threads",
             resolve_worker_threads(opts_.mapper.threads,
                                    std::numeric_limits<std::size_t>::max()));
-  MapResult result = technology_map(*ctx_.sg, opts_.mapper, ctx_.guard.get());
+  // The synth stage's syntheses describe this very SG revision; when the
+  // mapper's options synthesize the same covers it starts from them.
+  const bool reuse = ctx_.synth_sg == ctx_.sg &&
+                     opts_.mc.same_results(opts_.mapper.mc);
+  MapResult result = technology_map(*ctx_.sg, opts_.mapper, ctx_.guard.get(),
+                                    reuse ? &ctx_.syntheses : nullptr);
   sr.metric("candidates_planned",
             static_cast<double>(result.candidates_planned));
   sr.metric("resyntheses", static_cast<double>(result.resyntheses));
+  sr.metric("resyntheses_pruned",
+            static_cast<double>(result.resyntheses_pruned));
   if (!result.implementable)
     throw Error("not implementable with " +
                 std::to_string(opts_.mapper.library.max_literals) +

@@ -216,9 +216,13 @@ TEST_F(FaultTest, CscExhaustionCommitsBestSoFarInsertion) {
 
 // ---- batch driver ------------------------------------------------------
 
+/// A two-spec directory private to the running test: ctest runs the batch
+/// tests as parallel processes, and a shared directory would let one test
+/// rewrite the specs while another's batch reads them.
 std::string write_spec_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "sitm_fault_batch";
+                   (std::string("sitm_fault_batch_") + info->name());
   std::filesystem::create_directories(dir);
   for (const char* name : {"one.g", "two.g"}) {
     std::ofstream out(dir / name);
