@@ -7,7 +7,7 @@
 #include "sg/properties.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
+#include "util/scheduler.hpp"
 #include "util/text.hpp"
 
 namespace sitm {

@@ -5,7 +5,7 @@
 #include "boolf/minimize.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
+#include "util/scheduler.hpp"
 
 namespace sitm {
 
@@ -117,11 +117,6 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
   }
   out.complexity = out.combinational ? out.complete_complexity : seq;
   return out;
-}
-
-int resolve_synthesis_threads(const McOptions& opts,
-                              std::size_t num_signals) {
-  return resolve_worker_threads(opts.threads, num_signals);
 }
 
 namespace {

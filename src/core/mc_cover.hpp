@@ -116,10 +116,4 @@ bool synthesize_while(
     const RunGuard* guard, std::vector<SignalSynthesis>* out,
     const std::function<bool(const SignalSynthesis&)>& keep_going);
 
-/// Worker count synthesize_all will actually use for `num_signals` work
-/// items: McOptions::threads with 0 resolved to the hardware concurrency,
-/// clamped to the number of signals.  Exposed so reports can record the
-/// true value.
-int resolve_synthesis_threads(const McOptions& opts, std::size_t num_signals);
-
 }  // namespace sitm

@@ -10,7 +10,6 @@
 #include "benchlib/suite.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
 #include "util/scheduler.hpp"
 
 namespace sitm {
@@ -110,12 +109,13 @@ BatchResult run_pool(std::vector<BatchItem> items, const BatchOptions& opts,
   // Items never throw out of the body: the Flow captures stage errors in
   // the report, and the catch arms here guard the surroundings (suite
   // lookup, fault sites, non-standard exceptions) so one bad item cannot
-  // take down the batch.  The work-stealing pool keeps workers busy when
-  // item costs are skewed (one huge spec no longer serializes the tail);
-  // each worker writes only slot i, so results are bit-identical to the
-  // serial run at any thread count.
+  // take down the batch.  Workers claim items one at a time, so skewed
+  // item costs stay balanced; each writes only slot i, so results are
+  // bit-identical to the serial run at any thread count.
   result.workers = resolve_worker_threads(opts.threads, result.items.size());
-  parallel_for_jobs(result.items.size(), opts.threads, [&](std::size_t i) {
+  const std::uint64_t steals_before =
+      result.workers > 1 ? shared_pool().steals() : 0;
+  parallel_for(result.items.size(), opts.threads, [&](std::size_t i) {
     ItemWatch& w = watch[i];
     auto attempt = [&](FlowOptions flow_opts) -> FlowReport {
       flow_opts.guard = std::make_shared<RunGuard>();
@@ -174,7 +174,9 @@ BatchResult run_pool(std::vector<BatchItem> items, const BatchOptions& opts,
     }
     result.items[i].report = std::move(report);
     result.items[i].attempts = attempts;
-  }, &result.steals);
+  });
+  if (result.workers > 1)
+    result.steals = shared_pool().steals() - steals_before;
 
   pool_done.store(true, std::memory_order_relaxed);
   if (watchdog.joinable()) watchdog.join();

@@ -3,14 +3,15 @@
 // on a thread pool and aggregate the per-spec reports into one JSON
 // document (`sitm batch`).
 //
-// Two levels of parallelism compose: the batch pool runs whole flows
-// concurrently (one spec per worker, on the work-stealing scheduler of
-// util/scheduler.hpp — the calling thread participates as a worker), and
-// each flow's synth stage may additionally parallelize over signals
-// (McOptions::threads).  Results are returned in input order regardless of
-// scheduling — every worker writes only its own index's slot, so the
-// aggregate is bit-identical at any thread count — and a failing spec is
-// recorded in its report instead of aborting the batch.
+// Two levels of parallelism compose: the batch runs whole flows
+// concurrently (one spec per worker, a parallel_for of util/scheduler.hpp
+// on the shared pool — the calling thread participates as a worker), and
+// each flow's synth and map stages may fork further loops onto the same
+// pool (McOptions::threads, MapperOptions::threads).  Results are returned
+// in input order regardless of scheduling — every worker writes only its
+// own index's slot, so the aggregate is bit-identical at any thread count
+// — and a failing spec is recorded in its report instead of aborting the
+// batch.
 //
 // Resource governance: with `item_deadline_ms` set, every item runs under
 // its own RunGuard with that deadline, and a watchdog thread additionally
@@ -59,8 +60,9 @@ struct BatchResult {
   int num_failed = 0;
   double total_ms = 0;
   /// Scheduler observability (informational; never affects the reports):
-  /// worker count the pool resolved to, and how many items ran on a worker
-  /// other than the deque they were submitted to.
+  /// worker count the batch resolved to, and the shared pool's steals
+  /// (jobs run by a worker other than the deque they were submitted to)
+  /// over the batch.
   int workers = 1;
   std::uint64_t steals = 0;
 

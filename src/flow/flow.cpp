@@ -11,7 +11,7 @@
 #include "stg/lint.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
+#include "util/scheduler.hpp"
 
 namespace sitm {
 
@@ -463,8 +463,8 @@ void Flow::stage_csc(StageReport& sr) {
 void Flow::stage_synth(StageReport& sr) {
   ctx_.synth_sg = ctx_.sg;
   sr.metric("threads",
-            resolve_synthesis_threads(opts_.mc,
-                                      ctx_.sg->noninput_signals().size()));
+            resolve_worker_threads(opts_.mc.threads,
+                                   ctx_.sg->noninput_signals().size()));
   ctx_.synth_netlist = synthesize_all(*ctx_.synth_sg, opts_.mc,
                                       &ctx_.syntheses, ctx_.guard.get());
   ctx_.netlist = ctx_.synth_netlist;

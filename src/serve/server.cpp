@@ -173,7 +173,7 @@ struct ServeEngine::Request {
 ServeEngine::ServeEngine(ServeOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_bytes, opts_.cache_shards),
-      sched_(opts_.threads, /*spawn_all=*/true) {}
+      sched_(opts_.threads) {}
 
 ServeEngine::~ServeEngine() { sched_.shutdown(); }
 

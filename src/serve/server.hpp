@@ -46,7 +46,9 @@
 // cheap deterministic failures re-derive in microseconds).  Cache hits
 // are answered on the request thread without touching the scheduler;
 // misses run as scheduler jobs under the request's priority and a
-// per-request RunGuard deadline.
+// per-request RunGuard deadline.  The engine's scheduler only runs whole
+// requests; a request's synth_threads / map_threads loops fork onto the
+// process-wide pool of util/scheduler.hpp.
 
 #include <cstdint>
 #include <functional>
@@ -66,7 +68,8 @@ struct ServeOptions {
   /// override output-affecting fields.  Emit paths are ignored (the server
   /// never writes spec outputs to disk); capture_emitted is forced on.
   FlowOptions flow;
-  /// Scheduler workers (free-running).  0 = one per hardware core.
+  /// Request workers (the engine's own scheduler).  0 = one per hardware
+  /// core.
   int threads = 1;
   /// FlowCache byte budget / shard count.
   std::size_t cache_bytes = std::size_t{256} << 20;

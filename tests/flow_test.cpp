@@ -12,7 +12,7 @@
 #include "sg/sg_io.hpp"
 #include "stg/g_io.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
+#include "util/scheduler.hpp"
 
 #ifndef SITM_SOURCE_DIR
 #define SITM_SOURCE_DIR "."
