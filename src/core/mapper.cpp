@@ -14,6 +14,10 @@ namespace sitm {
 
 namespace {
 
+/// How many of the most complex events are tried per iteration before
+/// declaring failure.
+constexpr int kMaxTargetEvents = 4;
+
 /// Is the planned signal identical (over reachable states) to an existing
 /// signal or its complement?  Such an insertion adds a redundant wire.
 /// `reachable` is the (per-iteration, shared) reachable set of `sg`.
@@ -191,7 +195,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
 
     int tried_targets = 0;
     for (const auto& target : targets) {
-      if (tried_targets++ >= opts.max_target_events) break;
+      if (tried_targets++ >= kMaxTargetEvents) break;
       // Gates already implementable do not need decomposition.
       if (opts.library.fits(target.cover->complexity)) continue;
 

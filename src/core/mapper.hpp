@@ -51,9 +51,6 @@ struct MapperOptions {
   bool global_acknowledgement = true;
   /// Safety cap on inserted signals.
   int max_insertions = 48;
-  /// How many of the most complex events are tried per iteration before
-  /// declaring failure.
-  int max_target_events = 4;
   /// How many filtered candidates are fully resynthesized per target.
   int max_full_evals = 12;
   /// Worker threads for the candidate resynthesis loop.  Each candidate is

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 
+#include "flow/options.hpp"
 #include "netlist/writers.hpp"
 #include "sg/properties.hpp"
 #include "sg/sg_io.hpp"
@@ -60,54 +61,8 @@ const char* failure_kind_name(FailureKind kind) {
 std::uint64_t FlowOptions::fingerprint() const {
   StableHasher h;
   h.tag('F');
-  // synth stage.
-  h.i64(mc.minimize_passes);
-  h.i64(static_cast<int>(mc.architecture));
-  h.i64(mc.threads);
-  // csc stage.
-  h.i64(csc.max_insertions);
-  h.u64(csc.max_candidates);
-  h.u64(csc.rank_top_k);
-  h.boolean(csc.reference_planner);
-  // map stage (nested synth options included: the mapper resynthesizes).
-  h.i64(mapper.library.max_literals);
-  h.i64(mapper.mc.minimize_passes);
-  h.i64(static_cast<int>(mapper.mc.architecture));
-  h.i64(mapper.mc.threads);
-  h.u64(mapper.divisors.max_candidates);
-  h.i64(mapper.divisors.max_subset_width);
-  h.boolean(mapper.divisors.recursive);
-  h.boolean(mapper.use_progress_filters);
-  h.boolean(mapper.global_acknowledgement);
-  h.i64(mapper.max_insertions);
-  h.i64(mapper.max_target_events);
-  h.i64(mapper.max_full_evals);
-  h.i64(mapper.threads);
-  h.boolean(mapper.prune_pre_checks);
-  // verify / reachability.
-  h.u64(verify_max_states);
-  // The lint gate decides whether a bad spec fails before reachability, so
-  // toggling it changes which outcome a run settles on.
-  h.boolean(lint);
-  // Same for the check gate (a netlist the checker rejects fails the run),
-  // and its knobs change the stage's reported metrics/warnings.
-  h.boolean(check);
-  h.i64(check_opts.nlint.max_gc_fanin);
-  h.boolean(check_opts.reorder);
-  h.i64(check_opts.reorder_rounds);
-  // Deterministic resource limits (NOT deadline_ms / guard: wall-clock
-  // bounds are observational — see the header).
-  h.u64(max_states);
-  h.u64(work_budget);
-  h.i64(static_cast<int>(on_budget));
-  // Flow shape.
-  h.i64(stop_after ? static_cast<int>(*stop_after) : -1);
-  for (int i = 0; i < kNumStages; ++i) h.boolean(skip[static_cast<std::size_t>(i)]);
-  // Which outputs exist (not where they are written).
-  h.boolean(!emit_sg_path.empty());
-  h.boolean(!emit_verilog_path.empty());
-  h.boolean(!emit_eqn_path.empty());
-  h.boolean(capture_emitted);
+  for (const OptionRow& row : option_table())
+    if (row.role == OptionRole::kOutput) row.hash(*this, h);
   return h.digest().hi ^ (h.digest().lo * 0x9e3779b97f4a7c15ull);
 }
 

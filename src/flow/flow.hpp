@@ -186,23 +186,11 @@ struct FlowOptions {
   bool capture_emitted = false;
 
   /// Stable fingerprint of every *output-affecting* option — the options
-  /// half of the serve cache key, next to the canonical spec hash.
-  ///
-  /// Covered: the synth/csc/mapper knobs that choose or rank results
-  /// (minimize passes, architecture, csc max-insertions/candidates/top-k,
-  /// reference engines, mapper library/filters/caps/pruning), thread
-  /// counts (results are bit-identical across thread counts, but stage
-  /// reports record them as metrics, and a cached report must not
-  /// misreport), deterministic resource limits (max_states, work_budget,
-  /// on_budget — these change which outcome a run settles on),
-  /// stop_after/skip, and which outputs are emitted/captured.
-  ///
-  /// Excluded as purely observational: wall-clock deadlines (deadline_ms,
-  /// an external guard) — whether a run had 5 ms or 5 s to finish does not
-  /// change what a *successful* run produces, so a deadline change must
-  /// still hit the cache — plus the input format (the spec hash is
-  /// post-parse) and emit file *paths* (the bytes produced are path-
-  /// independent; only which outputs exist matters).
+  /// half of the serve cache key, next to the canonical spec hash.  A
+  /// setting is output-affecting when it can change what a run produces
+  /// (results, reported metrics, which outputs exist); deadlines, the guard
+  /// and the input format are observational.  The roles are declared once,
+  /// in the option table (flow/options.hpp).
   std::uint64_t fingerprint() const;
 };
 

@@ -7,6 +7,10 @@ namespace sitm {
 
 namespace {
 
+/// Max subset enumeration width: subsets are enumerated exhaustively only
+/// when a cube/cover has at most this many literals/terms.
+constexpr int kMaxSubsetWidth = 6;
+
 /// Canonical key for dedup.
 std::vector<Cube> key_of(Cover c) {
   c.make_minimal_wrt_containment();
@@ -115,21 +119,19 @@ std::vector<Cover> generate_divisors(const Cover& cover,
     out.add(k.kernel);
     if (!k.cokernel.is_one())
       out.add(Cover(cover.num_vars(), {k.cokernel}));
-    if (opts.recursive) {
-      // AND/OR decompositions of kernels (sub-kernels are found by the
-      // recursive kernel enumeration itself).
-      add_term_subsets(k.kernel, opts.max_subset_width, out);
-      for (const auto& c : k.kernel.cubes())
-        add_cube_subsets(c, cover.num_vars(), opts.max_subset_width, out);
-    }
+    // AND/OR decompositions of kernels (sub-kernels are found by the
+    // recursive kernel enumeration itself).
+    add_term_subsets(k.kernel, kMaxSubsetWidth, out);
+    for (const auto& c : k.kernel.cubes())
+      add_cube_subsets(c, cover.num_vars(), kMaxSubsetWidth, out);
   }
 
   // OR-decomposition of the cover itself.
-  add_term_subsets(cover, opts.max_subset_width, out);
+  add_term_subsets(cover, kMaxSubsetWidth, out);
 
   // AND-decomposition of each cube.
   for (const auto& c : cover.cubes())
-    add_cube_subsets(c, cover.num_vars(), opts.max_subset_width, out);
+    add_cube_subsets(c, cover.num_vars(), kMaxSubsetWidth, out);
 
   return out.take();
 }

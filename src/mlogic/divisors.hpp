@@ -19,11 +19,6 @@ namespace sitm {
 struct DivisorOptions {
   /// Upper bound on emitted candidates (best-first by literal count).
   std::size_t max_candidates = 128;
-  /// Max subset enumeration width: subsets are enumerated exhaustively only
-  /// when a cube/cover has at most this many literals/terms.
-  int max_subset_width = 6;
-  /// Also emit recursive decompositions of kernels.
-  bool recursive = true;
 };
 
 /// Candidate divisors for `cover`, deduplicated, sorted by ascending literal

@@ -13,6 +13,9 @@ namespace sitm {
 
 namespace {
 
+/// Outer rounds of the sifting search when CheckOptions::reorder is set.
+constexpr int kReorderRounds = 2;
+
 /// The distinct codes of the states in `set`, ascending.
 std::vector<std::uint64_t> distinct_codes(const StateGraph& sg,
                                           const DynBitset& set) {
@@ -163,7 +166,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
 
   if (opts.reorder && n > 1) {
     const SiftResult sift =
-        sift_order(mgr, reach, std::max(1, opts.reorder_rounds));
+        sift_order(mgr, reach, kReorderRounds);
     rep.reordered = true;
     rep.reorder_size_before = sift.size_before;
     rep.reorder_size_after = sift.size_after;

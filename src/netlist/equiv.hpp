@@ -47,8 +47,6 @@ struct CheckOptions {
   /// Sift the BDD variable order on the reachable-set BDD before encoding
   /// the per-gate proofs (src/bdd/reorder.hpp).
   bool reorder = false;
-  /// Outer rounds of the sifting search when `reorder` is set.
-  int reorder_rounds = 2;
 };
 
 /// Verdict for one SOP network (a combinational gate, or one side of a gC).

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "flow/options.hpp"
 #include "stg/canon.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -31,104 +32,16 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Strict field readers: the request protocol rejects wrong-typed fields
-/// instead of coercing, so a typo'd option never silently misses the cache.
-double want_number(const Json& j, const char* what) {
-  if (j.kind() != Json::Kind::kNumber)
-    throw Error(std::string(what) + " must be a number");
-  return j.number();
-}
-
-int want_int(const Json& j, const char* what, int min) {
-  const double d = want_number(j, what);
-  // Range-check BEFORE casting: float-to-int conversion of an
-  // out-of-range double is undefined behaviour, and requests are
-  // untrusted ({"priority":1e20} must be a request error, not UB).
-  if (!(d >= min && d <= 2147483647.0) ||
-      static_cast<double>(static_cast<int>(d)) != d)
-    throw Error(std::string(what) + " must be an integer >= " +
-                std::to_string(min));
-  return static_cast<int>(d);
-}
-
-/// Non-negative integer counts (max_states, work_budget): same UB-safe
-/// range check, wide result.
-std::uint64_t want_count(const Json& j, const char* what) {
-  const double d = want_number(j, what);
-  if (!(d >= 0 && d <= 9007199254740992.0) ||  // 2^53: exact doubles only
-      d != static_cast<double>(static_cast<std::uint64_t>(d)))
-    throw Error(std::string(what) + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
-bool want_bool(const Json& j, const char* what) {
-  if (j.kind() != Json::Kind::kBool)
-    throw Error(std::string(what) + " must be a boolean");
-  return j.bool_value();
-}
-
-const std::string& want_string(const Json& j, const char* what) {
-  if (j.kind() != Json::Kind::kString)
-    throw Error(std::string(what) + " must be a string");
-  return j.string_value();
-}
-
-Stage want_stage(const Json& j, const char* what) {
-  const auto stage = parse_stage(want_string(j, what));
-  if (!stage) throw Error(std::string(what) + ": unknown stage");
-  return *stage;
-}
-
-/// Apply the request's "options" object onto the base FlowOptions.  Only
-/// output-affecting knobs are exposed; every key is validated so an
-/// unknown option is a request error, not a silent cache split.
+/// Apply the request's "options" object onto the base FlowOptions through
+/// the option table; an unknown key is a request error, not a silent
+/// cache split.
 void apply_options(const Json& o, FlowOptions* flow) {
   if (o.kind() != Json::Kind::kObject)
     throw Error("\"options\" must be an object");
   for (const auto& [key, v] : o.members()) {
-    if (key == "minimize_passes") {
-      flow->mc.minimize_passes = want_int(v, "minimize_passes", 1);
-    } else if (key == "synth_threads") {
-      flow->mc.threads = want_int(v, "synth_threads", 0);
-    } else if (key == "csc_top_k") {
-      flow->csc.rank_top_k =
-          static_cast<std::size_t>(want_int(v, "csc_top_k", 0));
-    } else if (key == "csc_max_insertions") {
-      flow->csc.max_insertions = want_int(v, "csc_max_insertions", 1);
-    } else if (key == "max_literals") {
-      flow->mapper.library.max_literals = want_int(v, "max_literals", 1);
-    } else if (key == "map_prune") {
-      flow->mapper.prune_pre_checks = want_bool(v, "map_prune");
-    } else if (key == "map_threads") {
-      flow->mapper.threads = want_int(v, "map_threads", 0);
-    } else if (key == "lint") {
-      flow->lint = want_bool(v, "lint");
-    } else if (key == "check") {
-      flow->check = want_bool(v, "check");
-    } else if (key == "check_reorder") {
-      flow->check_opts.reorder = want_bool(v, "check_reorder");
-    } else if (key == "max_gc_fanin") {
-      flow->check_opts.nlint.max_gc_fanin = want_int(v, "max_gc_fanin", 0);
-    } else if (key == "stop_after") {
-      flow->stop_after = want_stage(v, "stop_after");
-    } else if (key == "skip") {
-      if (v.kind() != Json::Kind::kArray)
-        throw Error("skip must be an array of stage names");
-      for (const auto& s : v.items()) flow->set_skip(want_stage(s, "skip"));
-    } else if (key == "max_states") {
-      flow->max_states =
-          static_cast<std::size_t>(want_count(v, "max_states"));
-    } else if (key == "work_budget") {
-      flow->work_budget = want_count(v, "work_budget");
-    } else if (key == "on_budget") {
-      const std::string& policy = want_string(v, "on_budget");
-      if (policy == "fail") flow->on_budget = FlowOptions::OnBudget::kFail;
-      else if (policy == "degrade")
-        flow->on_budget = FlowOptions::OnBudget::kDegrade;
-      else throw Error("on_budget wants fail|degrade");
-    } else {
-      throw Error("unknown option: " + key);
-    }
+    const OptionRow* row = option_by_key(key);
+    if (!row) throw Error("unknown option: " + key);
+    row->set(*flow, v, key.c_str());
   }
 }
 
@@ -199,14 +112,8 @@ ServeEngine::Request ServeEngine::parse_request(const Json& j) const {
   const std::string& text = want_string(*specv, "spec");
 
   FlowOptions flow = opts_.flow;
-  SpecFormat format = flow.format;
-  if (const Json* f = j.find("format")) {
-    const std::string& name = want_string(*f, "format");
-    if (name == "auto") format = SpecFormat::kAuto;
-    else if (name == "g") format = SpecFormat::kG;
-    else if (name == "sg") format = SpecFormat::kSg;
-    else throw Error("format wants auto|g|sg");
-  }
+  if (const Json* f = j.find("format"))
+    option_by_field("format")->set(flow, *f, "format");
   if (const Json* o = j.find("options")) apply_options(*o, &flow);
 
   // Server invariants: never write spec outputs to disk, always capture the
@@ -223,7 +130,7 @@ ServeEngine::Request ServeEngine::parse_request(const Json& j) const {
     flow.deadline_ms = want_number(*d, "deadline_ms");
 
   Request req;
-  req.spec = load_spec_string(text, format);
+  req.spec = load_spec_string(text, flow.format);
   req.flow = std::move(flow);
   req.key = CacheKey{canonical_spec_hash(req.spec), req.flow.fingerprint()};
   if (const Json* p = j.find("priority"))

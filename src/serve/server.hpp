@@ -19,10 +19,8 @@
 //    "deadline_ms": 250,                 // per-request RunGuard deadline
 //    "options": {...}}                   // output-affecting overrides
 //
-// Option overrides: minimize_passes, synth_threads, csc_top_k,
-// csc_max_insertions, max_literals, map_prune, map_threads, stop_after,
-// skip (array of stage names), lint, check, check_reorder, max_gc_fanin,
-// max_states, work_budget, on_budget ("fail"|"degrade").
+// Option overrides: the serve keys of the option table (flow/options.hpp),
+// each validated by its row.
 // `lint` (default from the base options; `sitm serve` turns it on) is the
 // fast reject path: a spec with lint errors fails typed (`spec`) at the
 // reachability gate, before any state graph is built.  `check` (also on by

@@ -1,44 +1,23 @@
 // sitm — command-line driver for the technology mapping flow.
 //
-//   sitm info   <file.g|file.sg>           specification statistics & checks
-//   sitm lint   <file> [--json out.json]   static spec diagnostics (stg/lint):
-//                                          exit 1 when any `error`-severity
-//                                          rule fires, 0 on clean/warnings
-//   sitm map    <file> [-i N] [-o out.sg] [--verilog out.v] [--eqn out.eqn]
-//               [--threads N] [--map-threads N] [--map-prune]
-//               [--csc-top-k N] [--stop-after STAGE] [--skip STAGE]
-//               [--deadline-ms N] [--max-states N] [--work-budget N]
-//               [--on-budget fail|degrade]
-//               [--json report.json]        staged flow: CSC-resolve + map
-//   sitm verify <file> [--threads N] [--json report.json]
-//                                          synthesize + gate-level SI check
-//   sitm check  <file> [--json report.json] [--check-reorder] [--max-fanin N]
-//               [--mutate KIND[:N]]        netlist static analysis (nlint) +
-//                                          BDD equivalence proof of every
-//                                          gate against its excitation
-//                                          function; --mutate corrupts the
-//                                          synthesized netlist first
-//                                          (flip-literal|drop-cube|
-//                                          swap-set-reset) and exits 0 when
-//                                          the checker rejects the mutant
-//                                          with a counterexample
-//   sitm batch  <dir|suite> [-i N] [--threads N] [--synth-threads N]
-//               [--map-threads N] [--map-prune] [--csc-top-k N]
-//               [--stop-after STAGE] [--skip STAGE] [--json report.json]
-//               [--item-deadline-ms N] [--retry-degraded]
-//                                          full flow over a spec corpus
-//   sitm bench  <name|list>                dump a suite benchmark as .g
-//   sitm serve  --pipe | --socket PATH [--threads N] [--cache-mb N]
-//               [--deadline-ms N] [-i N] [--synth-threads N]
-//               [--map-threads N] [--map-prune] [--csc-top-k N]
-//                                          persistent synthesis service:
-//                                          newline-delimited JSON requests,
-//                                          content-addressed result cache
-//                                          (see src/serve/server.hpp)
+//   sitm info    specification statistics & checks
+//   sitm lint    static spec diagnostics (stg/lint): exit 1 when any
+//                `error`-severity rule fires, 0 on clean/warnings
+//   sitm map     staged flow: CSC-resolve + map
+//   sitm verify  synthesize + gate-level SI check
+//   sitm check   netlist static analysis (nlint) + BDD equivalence proof of
+//                every gate against its excitation function; --mutate
+//                corrupts the synthesized netlist first and exits 0 when the
+//                checker rejects the mutant with a counterexample
+//   sitm batch   full flow over a spec corpus
+//   sitm bench   dump a suite benchmark as .g
+//   sitm serve   persistent synthesis service (src/serve/server.hpp)
 //
-// map/verify/batch are thin shells over the staged Flow engine
-// (src/flow/): stages load, reachability, properties, csc, synth, decomp,
-// map, verify, emit, each with a structured report serializable to JSON.
+// Run `sitm` with no arguments for each command's arguments.  The flow
+// options the commands share (-i, --map-threads, --stop-after, ...) are
+// the rows of the option table (src/flow/options.cpp), and usage() lists
+// them.  map/verify/check/batch are thin shells over the staged Flow engine
+// (src/flow/), each stage with a structured report serializable to JSON.
 // Files ending in ".sg" are parsed as State Graphs, everything else as
 // astg ".g" Signal Transition Graphs.
 //
@@ -49,17 +28,19 @@
 // environment variable arms the deterministic fault-injection harness
 // (util/fault.hpp) for robustness testing.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "benchlib/suite.hpp"
 #include "flow/batch.hpp"
 #include "flow/flow.hpp"
+#include "flow/options.hpp"
 #include "serve/server.hpp"
 #include "sg/properties.hpp"
 #include "stg/g_io.hpp"
@@ -72,70 +53,63 @@ namespace {
 
 using namespace sitm;
 
+/// Argument placeholder of a flow flag in the usage text, by OptionKind.
+constexpr const char* kPlaceholders[] = {" N",     " N",     "",      " MS",
+                                         "",       " STAGE", " STAGE", " FILE"};
+static_assert(std::size(kPlaceholders) ==
+              static_cast<std::size_t>(OptionKind::kPath) + 1);
+
 int usage() {
-  std::fprintf(
-      stderr,
+  std::string text =
       "usage:\n"
       "  sitm info   <file.g|file.sg>\n"
       "  sitm lint   <file.g|file.sg> [--json out.json]\n"
-      "  sitm map    <file> [-i N] [-o out.sg] [--verilog out.v] "
-      "[--eqn out.eqn]\n"
-      "              [--threads N] [--map-threads N] [--map-prune] "
-      "[--csc-top-k N]\n"
-      "              [--stop-after STAGE] [--skip STAGE] [--json out.json]\n"
-      "              [--deadline-ms N] [--max-states N] [--work-budget N]\n"
-      "              [--on-budget fail|degrade]\n"
-      "  sitm verify <file> [--threads N] [--json out.json]\n"
-      "  sitm check  <file> [--json out.json] [--check-reorder] "
-      "[--max-fanin N]\n"
-      "              [--mutate flip-literal|drop-cube|swap-set-reset[:N]]\n"
-      "  sitm batch  <dir|suite> [-i N] [--threads N] [--synth-threads N]\n"
-      "              [--map-threads N] [--map-prune] [--csc-top-k N] "
-      "[--stop-after STAGE]\n"
-      "              [--skip STAGE] [--json out.json] [--item-deadline-ms N]\n"
-      "              [--retry-degraded]\n"
+      "  sitm map    <file> [--threads N] [--json out.json] [flow options]\n"
+      "  sitm verify <file> [--threads N] [--json out.json] [flow options]\n"
+      "  sitm check  <file> [--json out.json] "
+      "[--mutate flip-literal|drop-cube|swap-set-reset[:N]]\n"
+      "              [flow options]\n"
+      "  sitm batch  <dir|suite> [--threads N] [--json out.json] "
+      "[--item-deadline-ms MS]\n"
+      "              [--retry-degraded] [flow options]\n"
       "  sitm bench  <name|list>\n"
-      "  sitm serve  --pipe | --socket PATH [--threads N] [--cache-mb N]\n"
-      "              [--deadline-ms N] [-i N] [--synth-threads N]\n"
-      "              [--map-threads N] [--map-prune] [--csc-top-k N]\n"
+      "  sitm serve  --pipe | --socket PATH [--threads N] [--cache-mb N] "
+      "[flow options]\n"
+      "flow options (field, [serve request key]):\n";
+  for (const OptionRow& row : option_table()) {
+    if (!row.flags[0]) continue;
+    std::string spelling = std::string("  ") + row.flags[0];
+    if (row.flags[1]) spelling += std::string(" | ") + row.flags[1];
+    spelling += kPlaceholders[static_cast<int>(row.kind)];
+    for (int c = 0; row.choices && row.choices[c]; ++c)
+      spelling += (c ? "|" : " ") + std::string(row.choices[c]);
+    spelling.resize(std::max<std::size_t>(spelling.size() + 1, 28), ' ');
+    text += spelling + row.field;
+    if (row.key) text += std::string(" [") + row.key + "]";
+    text += "\n";
+  }
+  text +=
       "stages: load reachability properties csc synth decomp map check "
-      "verify emit\n");
+      "verify emit\n";
+  std::fputs(text.c_str(), stderr);
   return 2;
 }
 
-/// Strict integer argument: the whole token must be a number >= min.
-bool parse_int_arg(const char* s, int min, int* out) {
-  if (!s || !*s) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*end != '\0' || v < min || v > 1 << 20) return false;
-  *out = static_cast<int>(v);
-  return true;
+/// Run a strict reader on command-line values; a bad value is reported
+/// and the caller answers with usage().
+template <class Read>
+bool read_args(Read&& read) {
+  try {
+    read();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
 }
 
-/// Wide counter argument for budgets (state counts, work units) that can
-/// legitimately exceed parse_int_arg's cap.
-bool parse_count_arg(const char* s, std::uint64_t min, std::uint64_t* out) {
-  if (!s || !*s) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (*end != '\0' || v < min) return false;
-  *out = v;
-  return true;
-}
-
-/// Positive (possibly fractional) millisecond value for deadline flags.
-bool parse_ms_arg(const char* s, double* out) {
-  if (!s || !*s) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (*end != '\0' || !(v > 0)) return false;
-  *out = v;
-  return true;
-}
-
-/// Shared flow-control flags (--stop-after/--skip/--json/...).  Returns
-/// false on a malformed argument.
+/// The flow flags of the option table plus the CLI-only arguments.
+/// consume() returns false on an unknown flag or a bad value.
 struct FlowArgs {
   FlowOptions flow;
   std::string json_path;
@@ -145,124 +119,43 @@ struct FlowArgs {
   bool retry_degraded = false;
 
   bool consume(int argc, char** argv, int& i, std::string* path) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "-i") {
-      if (!parse_int_arg(next(), 1, &flow.mapper.library.max_literals))
-        return false;
-    } else if (arg == "--threads") {
-      // Single-spec commands feed this to the synth stage; batch uses it
-      // for the spec pool (with --synth-threads for the inner level).
-      if (!parse_int_arg(next(), 0, &batch_threads)) return false;
-    } else if (arg == "--synth-threads") {
-      if (!parse_int_arg(next(), 0, &flow.mc.threads)) return false;
-      synth_threads_set = true;
-    } else if (arg == "--map-threads") {
-      // Candidate-resynthesis workers inside the map stage (bit-identical
-      // netlist at any count; 0 = one per hardware core).
-      if (!parse_int_arg(next(), 0, &flow.mapper.threads)) return false;
-    } else if (arg == "--map-prune") {
-      // Stop the map stage's insert/verify pre-check once a committable
-      // candidate exists (may commit a different, equally valid divisor).
-      flow.mapper.prune_pre_checks = true;
-    } else if (arg == "--csc-top-k") {
-      // Rank the csc stage's candidate latches by conflict-splitting score
-      // and evaluate only the best K before falling back to the full scan
-      // (may commit a different, equally valid latch; 0 = exhaustive).
-      int k = 0;
-      if (!parse_int_arg(next(), 0, &k)) return false;
-      flow.csc.rank_top_k = static_cast<std::size_t>(k);
-    } else if (arg == "--stop-after") {
-      const char* v = next();
-      if (!v) return false;
-      const auto stage = parse_stage(v);
-      if (!stage) {
-        std::fprintf(stderr, "unknown stage: %s\n", v);
-        return false;
-      }
-      flow.stop_after = *stage;
-    } else if (arg == "--skip") {
-      const char* v = next();
-      if (!v) return false;
-      const auto stage = parse_stage(v);
-      if (!stage) {
-        std::fprintf(stderr, "unknown stage: %s\n", v);
-        return false;
-      }
-      flow.set_skip(*stage);
-    } else if (arg == "--deadline-ms") {
-      // Wall-clock deadline for the run, enforced cooperatively through the
-      // flow's RunGuard; an overrun fails with failure_kind "deadline".
-      if (!parse_ms_arg(next(), &flow.deadline_ms)) return false;
-    } else if (arg == "--max-states") {
-      // Reachability state budget (failure_kind "budget" when exceeded).
-      std::uint64_t n = 0;
-      if (!parse_count_arg(next(), 1, &n)) return false;
-      flow.max_states = static_cast<std::size_t>(n);
-    } else if (arg == "--work-budget") {
-      // Total work-unit budget across the run's governed loops.
-      if (!parse_count_arg(next(), 1, &flow.work_budget)) return false;
-    } else if (arg == "--on-budget") {
-      const char* v = next();
-      if (!v) return false;
-      const std::string policy = v;
-      if (policy == "fail") {
-        flow.on_budget = FlowOptions::OnBudget::kFail;
-      } else if (policy == "degrade") {
-        flow.on_budget = FlowOptions::OnBudget::kDegrade;
-      } else {
-        std::fprintf(stderr, "--on-budget wants fail|degrade, got %s\n", v);
-        return false;
-      }
-    } else if (arg == "--item-deadline-ms") {
-      // Batch: per-item deadline plus the overdue-item watchdog.
-      if (!parse_ms_arg(next(), &item_deadline_ms)) return false;
-    } else if (arg == "--retry-degraded") {
-      retry_degraded = true;
-    } else if (arg == "--lint") {
-      // Static spec lint at the reachability gate: lint errors reject the
-      // spec typed (`spec`) before any state graph is built.  Default on
-      // for batch and serve, opt-in for map/verify.
-      flow.lint = true;
-    } else if (arg == "--no-lint") {
-      flow.lint = false;
-    } else if (arg == "--check") {
-      // Netlist static analysis + BDD equivalence proof after the map
-      // stage.  Default on for batch and serve, opt-in for map/verify.
-      flow.check = true;
-    } else if (arg == "--no-check") {
-      flow.check = false;
-    } else if (arg == "--check-reorder") {
-      // Sift the BDD variable order before the per-gate proofs.
-      flow.check_opts.reorder = true;
-    } else if (arg == "--max-fanin") {
-      // nlint's gC fanin warning threshold (0 disables the rule).
-      if (!parse_int_arg(next(), 0, &flow.check_opts.nlint.max_gc_fanin))
-        return false;
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return false;
-      json_path = v;
-    } else if (arg == "-o") {
-      const char* v = next();
-      if (!v) return false;
-      flow.emit_sg_path = v;
-    } else if (arg == "--verilog") {
-      const char* v = next();
-      if (!v) return false;
-      flow.emit_verilog_path = v;
-    } else if (arg == "--eqn") {
-      const char* v = next();
-      if (!v) return false;
-      flow.emit_eqn_path = v;
-    } else if (path && path->empty() && arg[0] != '-') {
-      *path = arg;
-    } else {
-      return false;
+    const char* flag = argv[i];
+    const std::string_view arg = flag;
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (const OptionRow* row = option_by_flag(arg)) {
+      if (row->kind != OptionKind::kBool && !value) return false;
+      if (row->kind != OptionKind::kBool) ++i;
+      synth_threads_set |= arg == "--synth-threads";
+      return read_args(
+          [&] { row->set(flow, row->cli_value(arg, value), flag); });
     }
-    return true;
+    if (arg == "--retry-degraded") {
+      retry_degraded = true;
+      return true;
+    }
+    if (path && path->empty() && arg[0] != '-') {
+      *path = arg;
+      return true;
+    }
+    if (!value) return false;
+    ++i;
+    if (arg == "--json") {
+      json_path = value;
+      return true;
+    }
+    if (arg == "--threads") {
+      // Single-spec commands feed this to the synth stage unless
+      // --synth-threads is given; batch uses it for the spec pool and serve
+      // for its request workers.
+      return read_args(
+          [&] { batch_threads = want_int(cli_json(value), flag, 0); });
+    }
+    if (arg == "--item-deadline-ms") {
+      // Batch: per-item deadline plus the overdue-item watchdog.
+      return read_args(
+          [&] { item_deadline_ms = want_ms(cli_json(value), flag); });
+    }
+    return false;
   }
 };
 
@@ -435,7 +328,8 @@ int cmd_check_mutate(const std::string& path, const std::string& mutate_spec,
   int which = 0;
   if (const auto colon = mutate_spec.find(':'); colon != std::string::npos) {
     kind_name = mutate_spec.substr(0, colon);
-    if (!parse_int_arg(mutate_spec.c_str() + colon + 1, 0, &which))
+    const char* site = mutate_spec.c_str() + colon + 1;
+    if (!read_args([&] { which = want_int(cli_json(site), "--mutate", 0); }))
       return usage();
   }
   NetlistMutation kind;
@@ -595,8 +489,14 @@ int cmd_serve(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       socket_path = argv[++i];
     } else if (arg == "--cache-mb") {
-      if (i + 1 >= argc || !parse_count_arg(argv[++i], 1, &cache_mb))
+      if (i + 1 >= argc || !read_args([&] {
+            cache_mb = want_count(cli_json(argv[++i]), "--cache-mb", 1);
+          }))
         return usage();
+      if (cache_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
+        std::fprintf(stderr, "--cache-mb is too large\n");
+        return usage();
+      }
     } else if (!args.consume(argc, argv, i, nullptr)) {
       return usage();
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -254,6 +255,47 @@ TEST(ServeEngine, OutputAffectingOptionSplitsTheKey) {
   const Json resp = Json::parse(engine.handle_line(j.dump(0)));
   EXPECT_EQ(resp.find("status")->string_value(), "ok");
   EXPECT_FALSE(resp.find("cached")->bool_value());
+}
+
+TEST(ServeEngine, MinimizePassesOptionAlsoSetsTheMapperPasses) {
+  // The key sets the synth and the mapper pass counts alike, so the map
+  // stage reuses the synth stage's syntheses and builds its netlist at the
+  // requested passes, exactly as a library Flow with both fields set.
+  ServeOptions so;
+  ServeEngine engine(so);
+  Json j = Json::parse(request("p3", chu133_text()));
+  j.set("options", Json::parse(R"({"minimize_passes":3})"));
+  const Json resp = Json::parse(engine.handle_line(j.dump(0)));
+  ASSERT_EQ(resp.find("status")->string_value(), "ok");
+
+  FlowOptions lib;
+  lib.mc.minimize_passes = 3;
+  lib.mapper.mc.minimize_passes = 3;
+  lib.capture_emitted = true;
+  Flow flow(lib);
+  const FlowReport report = flow.run_string(chu133_text());
+  ASSERT_TRUE(report.ok) << report.failure;
+
+  // Same options, so the same cache key: the key's options half is the
+  // library options' fingerprint.
+  char options_hex[24];
+  std::snprintf(options_hex, sizeof options_hex, "%016llx",
+                static_cast<unsigned long long>(lib.fingerprint()));
+  const std::string& key = resp.find("key")->string_value();
+  EXPECT_EQ(key.substr(key.find(':') + 1), options_hex);
+
+  const Json& result = *resp.find("result");
+  EXPECT_EQ(result.find("netlist")->find("verilog")->string_value(),
+            flow.context().emitted_verilog);
+  const Json* served_map = nullptr;
+  for (const Json& stage : result.find("report")->find("stages")->items())
+    if (stage.find("stage")->string_value() == "map") served_map = &stage;
+  ASSERT_NE(served_map, nullptr);
+  const StageReport& map = report.stage(Stage::kMap);
+  ASSERT_FALSE(map.metrics.empty());
+  for (const auto& [name, value] : map.metrics)
+    EXPECT_EQ(served_map->find("metrics")->find(name)->number(), value)
+        << name;
 }
 
 TEST(ServeEngine, MalformedRequestsAreContained) {

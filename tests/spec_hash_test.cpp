@@ -3,15 +3,22 @@
 // formatting/comment/declaration-order presentation of the same
 // specification and separate semantically distinct ones; the fingerprint
 // must cover every output-affecting option and ignore the purely
-// observational ones (deadlines, emit paths).
+// observational ones (deadlines, emit paths).  The option table the
+// fingerprint is derived from must have a row for every options field, and
+// its CLI flags and serve keys must agree.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "flow/flow.hpp"
+#include "flow/options.hpp"
 #include "stg/canon.hpp"
 #include "stg/load.hpp"
+#include "util/error.hpp"
 #include "util/run_guard.hpp"
 
 namespace sitm {
@@ -169,51 +176,152 @@ TEST(SpecHash, GAndSgPresentationsOfDifferentKindsSeparate) {
   EXPECT_NE(hash_of(kBaseG).hex(), hash_of(kBaseSg).hex());
 }
 
-// ---- FlowOptions fingerprint --------------------------------------------
+// ---- FlowOptions fingerprint and the option table -----------------------
+
+TEST(OptionsFingerprint, EveryOptionsFieldHasARow) {
+  // A structured binding must name every member, so a field added to any
+  // options struct stops this test from compiling.  Count it in kLeaves and
+  // give it a row in flow/options.cpp; OutputAffectingFieldsChangeTheKey
+  // then pins the row's role.
+  [[maybe_unused]] auto [f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12,
+                         f13, f14, f15, f16, f17, f18, f19] = FlowOptions{};
+  [[maybe_unused]] auto [mc1, mc2, mc3] = McOptions{};
+  [[maybe_unused]] auto [c1, c2, c3, c4] = CscOptions{};
+  [[maybe_unused]] auto [m1, m2, m3, m4, m5, m6, m7, m8, m9] =
+      MapperOptions{};
+  [[maybe_unused]] auto [lib1] = GateLibrary{};
+  [[maybe_unused]] auto [div1] = DivisorOptions{};
+  [[maybe_unused]] auto [k1, k2] = CheckOptions{};
+  [[maybe_unused]] auto [n1] = NlintOptions{};
+  // Leaf settings: nested structs count as their members, and
+  // FlowOptions::guard is a runtime handle with no row.
+  constexpr std::size_t kLeaves = (19 - 4 - 1) + 3 + 4 +
+                                  (9 - 3 + 1 + 3 + 1) + (2 - 1 + 1);
+  EXPECT_EQ(option_table().size(), kLeaves);
+
+  std::set<std::string> fields, keys, flags;
+  for (const OptionRow& row : option_table()) {
+    EXPECT_TRUE(fields.insert(row.field).second) << row.field;
+    if (row.key) {
+      EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+    }
+    for (const char* flag : row.flags) {
+      if (flag) {
+        EXPECT_TRUE(flags.insert(flag).second) << flag;
+      }
+    }
+  }
+}
+
+/// Values of the row's kind to set it to.
+std::vector<Json> probes(const OptionRow& row) {
+  switch (row.kind) {
+    case OptionKind::kBool: return {Json(true), Json(false)};
+    case OptionKind::kInt:
+    case OptionKind::kCount: return {Json(row.min + 7)};
+    case OptionKind::kMs: return {Json(250)};
+    case OptionKind::kStage: return {Json("synth")};
+    case OptionKind::kPath: return {Json("out.file")};
+    case OptionKind::kStageList: {
+      Json list = Json::array();
+      list.push(Json("map"));
+      return {list};
+    }
+    case OptionKind::kChoice: {
+      std::vector<Json> all;
+      for (int i = 0; row.choices[i]; ++i) all.emplace_back(row.choices[i]);
+      return all;
+    }
+  }
+  return {};
+}
+
+/// One row's own contribution to a fingerprint: did the field move?
+std::uint64_t row_digest(const OptionRow& row, const FlowOptions& o) {
+  StableHasher h;
+  row.hash(o, h);
+  return h.digest().lo;
+}
 
 TEST(OptionsFingerprint, OutputAffectingFieldsChangeTheKey) {
   const FlowOptions base;
-  const std::uint64_t fp0 = base.fingerprint();
+  std::set<std::string> observational;
+  for (const OptionRow& row : option_table()) {
+    if (row.role == OptionRole::kObservational) observational.insert(row.field);
+    bool moved = false;
+    for (const Json& v : probes(row)) {
+      FlowOptions o;
+      row.set(o, v, row.field);
+      const bool changed = row_digest(row, o) != row_digest(row, base);
+      moved = moved || changed;
+      EXPECT_EQ(o.fingerprint() != base.fingerprint(),
+                changed && row.role == OptionRole::kOutput)
+          << row.field << " = " << v.dump(0);
+    }
+    EXPECT_TRUE(moved) << row.field << ": no probe moved the field";
+  }
+  // Every other setting can change what a run produces; a row that claims
+  // the observational role must be added here, and to
+  // ObservationalFieldsDoNot, on purpose.
+  EXPECT_EQ(observational, (std::set<std::string>{"deadline_ms", "format"}));
+}
 
-  const auto differs = [&](auto&& mutate, const char* what) {
-    FlowOptions o;
-    mutate(o);
-    EXPECT_NE(o.fingerprint(), fp0) << what;
+TEST(OptionsFingerprint, CliFlagsAndServeKeysAgree) {
+  // Each case is one value as typed on the command line and as written in
+  // a request.
+  const std::pair<const char*, const char*> cases[] = {
+      {"-1", "-1"},         {"0", "0"},         {"3", "3"},
+      {"2.5", "2.5"},       {"1e20", "1e20"},   {"99999999999", "99999999999"},
+      {"synth", "\"synth\""}, {"degrade", "\"degrade\""}, {"nope", "\"nope\""},
   };
-
-  differs([](FlowOptions& o) { o.mc.minimize_passes = 3; },
-          "mc.minimize_passes");
-  differs([](FlowOptions& o) { o.mc.threads = 4; }, "mc.threads");
-  differs([](FlowOptions& o) { o.csc.rank_top_k = 2; }, "csc.rank_top_k");
-  differs([](FlowOptions& o) { o.csc.max_insertions = 5; },
-          "csc.max_insertions");
-  differs([](FlowOptions& o) { o.mapper.library.max_literals = 3; },
-          "mapper.library.max_literals");
-  differs([](FlowOptions& o) { o.mapper.threads = 2; }, "mapper.threads");
-  differs([](FlowOptions& o) { o.mapper.prune_pre_checks = true; },
-          "mapper.prune_pre_checks");
-  differs([](FlowOptions& o) { o.lint = true; }, "lint");
-  differs([](FlowOptions& o) { o.check = true; }, "check");
-  differs([](FlowOptions& o) { o.check_opts.nlint.max_gc_fanin = 4; },
-          "check_opts.nlint.max_gc_fanin");
-  differs([](FlowOptions& o) { o.check_opts.reorder = true; },
-          "check_opts.reorder");
-  differs([](FlowOptions& o) { o.check_opts.reorder_rounds = 5; },
-          "check_opts.reorder_rounds");
-  differs([](FlowOptions& o) { o.verify_max_states = 123; },
-          "verify_max_states");
-  differs([](FlowOptions& o) { o.max_states = 77; }, "max_states");
-  differs([](FlowOptions& o) { o.work_budget = 1000; }, "work_budget");
-  differs([](FlowOptions& o) { o.on_budget = FlowOptions::OnBudget::kDegrade; },
-          "on_budget");
-  differs([](FlowOptions& o) { o.stop_after = Stage::kSynth; }, "stop_after");
-  differs([](FlowOptions& o) { o.set_skip(Stage::kMap); }, "skip[map]");
-  differs([](FlowOptions& o) { o.capture_emitted = true; },
-          "capture_emitted");
-  // Emit *existence* is covered (it decides whether the emit stage produces
-  // that output at all)...
-  differs([](FlowOptions& o) { o.emit_sg_path = "out.sg"; },
-          "emit_sg existence");
+  const auto accepts = [](auto&& apply) {
+    try {
+      apply();
+      return true;
+    } catch (const Error&) {
+      return false;
+    }
+  };
+  int compared = 0;
+  for (const OptionRow& row : option_table()) {
+    if (!row.key || !row.flags[0]) continue;
+    ASSERT_EQ(option_by_key(row.key), &row);
+    for (const char* spelling : row.flags) {
+      if (!spelling) continue;
+      const std::string flag = spelling;
+      ASSERT_EQ(option_by_flag(flag), &row);
+      if (row.kind == OptionKind::kBool) {
+        FlowOptions cli, serve;
+        row.set(cli, row.cli_value(flag, nullptr), flag.c_str());
+        const bool on = !flag.starts_with("--no-");
+        option_by_key(row.key)->set(serve, Json(on), row.key);
+        EXPECT_EQ(cli.fingerprint(), serve.fingerprint()) << flag;
+        ++compared;
+        continue;
+      }
+      for (const auto& [arg, literal] : cases) {
+        const std::string text = row.kind == OptionKind::kStageList
+                                     ? "[" + std::string(literal) + "]"
+                                     : std::string(literal);
+        FlowOptions cli, serve;
+        const bool cli_ok = accepts(
+            [&] { row.set(cli, row.cli_value(flag, arg), flag.c_str()); });
+        const bool serve_ok = accepts([&] {
+          option_by_key(row.key)->set(serve, Json::parse(text), row.key);
+        });
+        EXPECT_EQ(cli_ok, serve_ok) << flag << " " << arg;
+        if (std::string_view(arg) == "-1") {
+          EXPECT_FALSE(cli_ok) << flag << " accepts -1";
+        }
+        if (cli_ok && serve_ok) {
+          EXPECT_EQ(cli.fingerprint(), serve.fingerprint())
+              << flag << " " << arg;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 TEST(OptionsFingerprint, ObservationalFieldsDoNot) {
