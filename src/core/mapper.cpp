@@ -56,26 +56,10 @@ Cover latch_reset_partner(const Cover& f) {
   return Cover(f.num_vars(), {partner});
 }
 
-/// Add one signal's gates to the global cost.  Every component only grows,
-/// so the cost of any subset of the signals is a lexicographic lower bound
-/// of the cost of all of them.
-void add_metrics(MapMetrics& m, const SignalSynthesis& s,
-                 const GateLibrary& library) {
-  const int gates[2] = {s.combinational ? s.complete_complexity
-                                        : s.set.complexity,
-                        s.combinational ? -1 : s.reset.complexity};
-  for (int c : gates) {
-    if (c < 0) continue;
-    if (!library.fits(c)) ++m.gates_over_library;
-    m.max_complexity = std::max(m.max_complexity, c);
-    m.total_literals += c;
-  }
-}
-
 MapMetrics metrics_of(const std::vector<SignalSynthesis>& syntheses,
                       const GateLibrary& library) {
   MapMetrics m;
-  for (const auto& s : syntheses) add_metrics(m, s, library);
+  for (const auto& s : syntheses) m += signal_metrics(s, library);
   return m;
 }
 
@@ -121,6 +105,50 @@ struct Candidate {
 };
 
 }  // namespace
+
+void MapMetrics::add_gate(int complexity, const GateLibrary& library) {
+  if (!library.fits(complexity)) ++gates_over_library;
+  max_complexity = std::max(max_complexity, complexity);
+  total_literals += complexity;
+}
+
+MapMetrics& MapMetrics::operator+=(const MapMetrics& o) {
+  gates_over_library += o.gates_over_library;
+  max_complexity = std::max(max_complexity, o.max_complexity);
+  total_literals += o.total_literals;
+  return *this;
+}
+
+MapMetrics signal_metrics(const SignalSynthesis& s,
+                          const GateLibrary& library) {
+  MapMetrics m;
+  if (s.combinational) {
+    m.add_gate(s.complete_complexity, library);
+  } else {
+    m.add_gate(s.set.complexity, library);
+    m.add_gate(s.reset.complexity, library);
+  }
+  return m;
+}
+
+MapMetrics signal_metrics_bound(const CoverBounds& b, Architecture architecture,
+                                const GateLibrary& library) {
+  MapMetrics gate, latch;
+  gate.add_gate(b.complete, library);
+  latch.add_gate(b.set, library);
+  latch.add_gate(b.reset, library);
+  switch (architecture) {
+    case Architecture::kComplexGate: return gate;
+    case Architecture::kStandardC: return latch;
+    case Architecture::kAuto: break;
+  }
+  MapMetrics m;
+  m.gates_over_library =
+      std::min(gate.gates_over_library, latch.gates_over_library);
+  m.max_complexity = std::min(gate.max_complexity, latch.max_complexity);
+  m.total_literals = std::min(gate.total_literals, latch.total_literals);
+  return m;
+}
 
 Netlist MapResult::build_netlist(const McOptions& opts) const {
   if (!sg) throw Error("MapResult: no state graph");
@@ -254,15 +282,17 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // never pay for insert_signal/verify_insertion.
       //
       // Resynthesis is bounded: a candidate is synthesized signal by signal
-      // in bound_order, and the cost of the signals done so far is a
-      // lexicographic lower bound of its final cost.  It is abandoned once
-      // that bound is not below `current_metrics` (it can never be
-      // committed) or, with its state count, not below the best key of the
-      // earlier rounds (it can never replace that best).  Either way the
-      // abandoned candidate could not have won, so the winner is the one
-      // the unbounded loop picks.  Only earlier rounds feed the bound, which
-      // keeps the winner independent of the worker schedule; how much gets
-      // abandoned depends on the round width (resyntheses_pruned).
+      // in bound_order, and the cost of the signals done so far plus the
+      // cover_lower_bounds of the rest is a lexicographic lower bound of
+      // its final cost.  It is abandoned, before its first signal if the
+      // bounds alone decide it, once that bound is not below
+      // `current_metrics` (it can never be committed) or, with its state
+      // count, not below the best key of the earlier rounds (it can never
+      // replace that best).  Either way the abandoned candidate could not
+      // have won, so the winner is the one the unbounded loop picks.  Only
+      // earlier rounds feed the bound, which keeps the winner independent of
+      // the worker schedule; how much gets abandoned depends on the round
+      // width (resyntheses_pruned, signals_resynthesized).
       struct Evaluated {
         StateGraph sg;
         std::vector<SignalSynthesis> syntheses;
@@ -329,23 +359,42 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
               evaluated.size() - first_new, eval_threads, [&](std::size_t k) {
                 Evaluated& ev = evaluated[first_new + k];
                 ev.states = ev.sg.num_states();
+                // remaining[i]: lower bound of the signals order[i..].
+                const std::vector<CoverBounds> bounds =
+                    cover_lower_bounds(ev.sg);
+                std::vector<MapMetrics> remaining(order.size() + 1);
+                for (std::size_t i = order.size(); i-- > 0;) {
+                  remaining[i] = signal_metrics_bound(
+                      bounds[order[i]], opts.mc.architecture, opts.library);
+                  remaining[i] += remaining[i + 1];
+                }
                 // Progress requirement: the global cost tuple strictly
                 // decreases.  This is the termination measure of the whole
                 // loop — temporary growth of one cover (the acknowledgement
                 // literal of Property 3.2) is fine as long as fewer gates
                 // exceed the library.
-                ev.complete = synthesize_while(
-                    ev.sg, order, opts.mc, guard, &ev.syntheses,
-                    [&](const SignalSynthesis& s) {
-                      add_metrics(ev.metrics, s, opts.library);
-                      return ev.metrics < current_metrics &&
-                             (!bar || key(ev) < key(*bar));
-                    });
+                auto can_win = [&](MapMetrics bound) {
+                  bound += remaining[ev.syntheses.size()];
+                  return bound < current_metrics &&
+                         (!bar || std::make_tuple(bound.tuple(), ev.states) <
+                                      key(*bar));
+                };
+                ev.complete =
+                    can_win(MapMetrics{}) &&
+                    synthesize_while(ev.sg, order, opts.mc, guard,
+                                     &ev.syntheses,
+                                     [&](const SignalSynthesis& s) {
+                                       ev.metrics +=
+                                           signal_metrics(s, opts.library);
+                                       return can_win(ev.metrics);
+                                     });
                 // synthesize_all's signal order, for the next iteration.
                 if (ev.complete)
                   std::ranges::sort(ev.syntheses, {}, &SignalSynthesis::signal);
               });
           for (std::size_t i = first_new; i < evaluated.size(); ++i) {
+            result.signals_resynthesized +=
+                static_cast<long>(evaluated[i].syntheses.size());
             if (!evaluated[i].complete) {
               ++result.resyntheses_pruned;
               continue;

@@ -11,14 +11,30 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
-// The resynthesis is an exact branch-and-bound: a candidate is synthesized
-// signal by signal, and the cost of the signals done so far is a lower
-// bound of its final cost, so a candidate is abandoned as soon as it can no
-// longer beat the current circuit or the best candidate found before it.
-// Abandoned candidates could never have been committed, so the result is
-// the one exhaustive resynthesis would reach.  Each SG revision is
-// synthesized once: the committed winner's syntheses serve the next
-// iteration and MapResult::build_netlist.
+// The resynthesis is an exact branch-and-bound.  Before anything is
+// minimized, cover_lower_bounds reads from the candidate SG, in one pass
+// over its arcs, a lower bound of every signal's gates: the literals that
+// cross-boundary arcs force into each cover (mc_cover.hpp).  The candidate
+// is then synthesized signal by signal, and after each signal the cost of
+// the signals done so far plus the bounds of the signals still to do is a
+// lower bound of its final cost.  A candidate is abandoned as soon as that
+// bound can no longer beat the current circuit or the best candidate found
+// before it, which may be before its first signal.  Abandoned candidates
+// could never have been committed, so the result is the one exhaustive
+// resynthesis would reach.
+//
+// The bounds never change which candidates are abandoned, only how early.
+// Each signal's bound is componentwise at most its final cost, so the
+// bounded tuple is at most the final tuple at every step, and at least the
+// partial cost alone.  A candidate that completes passes the test at its
+// last signal, where the bound is the final cost, so it passed every
+// earlier test too.  A candidate that failed the partial-cost test at some
+// signal fails the bounded test there or sooner.  The winner, the steps,
+// `resyntheses` and `resyntheses_pruned` are those of the partial-cost
+// loop; only `signals_resynthesized` falls.
+//
+// Each SG revision is synthesized once: the committed winner's syntheses
+// serve the next iteration and MapResult::build_netlist.
 //
 // The paper's tuning knobs (try other events when the worst one is stuck,
 // cap the number of candidates, local-vs-global acknowledgement for the
@@ -88,7 +104,27 @@ struct MapMetrics {
   }
   bool operator<(const MapMetrics& o) const { return tuple() < o.tuple(); }
   bool operator==(const MapMetrics& o) const { return tuple() == o.tuple(); }
+
+  /// Add one gate of `complexity` literals.
+  void add_gate(int complexity, const GateLibrary& library);
+  /// Add the cost of a disjoint set of signals: counts add, the worst gate
+  /// is the larger one.  Every component only grows, so if each summand is
+  /// componentwise at most another's, so is the sum, and componentwise
+  /// order implies the lexicographic one.
+  MapMetrics& operator+=(const MapMetrics& o);
 };
+
+/// What one synthesized signal adds to the global cost: its complete-cover
+/// gate, or its set and reset gates.
+MapMetrics signal_metrics(const SignalSynthesis& s, const GateLibrary& library);
+
+/// Componentwise lower bound of signal_metrics for every synthesis of a
+/// signal with bounds `b` (cover_lower_bounds) under `architecture`:
+/// kComplexGate is one gate of b.complete literals, kStandardC two gates of
+/// b.set and b.reset, and kAuto, which picks one of the two, the
+/// componentwise minimum of both.
+MapMetrics signal_metrics_bound(const CoverBounds& b, Architecture architecture,
+                                const GateLibrary& library);
 
 /// One committed decomposition step, for reporting.
 struct MapStep {
@@ -116,6 +152,10 @@ struct MapResult {
   /// last signal.  A work counter: it depends on the round width, so unlike
   /// the result it may differ across thread counts.
   long resyntheses_pruned = 0;
+  /// Per-signal syntheses run by the candidate loop, over all resyntheses.
+  /// A work counter that depends on the round width like
+  /// resyntheses_pruned.
+  long signals_resynthesized = 0;
   /// Final SG (with the inserted signals), its synthesis, and the options
   /// that synthesis was made with.
   std::shared_ptr<StateGraph> sg;

@@ -1,6 +1,8 @@
 #include "core/mc_cover.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "boolf/minimize.hpp"
 #include "util/error.hpp"
@@ -116,6 +118,56 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
       break;
   }
   out.complexity = out.combinational ? out.complete_complexity : seq;
+  return out;
+}
+
+std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
+  using Literals = std::array<std::uint64_t, 2>;  // bit 2*v + polarity
+  const auto n = static_cast<StateId>(sg.num_states());
+  std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
+  for (StateId s = 0; s < n; ++s) {
+    std::uint64_t code = sg.code(s);
+    const auto& enabled = sg.enabled_mask(s);
+    for (int w = 0; w < 2; ++w) {
+      for (std::uint64_t bits = enabled[w]; bits != 0; bits &= bits - 1) {
+        const int id = 64 * w + std::countr_zero(bits);
+        const std::uint64_t sig = std::uint64_t{1} << (id >> 1);
+        code = (id & 1) ? (code | sig) : (code & ~sig);
+      }
+    }
+    next[s] = code;
+  }
+
+  std::uint64_t noninput = 0;
+  for (const int sig : sg.noninput_signals())
+    noninput |= std::uint64_t{1} << sig;
+  const auto signals = static_cast<std::size_t>(sg.num_signals());
+  std::vector<Literals> set(signals), reset(signals), complete(signals);
+  for (StateId s = 0; s < n; ++s) {
+    for (const auto& edge : sg.succs(s)) {
+      const int v = edge.event.signal;
+      std::uint64_t crossing =
+          (next[s] ^ next[edge.target]) & noninput & ~(std::uint64_t{1} << v);
+      for (; crossing != 0; crossing &= crossing - 1) {
+        const int a = std::countr_zero(crossing);
+        const StateId on = ((next[s] >> a) & 1) ? s : edge.target;
+        // Named by v's value at the next=1 end.  The reset cover's
+        // on-state is the other end, but flipping every pair's polarity
+        // leaves the count of distinct pairs as it is.
+        const int lit = 2 * v + (sg.value(on, v) ? 1 : 0);
+        const std::uint64_t bit = std::uint64_t{1} << (lit & 63);
+        complete[a][lit >> 6] |= bit;
+        (sg.value(s, a) ? reset[a] : set[a])[lit >> 6] |= bit;
+      }
+    }
+  }
+
+  const auto count = [](const Literals& l) {
+    return std::popcount(l[0]) + std::popcount(l[1]);
+  };
+  std::vector<CoverBounds> out(signals);
+  for (std::size_t a = 0; a < signals; ++a)
+    out[a] = CoverBounds{count(set[a]), count(reset[a]), count(complete[a])};
   return out;
 }
 

@@ -106,6 +106,40 @@ Netlist synthesize_all(const StateGraph& sg, const McOptions& opts = {},
 Netlist netlist_of(const StateGraph& sg,
                    const std::vector<SignalSynthesis>& syntheses);
 
+/// Lower bounds of one signal's synthesis, read off the state graph before
+/// anything is minimized.  Each counts the distinct literals (signal,
+/// polarity) that every cover of the function must contain.
+struct CoverBounds {
+  int set = 0;       ///< <= SignalSynthesis::set.complexity
+  int reset = 0;     ///< <= SignalSynthesis::reset.complexity
+  int complete = 0;  ///< <= SignalSynthesis::complete_complexity
+};
+
+/// The bounds of every signal of `sg`, indexed by signal (input signals get
+/// zeros), in one pass over the arcs.  Precondition: every state of `sg` is
+/// reachable, as `prune_unreachable` and `insert_signal` leave it.
+///
+/// Why they hold.  Let next_a(s) be the next-state value of a in s: 1 when
+/// a+ is enabled, 0 when a- is, else the value of a.  Take an arc s->t
+/// labelled by a transition of v != a with next_a(s) != next_a(t).  The
+/// codes of s and t differ in v alone, and s, t are reachable, so one lies
+/// in the on-set of a's complete function and the other in its off-set.
+/// The cube covering the on-state must exclude the off-state, so it carries
+/// the literal of v with its value at the on-state; the complemented cover
+/// likewise carries the opposite literal.  Both covers therefore hold at
+/// least as many literals as there are distinct forced (v, polarity)
+/// pairs, and complete_complexity, the smaller of the two, is bounded by
+/// that count.
+///
+/// a has the same value at s and t.  If it is 0, the next=1 state is in
+/// ER(a+), and the other state is a stable a=0 state: outside ER(a+) and
+/// outside QR(a+), whose states have a=1.  It is thus in the set cover's
+/// initial off-set, and the monotonicity repair only grows that off-set, so
+/// the same literal is forced into the set cover and its complement.  If a
+/// is 1, the next=0 state is in ER(a-) and the stable a=1 state is in the
+/// reset cover's off-set, which bounds reset.complexity the same way.
+std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg);
+
 /// Synthesize `sigs` serially in the given order, appending each result to
 /// `out`, and stop as soon as `keep_going` rejects the latest one.  Returns
 /// true when every signal was synthesized and accepted.  Each synthesized

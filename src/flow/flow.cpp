@@ -460,6 +460,8 @@ void Flow::stage_map(StageReport& sr) {
   sr.metric("resyntheses", static_cast<double>(result.resyntheses));
   sr.metric("resyntheses_pruned",
             static_cast<double>(result.resyntheses_pruned));
+  sr.metric("signals_resynthesized",
+            static_cast<double>(result.signals_resynthesized));
   if (!result.implementable)
     throw Error("not implementable with " +
                 std::to_string(opts_.mapper.library.max_literals) +

@@ -27,6 +27,11 @@ bool FlowCache::lookup(const CacheKey& key, std::string* out) {
   return true;
 }
 
+void FlowCache::recount_lookup(bool as_hit) {
+  (as_hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  (as_hit ? misses_ : hits_).fetch_sub(1, std::memory_order_relaxed);
+}
+
 void FlowCache::evict_for(Shard& s, std::size_t need) {
   while (!s.lru.empty() && s.bytes + need > shard_budget_) {
     Entry& victim = s.lru.back();

@@ -80,6 +80,12 @@ class FlowCache {
   /// most-recently-used.  False (and a miss count) when absent.
   bool lookup(const CacheKey& key, std::string* out);
 
+  /// Move one counted lookup from the misses to the hits (`as_hit`) or
+  /// back.  Serve's single flight answers a missed request with an
+  /// identical in-flight request's result, which makes it a hit, and takes
+  /// that back when the flight failed and the request runs its own flow.
+  void recount_lookup(bool as_hit);
+
   /// Insert `payload` for `key`, evicting LRU entries as needed.  A key
   /// already present keeps its existing payload (two racing misses compute
   /// identical bytes; the first one wins).

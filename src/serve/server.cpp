@@ -179,13 +179,20 @@ std::future<std::string> ServeEngine::submit_line(const std::string& line) {
       return fut;
     }
 
+    // Single flight: join the identical request in flight, or lead one.
+    // A flight that landed since the lookup above costs one duplicate flow,
+    // never a wrong answer.
     auto shared_req = std::make_shared<Request>(std::move(req));
-    const int priority = shared_req->priority;
-    sched_.submit(
-        [this, promise, shared_req] {
-          promise->set_value(run_request(std::move(*shared_req)));
-        },
-        priority);
+    {
+      const std::lock_guard<std::mutex> lock(flights_mu_);
+      const auto [it, leads] = flights_.try_emplace(shared_req->key);
+      if (!leads) {
+        it->second.push_back(Waiter{promise, shared_req});
+        cache_.recount_lookup(/*as_hit=*/true);
+        return fut;
+      }
+    }
+    start_flow(promise, std::move(shared_req), /*leads=*/true);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     promise->set_value(error_response(id, e.what()));
@@ -196,7 +203,42 @@ std::future<std::string> ServeEngine::submit_line(const std::string& line) {
   return fut;
 }
 
-std::string ServeEngine::run_request(Request req) {
+void ServeEngine::start_flow(std::shared_ptr<std::promise<std::string>> promise,
+                             std::shared_ptr<Request> req, bool leads) {
+  const int priority = req->priority;
+  const bool accepted = sched_.submit(
+      [this, promise, req, leads] {
+        std::string payload;
+        promise->set_value(run_request(*req, &payload));
+        if (leads) land_flight(req->key, payload);
+      },
+      priority);
+  if (accepted) return;
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  promise->set_value(error_response(req->id, "server is shutting down"));
+  if (leads) land_flight(req->key, {});
+}
+
+void ServeEngine::land_flight(const CacheKey& key, const std::string& payload) {
+  std::vector<Waiter> waiters;
+  {
+    const std::lock_guard<std::mutex> lock(flights_mu_);
+    const auto it = flights_.find(key);
+    waiters = std::move(it->second);
+    flights_.erase(it);
+  }
+  for (Waiter& w : waiters) {
+    if (!payload.empty()) {
+      w.promise->set_value(
+          make_response(w.req->id, key, /*cached=*/true, true, payload));
+    } else {
+      cache_.recount_lookup(/*as_hit=*/false);
+      start_flow(std::move(w.promise), std::move(w.req), /*leads=*/false);
+    }
+  }
+}
+
+std::string ServeEngine::run_request(Request& req, std::string* payload) {
   try {
     Flow flow(req.flow);
     const FlowReport report = flow.run_spec(std::move(req.spec));
@@ -210,17 +252,18 @@ std::string ServeEngine::run_request(Request req) {
     netlist.set("verilog", Json(ctx.emitted_verilog));
     netlist.set("eqn", Json(ctx.emitted_eqn));
     result.set("netlist", std::move(netlist));
-    const std::string payload = result.dump(0);
+    std::string result_bytes = result.dump(0);
 
     if (report.ok) {
-      cache_.insert(req.key, payload);
+      cache_.insert(req.key, result_bytes);
+      *payload = result_bytes;
     } else {
       // Failed runs are never cached: deadline/budget verdicts depend on
       // the wall clock, and deterministic failures re-derive cheaply.
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
     return make_response(req.id, req.key, /*cached=*/false, report.ok,
-                         payload);
+                         result_bytes);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return error_response(req.id, e.what());

@@ -47,13 +47,22 @@
 // per-request RunGuard deadline.  The engine's scheduler only runs whole
 // requests; a request's synth_threads / map_threads loops fork onto the
 // process-wide pool of util/scheduler.hpp.
+//
+// Single flight: one flow runs per key at a time.  A request whose key is
+// already in flight waits for that flow and answers "cached": true with
+// the same spliced bytes; it counts as one cache hit and no miss.  When the
+// flow fails, its waiters run their own flows (failures are never shared)
+// and count as misses.
 
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "flow/flow.hpp"
 #include "serve/flow_cache.hpp"
@@ -106,9 +115,23 @@ class ServeEngine {
 
   /// Parse the request object into a Request; throws Error on bad fields.
   Request parse_request(const Json& j) const;
+  /// A request waiting on the flow of an identical request.
+  struct Waiter {
+    std::shared_ptr<std::promise<std::string>> promise;
+    std::shared_ptr<Request> req;
+  };
+
   /// Run one cache-miss request through the Flow engine; returns the
-  /// response line.  Never throws.
-  std::string run_request(Request req);
+  /// response line and, when the flow succeeded, stores the cached payload
+  /// in `*payload`.  Never throws.
+  std::string run_request(Request& req, std::string* payload);
+  /// Schedule `req`'s flow, answering `promise`.  The leader of a flight
+  /// lands it when done.
+  void start_flow(std::shared_ptr<std::promise<std::string>> promise,
+                  std::shared_ptr<Request> req, bool leads);
+  /// End the flight of `key`: answer its waiters with `payload`, or, when
+  /// it is empty (the flow failed), start their own flows.
+  void land_flight(const CacheKey& key, const std::string& payload);
   static std::string error_response(const std::string& id,
                                     const std::string& message);
 
@@ -119,6 +142,9 @@ class ServeEngine {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> errors_{0};
+  std::mutex flights_mu_;
+  /// The waiters of each key whose flow is in flight.
+  std::unordered_map<CacheKey, std::vector<Waiter>, CacheKeyHash> flights_;
 };
 
 /// Shared request loop: read lines with `read_line` (false = EOF), write

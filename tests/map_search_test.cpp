@@ -1,0 +1,117 @@
+// The map stage's search decisions, pinned per corpus spec and library
+// size: how many candidates each Table-1 run fully resynthesized, and how
+// many of those the cost bound abandoned, at one map thread.  The bounds of
+// cover_lower_bounds only make an abandoned candidate stop sooner, so both
+// counts must stay those of the partial-cost branch-and-bound the table was
+// recorded from.  Checked on a direct technology_map call and through the
+// Flow's map-stage report, which must also carry the mapper's count of
+// per-signal syntheses.
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <map>
+#include <string>
+
+#include "benchlib/suite.hpp"
+#include "core/mapper.hpp"
+#include "flow/flow.hpp"
+
+namespace sitm {
+namespace {
+
+struct Search {
+  long resyntheses = 0;
+  long resyntheses_pruned = 0;
+};
+
+/// {resyntheses, resyntheses_pruned} at i = 2, 3, 4.
+const std::map<std::string, std::array<Search, 3>> kSearch = {
+    {"alloc-outbound", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"chu133", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"chu150", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"converta", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"dff", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"ebergen", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"half", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"hazard", {{{3, 1}, {0, 0}, {0, 0}}}},
+    {"master-read", {{{18, 15}, {12, 10}, {12, 11}}}},
+    {"mmu", {{{30, 26}, {23, 19}, {12, 10}}}},
+    {"mp-forward-pkt", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"mr0", {{{42, 35}, {35, 29}, {24, 20}}}},
+    {"mr1", {{{30, 26}, {23, 19}, {12, 10}}}},
+    {"nak-pa", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"nowick", {{{10, 9}, {0, 0}, {0, 0}}}},
+    {"pe-rcv-ifc", {{{22, 19}, {12, 10}, {0, 0}}}},
+    {"pe-send-ifc", {{{42, 37}, {24, 20}, {24, 20}}}},
+    {"ram-read-sbuf", {{{11, 10}, {11, 10}, {0, 0}}}},
+    {"rcv-setup", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"rlm", {{{6, 4}, {0, 0}, {0, 0}}}},
+    {"sbuf-ram-write", {{{11, 10}, {11, 10}, {0, 0}}}},
+    {"sbuf-send-ctl", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"sbuf-send-pkt2", {{{10, 9}, {0, 0}, {0, 0}}}},
+    {"seq-mix", {{{11, 10}, {11, 10}, {0, 0}}}},
+    {"seq4", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"trimos-send", {{{18, 15}, {12, 10}, {12, 11}}}},
+    {"tsend-bm", {{{30, 26}, {12, 9}, {12, 9}}}},
+    {"vbe10b", {{{54, 44}, {36, 29}, {36, 29}}}},
+    {"vbe5b", {{{6, 4}, {0, 0}, {0, 0}}}},
+    {"vbe5c", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"vbe6a", {{{0, 0}, {0, 0}, {0, 0}}}},
+    {"wrdatab", {{{30, 26}, {23, 19}, {12, 10}}}},
+};
+
+class MapSearch : public ::testing::TestWithParam<std::string> {};
+
+TEST(MapSearchTable, CoversEveryCorpusSpec) {
+  EXPECT_EQ(kSearch.size(), bench::suite_names().size());
+}
+
+TEST_P(MapSearch, ResynthesesMatchTheTable) {
+  const std::string& name = GetParam();
+  const auto row = kSearch.find(name);
+  ASSERT_NE(row, kSearch.end()) << name << " missing from the table";
+  Spec spec;
+  spec.name = name;
+  spec.format = SpecFormat::kG;
+  spec.stg = bench::suite_benchmark(name).stg;
+  for (const int i : {2, 3, 4}) {
+    const std::string label = name + "/i" + std::to_string(i);
+    const Search& want = row->second[static_cast<std::size_t>(i - 2)];
+    FlowOptions opts;
+    opts.mapper.library.max_literals = i;
+    opts.mapper.threads = 1;
+    opts.stop_after = Stage::kMap;
+    Flow flow(opts);
+    const FlowReport report = flow.run_spec(spec);
+    ASSERT_TRUE(report.ok) << label << ": " << report.failure;
+    const StageReport& map = report.stage(Stage::kMap);
+    EXPECT_EQ(map.metric_value("resyntheses"),
+              static_cast<double>(want.resyntheses))
+        << label;
+    EXPECT_EQ(map.metric_value("resyntheses_pruned"),
+              static_cast<double>(want.resyntheses_pruned))
+        << label;
+
+    ASSERT_TRUE(flow.context().synth_sg) << label;
+    const MapResult direct =
+        technology_map(*flow.context().synth_sg, opts.mapper);
+    EXPECT_EQ(direct.resyntheses, want.resyntheses) << label;
+    EXPECT_EQ(direct.resyntheses_pruned, want.resyntheses_pruned) << label;
+    EXPECT_EQ(map.metric_value("signals_resynthesized"),
+              static_cast<double>(direct.signals_resynthesized))
+        << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, MapSearch, ::testing::ValuesIn(bench::suite_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& ch : name)
+        if (ch == '-') ch = '_';
+      return name;
+    });
+
+}  // namespace
+}  // namespace sitm

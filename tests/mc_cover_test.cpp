@@ -1,10 +1,17 @@
 // Unit tests for monotonous cover synthesis (MC conditions 1-3, complete
-// covers, and the combinational-vs-standard-C architecture choice).
+// covers, and the combinational-vs-standard-C architecture choice), and the
+// soundness of cover_lower_bounds: no synthesis of any signal costs less
+// than its bound, under every architecture, on the corpus, on each SG
+// revision the mapper commits, and on random specs.
 
 #include <gtest/gtest.h>
 
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
+#include "benchlib/suite.hpp"
+#include "core/mapper.hpp"
 #include "core/mc_cover.hpp"
+#include "flow/flow.hpp"
 #include "util/error.hpp"
 #include "sg/properties.hpp"
 #include "sg/sg_io.hpp"
@@ -163,6 +170,87 @@ TEST(McCover, CompleteCoverMatchesNextValue) {
       });
       EXPECT_GE(complexity, 0);
     }
+  }
+}
+
+TEST(CoverBounds, HandshakeBoundsAreTight) {
+  // a follows r: each cover of a is the single literal r or r'.
+  const StateGraph sg = handshake();
+  const std::vector<CoverBounds> bounds = cover_lower_bounds(sg);
+  ASSERT_EQ(bounds.size(), 2u);
+  const CoverBounds& r = bounds[sg.find_signal("r")];
+  EXPECT_EQ(r.set + r.reset + r.complete, 0);
+  const CoverBounds& a = bounds[sg.find_signal("a")];
+  EXPECT_EQ(a.set, 1);
+  EXPECT_EQ(a.reset, 1);
+  EXPECT_EQ(a.complete, 1);
+}
+
+/// Every non-input signal of `sg`, synthesized under each architecture,
+/// costs at least its bound: each cover and each gate-cost component.
+void expect_bounds_hold(const StateGraph& sg, const std::string& what) {
+  const std::vector<CoverBounds> bounds = cover_lower_bounds(sg);
+  ASSERT_EQ(bounds.size(), static_cast<std::size_t>(sg.num_signals())) << what;
+  for (const int sig : sg.noninput_signals()) {
+    const CoverBounds& b = bounds[static_cast<std::size_t>(sig)];
+    const std::string at = what + " signal " + sg.signal(sig).name;
+    for (const Architecture arch :
+         {Architecture::kAuto, Architecture::kStandardC,
+          Architecture::kComplexGate}) {
+      McOptions mc;
+      mc.architecture = arch;
+      const SignalSynthesis s = synthesize_signal(sg, sig, mc);
+      EXPECT_GE(s.set.complexity, b.set) << at;
+      EXPECT_GE(s.reset.complexity, b.reset) << at;
+      EXPECT_GE(s.complete_complexity, b.complete) << at;
+      for (const int i : {2, 3, 4}) {
+        const GateLibrary library{i};
+        const MapMetrics cost = signal_metrics(s, library);
+        const MapMetrics low = signal_metrics_bound(b, arch, library);
+        EXPECT_GE(cost.gates_over_library, low.gates_over_library) << at;
+        EXPECT_GE(cost.max_complexity, low.max_complexity) << at;
+        EXPECT_GE(cost.total_literals, low.total_literals) << at;
+      }
+    }
+  }
+}
+
+TEST(CoverBounds, HoldOnTheCorpusAndEveryCommittedMapRevision) {
+  for (const std::string& name : bench::suite_names()) {
+    // The CSC-resolved corpus SG, the map stage's input.
+    FlowOptions front;
+    front.stop_after = Stage::kCsc;
+    Flow flow(front);
+    Spec spec;
+    spec.name = name;
+    spec.format = SpecFormat::kG;
+    spec.stg = bench::suite_benchmark(name).stg;
+    const FlowReport report = flow.run_spec(spec);
+    ASSERT_TRUE(report.ok) << name << ": " << report.failure;
+    StateGraph sg = *flow.context().sg;
+    sg.prune_unreachable();
+    expect_bounds_hold(sg, name);
+
+    // Replay the i=2 mapping one committed insertion at a time.
+    MapperOptions opts;
+    opts.library.max_literals = 2;
+    opts.max_insertions = 1;
+    for (int step = 1;; ++step) {
+      const MapResult r = technology_map(sg, opts);
+      if (r.signals_inserted == 0) break;
+      sg = *r.sg;
+      expect_bounds_hold(sg, name + " revision " + std::to_string(step));
+      if (r.implementable) break;
+    }
+  }
+}
+
+TEST(CoverBounds, HoldOnRandomSpecs) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    StateGraph sg = bench::make_random_stg(seed).to_state_graph();
+    sg.prune_unreachable();
+    ASSERT_TRUE(check_implementability(sg)) << "seed " << seed;
+    expect_bounds_hold(sg, "seed " + std::to_string(seed));
   }
 }
 

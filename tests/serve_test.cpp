@@ -1,11 +1,12 @@
 // The serve front-end: slab pool, content-addressed FlowCache, the JSON
 // request parser, and the ServeEngine request loop (miss -> hit with
-// bit-identical result bytes, deadline-change cache reuse, fault
-// containment, control ops, ordered pipe-mode responses).
+// bit-identical result bytes, deadline-change cache reuse, single flight,
+// fault containment, control ops, ordered pipe-mode responses).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -347,6 +348,66 @@ TEST(ServeEngine, InjectedFlowFaultYieldsTypedFailureAndNoCaching) {
   const Json hit =
       Json::parse(engine.handle_line(request("h", chu133_text())));
   EXPECT_TRUE(hit.find("cached")->bool_value());
+  fault::clear();
+}
+
+TEST(ServeEngine, ConcurrentIdenticalRequestsRunOneFlow) {
+  // The first flow sleeps at its csc stage, so the second submission finds
+  // its key in flight, waits for it, and answers with its bytes.
+  fault::clear();
+  fault::arm("flow.csc", fault::Action::kSleep, /*nth=*/1, /*arg=*/200);
+  ServeOptions so;
+  so.threads = 2;
+  ServeEngine engine(so);
+
+  std::future<std::string> first =
+      engine.submit_line(request("r1", chu133_text()));
+  std::future<std::string> second =
+      engine.submit_line(request("r2", chu133_text()));
+  const std::string cold = first.get(), joined = second.get();
+
+  const Json jc = Json::parse(cold), jj = Json::parse(joined);
+  EXPECT_EQ(jc.find("status")->string_value(), "ok");
+  EXPECT_FALSE(jc.find("cached")->bool_value());
+  EXPECT_EQ(jj.find("status")->string_value(), "ok");
+  EXPECT_TRUE(jj.find("cached")->bool_value());
+  EXPECT_EQ(jj.find("id")->string_value(), "r2");
+  EXPECT_EQ(result_bytes(cold), result_bytes(joined));
+  EXPECT_EQ(fault::hit_count("flow.csc"), 1u) << "one flow for both requests";
+
+  const CacheStats st = engine.cache().stats();
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  fault::clear();
+}
+
+TEST(ServeEngine, WaitersOfAFailedFlightRunTheirOwnFlow) {
+  // The first flow sleeps at reachability while the second request joins
+  // it, then fails at csc.  Failures are never shared: the waiter runs its
+  // own flow, succeeds, and counts as a miss.
+  fault::clear();
+  fault::arm("flow.reachability", fault::Action::kSleep, /*nth=*/1,
+             /*arg=*/200);
+  fault::arm("flow.csc", fault::Action::kCancel, /*nth=*/1);
+  ServeOptions so;
+  so.threads = 2;
+  ServeEngine engine(so);
+
+  std::future<std::string> first =
+      engine.submit_line(request("r1", chu133_text()));
+  std::future<std::string> second =
+      engine.submit_line(request("r2", chu133_text()));
+  const Json failed = Json::parse(first.get());
+  const Json own = Json::parse(second.get());
+
+  EXPECT_EQ(failed.find("status")->string_value(), "failed");
+  EXPECT_EQ(own.find("status")->string_value(), "ok");
+  EXPECT_FALSE(own.find("cached")->bool_value());
+  EXPECT_EQ(fault::hit_count("flow.csc"), 2u);
+
+  const CacheStats st = engine.cache().stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 2u);
   fault::clear();
 }
 
