@@ -395,6 +395,8 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
           for (std::size_t i = first_new; i < evaluated.size(); ++i) {
             result.signals_resynthesized +=
                 static_cast<long>(evaluated[i].syntheses.size());
+            for (const auto& s : evaluated[i].syntheses)
+              result.minimizations += s.minimizations;
             if (!evaluated[i].complete) {
               ++result.resyntheses_pruned;
               continue;

@@ -156,6 +156,9 @@ struct MapResult {
   /// A work counter that depends on the round width like
   /// resyntheses_pruned.
   long signals_resynthesized = 0;
+  /// minimize_onoff calls of those per-signal syntheses, summed from
+  /// SignalSynthesis::minimizations.  Depends on the round width too.
+  long minimizations = 0;
   /// Final SG (with the inserted signals), its synthesis, and the options
   /// that synthesis was made with.
   std::shared_ptr<StateGraph> sg;

@@ -41,10 +41,50 @@ DynBitset monotonicity_violations(const StateGraph& sg, const Cover& cover,
   return bad;
 }
 
+/// Distinct literals (signal, polarity) that arcs between `on` and `off`
+/// force into every cover of `on` that avoids `off`.  Such an arc changes
+/// one signal v, so the cube holding its on-state must carry v's literal;
+/// the complemented cover, with on and off swapped, must carry the opposite
+/// literal.  The count therefore bounds the literals of either cover.
+int arc_forced_literals(const StateGraph& sg, const DynBitset& on,
+                        const DynBitset& off) {
+  std::array<std::uint64_t, 2> forced{0, 0};  // bit 2*v + polarity
+  const auto mark = [&](StateId u, StateId w) {
+    if (!off.test(static_cast<std::size_t>(w))) return;
+    const std::uint64_t diff = sg.code(u) ^ sg.code(w);
+    if (!std::has_single_bit(diff)) return;
+    const int v = std::countr_zero(diff);
+    const int lit = 2 * v + (sg.value(u, v) ? 1 : 0);
+    forced[lit >> 6] |= std::uint64_t{1} << (lit & 63);
+  };
+  on.for_each([&](std::size_t s) {
+    const auto u = static_cast<StateId>(s);
+    for (const auto& edge : sg.succs(u)) mark(u, edge.target);
+    for (const auto& edge : sg.preds(u)) mark(u, edge.target);
+  });
+  return std::popcount(forced[0]) + std::popcount(forced[1]);
+}
+
+/// The gate measure min(lit(direct), lit(complement)), where the complement
+/// is `off` minimized against `on`.  That minimization is skipped when
+/// `forced` (a lower bound of its literals) shows it cannot win.  The direct
+/// cover was minimized from the same two sets, so they do not intersect.
+int gate_literals(const Cover& direct, int forced,
+                  const std::vector<std::uint64_t>& on_codes,
+                  const std::vector<std::uint64_t>& off_codes, int num_vars,
+                  const MinimizeOptions& mopts, int* minimizations) {
+  const int lits = direct.num_literals();
+  if (lits <= forced) return lits;
+  ++*minimizations;
+  return std::min(
+      lits, minimize_onoff(off_codes, on_codes, num_vars, mopts).num_literals());
+}
+
 }  // namespace
 
 EventCover monotonous_cover(const StateGraph& sg, Event e,
-                            const McOptions& opts) {
+                            const McOptions& opts, int* minimizations) {
+  int calls = 0;
   EventCover out;
   out.event = e;
   out.regions = excitation_regions(sg, e);
@@ -60,37 +100,44 @@ EventCover monotonous_cover(const StateGraph& sg, Event e,
   // Repair loop: enforce condition 3 by moving rising quiescent states to
   // the off-set and re-minimizing.  Terminates because each round shrinks
   // the don't-care set.
+  std::vector<std::uint64_t> off_codes;
   while (true) {
-    out.cover = minimize_onoff(on_codes, codes_of(sg, out.off),
-                               sg.num_signals(), mopts);
+    off_codes = codes_of(sg, out.off);
+    ++calls;
+    out.cover = minimize_onoff(on_codes, off_codes, sg.num_signals(), mopts);
     const DynBitset bad = monotonicity_violations(sg, out.cover, out.regions);
     if (bad.none()) break;
     out.off |= bad;
     out.dc -= bad;
   }
 
-  // Complemented form (for the min-literal gate measure), minimized with the
-  // final don't-care space: ON and OFF swap roles.
-  out.complement = minimize_onoff(codes_of(sg, out.off), on_codes,
-                                  sg.num_signals(), mopts);
-  out.complexity = std::min(out.cover.num_literals(),
-                            out.complement.num_literals());
+  // The complemented form is minimized with the final don't-care space, and
+  // only when it could have fewer literals.
+  out.complexity = gate_literals(out.cover,
+                                 arc_forced_literals(sg, out.on, out.off),
+                                 on_codes, off_codes, sg.num_signals(), mopts,
+                                 &calls);
+  if (minimizations) *minimizations += calls;
   return out;
 }
 
 Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
-                     const McOptions& opts) {
-  std::vector<std::uint64_t> on, off;
+                     const McOptions& opts, int* minimizations) {
+  int calls = 1;
+  DynBitset on_set = sg.empty_set();
   const DynBitset reachable = sg.reachable();
   reachable.for_each([&](std::size_t s) {
-    const auto id = static_cast<StateId>(s);
-    (next_value(sg, id, sig) ? on : off).push_back(sg.code(id));
+    if (next_value(sg, static_cast<StateId>(s), sig)) on_set.set(s);
   });
+  const DynBitset off_set = reachable - on_set;
+  const auto on = codes_of(sg, on_set);
+  const auto off = codes_of(sg, off_set);
   const MinimizeOptions mopts{opts.minimize_passes};
-  const Cover direct = minimize_onoff(on, off, sg.num_signals(), mopts);
-  const Cover inverse = minimize_onoff(off, on, sg.num_signals(), mopts);
+  Cover direct = minimize_onoff(on, off, sg.num_signals(), mopts);
   if (complexity)
-    *complexity = std::min(direct.num_literals(), inverse.num_literals());
+    *complexity = gate_literals(direct, arc_forced_literals(sg, on_set, off_set),
+                                on, off, sg.num_signals(), mopts, &calls);
+  if (minimizations) *minimizations += calls;
   return direct;
 }
 
@@ -101,9 +148,10 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
 
   SignalSynthesis out;
   out.signal = sig;
-  out.set = monotonous_cover(sg, Event{sig, true}, opts);
-  out.reset = monotonous_cover(sg, Event{sig, false}, opts);
-  out.complete = complete_cover(sg, sig, &out.complete_complexity, opts);
+  out.set = monotonous_cover(sg, Event{sig, true}, opts, &out.minimizations);
+  out.reset = monotonous_cover(sg, Event{sig, false}, opts, &out.minimizations);
+  out.complete = complete_cover(sg, sig, &out.complete_complexity, opts,
+                                &out.minimizations);
 
   const int seq = std::max(out.set.complexity, out.reset.complexity);
   switch (opts.architecture) {

@@ -15,6 +15,16 @@
 // degenerates into a wire) when the minimized next-state function is not
 // more complex than the worse of the set/reset gates; otherwise the
 // standard-C architecture with set/reset networks is used.
+//
+// Gate complexity is min(lit(cover), lit(complement)) (netlist.hpp,
+// gate_complexity), and the complement is minimized only when it could win.
+// An arc from an on-state to an off-state changes one signal v, so every
+// cover holding the on-state and avoiding the off-state carries v's
+// literal, and the complement, with on and off swapped, carries the
+// opposite one.  The distinct (signal, polarity) pairs on such arcs thus
+// bound the literals of any valid complement from below.  When the cover
+// has no more literals than that count, the minimum is already known and
+// the complement is not minimized; the results are the same either way.
 
 #include <functional>
 #include <vector>
@@ -32,9 +42,12 @@ struct EventCover {
   Event event;
   std::vector<Region> regions;  ///< ERs/QRs of the event
   Cover cover;                  ///< minimized monotonous cover
-  Cover complement;             ///< minimized cover of the OFF condition
   DynBitset on, dc, off;        ///< state sets used for minimization
-  int complexity = 0;           ///< min(lit(cover), lit(complement))
+  /// min(lit(cover), lit(complement)), the complement being `off`
+  /// minimized against `on`.  That minimization runs only when the arcs
+  /// from `on` to `off` force fewer literals than the cover has, since no
+  /// valid complement can have fewer (see the header comment).
+  int complexity = 0;
 };
 
 /// Full synthesis result for one signal.
@@ -47,6 +60,8 @@ struct SignalSynthesis {
   int complete_complexity = 0;
   /// Worst gate complexity of the chosen implementation.
   int complexity = 0;
+  /// minimize_onoff calls this synthesis made, repair rounds included.
+  int minimizations = 0;
 };
 
 /// Implementation architecture policy per signal.
@@ -80,13 +95,17 @@ struct McOptions {
 };
 
 /// Monotonous cover for one event.  Throws sitm::Error if the SG violates
-/// the flow preconditions (e.g. CSC).
+/// the flow preconditions (e.g. CSC).  `minimizations` (optional) is
+/// incremented by the number of minimize_onoff calls made.
 EventCover monotonous_cover(const StateGraph& sg, Event e,
-                            const McOptions& opts = {});
+                            const McOptions& opts = {},
+                            int* minimizations = nullptr);
 
-/// Complete (next-state) cover of a signal plus its complexity.
+/// Complete (next-state) cover of a signal plus its complexity, with the
+/// same optional minimization counter.
 Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
-                     const McOptions& opts = {});
+                     const McOptions& opts = {},
+                     int* minimizations = nullptr);
 
 /// Synthesize one signal (choosing combinational vs standard-C).
 SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,

@@ -424,6 +424,9 @@ void Flow::stage_synth(StageReport& sr) {
                                       &ctx_.syntheses, ctx_.guard.get());
   ctx_.netlist = ctx_.synth_netlist;
   sr.metric("signals", static_cast<double>(ctx_.syntheses.size()));
+  long minimizations = 0;
+  for (const auto& s : ctx_.syntheses) minimizations += s.minimizations;
+  sr.metric("minimizations", static_cast<double>(minimizations));
   sr.metric("literals", ctx_.synth_netlist->total_literals());
   sr.metric("c_elements", ctx_.synth_netlist->num_c_elements());
   sr.metric("max_gate_literals", ctx_.synth_netlist->max_gate_complexity());
@@ -462,6 +465,7 @@ void Flow::stage_map(StageReport& sr) {
             static_cast<double>(result.resyntheses_pruned));
   sr.metric("signals_resynthesized",
             static_cast<double>(result.signals_resynthesized));
+  sr.metric("minimizations", static_cast<double>(result.minimizations));
   if (!result.implementable)
     throw Error("not implementable with " +
                 std::to_string(opts_.mapper.library.max_literals) +

@@ -17,6 +17,7 @@ int StateGraph::add_signal(std::string name, SignalKind kind) {
 }
 
 StateId StateGraph::add_state(StateCode code) {
+  all_reachable_ = false;
   codes_.push_back(code);
   succs_.emplace_back();
   preds_.emplace_back();
@@ -27,6 +28,7 @@ StateId StateGraph::add_state(StateCode code) {
 void StateGraph::add_arc(StateId from, Event ev, StateId to) {
   if (ev.signal < 0 || ev.signal >= num_signals())
     throw Error("StateGraph: arc with unknown signal");
+  all_reachable_ = false;
   succs_[from].push_back(Edge{ev, to});
   preds_[to].push_back(Edge{ev, from});
   const int id = event_id(ev);
@@ -103,6 +105,7 @@ DynBitset StateGraph::full_set() const {
 }
 
 DynBitset StateGraph::reachable() const {
+  if (all_reachable_) return full_set();
   DynBitset seen(num_states());
   if (initial_ == kNoState) return seen;
   std::vector<StateId> stack{initial_};
@@ -123,6 +126,7 @@ DynBitset StateGraph::reachable() const {
 std::size_t StateGraph::prune_unreachable(std::vector<StateId>* old_to_new) {
   const DynBitset keep = reachable();
   const std::size_t removed = num_states() - keep.count();
+  all_reachable_ = true;
   if (removed == 0) {
     if (old_to_new) {
       old_to_new->resize(num_states());

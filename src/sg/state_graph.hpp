@@ -48,7 +48,10 @@ class StateGraph {
   /// here; use `check_consistency` after construction.
   void add_arc(StateId from, Event ev, StateId to);
 
-  void set_initial(StateId s) { initial_ = s; }
+  void set_initial(StateId s) {
+    initial_ = s;
+    all_reachable_ = false;
+  }
 
   // ----- basic queries -------------------------------------------------
 
@@ -113,13 +116,17 @@ class StateGraph {
   DynBitset empty_set() const { return DynBitset(num_states()); }
   /// Set of all states.
   DynBitset full_set() const;
-  /// States reachable from the initial state.
+  /// States reachable from the initial state.  O(1) (the full set) when
+  /// the graph is known to be fully reachable, else a DFS.
   DynBitset reachable() const;
+  /// Whether every state is known reachable: set by `prune_unreachable`,
+  /// cleared by `add_state`, `add_arc` and `set_initial`.
+  bool all_reachable() const { return all_reachable_; }
 
   /// Remove states unreachable from the initial state; renumbers states.
   /// Returns the number of removed states.  When `old_to_new` is given it
   /// receives the renumbering (kNoState for removed states), sized to the
-  /// pre-prune state count.
+  /// pre-prune state count.  Afterwards every state is known reachable.
   std::size_t prune_unreachable(std::vector<StateId>* old_to_new = nullptr);
 
  private:
@@ -133,6 +140,7 @@ class StateGraph {
   /// Per-state bitmap of enabled events, indexed by `event_id`.
   std::vector<std::array<std::uint64_t, 2>> ev_mask_;
   StateId initial_ = kNoState;
+  bool all_reachable_ = false;
 };
 
 }  // namespace sitm

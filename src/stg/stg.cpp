@@ -357,6 +357,9 @@ StateGraph emit_state_graph(const Stg& stg, const GameResult<Fire>& game) {
     sg.add_arc(arc.from, arc.event, arc.to);
   }
   sg.set_initial(0);
+  // Every node was discovered from the initial marking; this records it so
+  // later reachable() calls are O(1).
+  sg.prune_unreachable();
   return sg;
 }
 

@@ -101,6 +101,9 @@ TEST_P(MapSearch, ResynthesesMatchTheTable) {
     EXPECT_EQ(map.metric_value("signals_resynthesized"),
               static_cast<double>(direct.signals_resynthesized))
         << label;
+    EXPECT_EQ(map.metric_value("minimizations"),
+              static_cast<double>(direct.minimizations))
+        << label;
   }
 }
 

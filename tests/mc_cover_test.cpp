@@ -2,13 +2,20 @@
 // covers, and the combinational-vs-standard-C architecture choice), and the
 // soundness of cover_lower_bounds: no synthesis of any signal costs less
 // than its bound, under every architecture, on the corpus, on each SG
-// revision the mapper commits, and on random specs.
+// revision the mapper commits, and on random specs.  On the same graphs,
+// every cover's complexity equals the min-literal measure over its fully
+// minimized complement, which the synthesis skips when arcs prove it moot.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
+#include <utility>
 
 #include "benchlib/generators.hpp"
 #include "benchlib/random_stg.hpp"
 #include "benchlib/suite.hpp"
+#include "boolf/minimize.hpp"
 #include "core/mapper.hpp"
 #include "core/mc_cover.hpp"
 #include "flow/flow.hpp"
@@ -215,7 +222,12 @@ void expect_bounds_hold(const StateGraph& sg, const std::string& what) {
   }
 }
 
-TEST(CoverBounds, HoldOnTheCorpusAndEveryCommittedMapRevision) {
+using GraphCheck =
+    std::function<void(const StateGraph&, const std::string&)>;
+
+/// Calls `check` on every CSC-resolved corpus SG and on each SG revision
+/// the i=2 mapping commits from it.
+void for_each_corpus_revision(const GraphCheck& check) {
   for (const std::string& name : bench::suite_names()) {
     // The CSC-resolved corpus SG, the map stage's input.
     FlowOptions front;
@@ -229,7 +241,7 @@ TEST(CoverBounds, HoldOnTheCorpusAndEveryCommittedMapRevision) {
     ASSERT_TRUE(report.ok) << name << ": " << report.failure;
     StateGraph sg = *flow.context().sg;
     sg.prune_unreachable();
-    expect_bounds_hold(sg, name);
+    check(sg, name);
 
     // Replay the i=2 mapping one committed insertion at a time.
     MapperOptions opts;
@@ -239,19 +251,127 @@ TEST(CoverBounds, HoldOnTheCorpusAndEveryCommittedMapRevision) {
       const MapResult r = technology_map(sg, opts);
       if (r.signals_inserted == 0) break;
       sg = *r.sg;
-      expect_bounds_hold(sg, name + " revision " + std::to_string(step));
+      check(sg, name + " revision " + std::to_string(step));
       if (r.implementable) break;
     }
   }
 }
 
-TEST(CoverBounds, HoldOnRandomSpecs) {
+/// Calls `check` on the SGs of 24 seeded random specs.
+void for_each_random_graph(const GraphCheck& check) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     StateGraph sg = bench::make_random_stg(seed).to_state_graph();
     sg.prune_unreachable();
     ASSERT_TRUE(check_implementability(sg)) << "seed " << seed;
-    expect_bounds_hold(sg, "seed " + std::to_string(seed));
+    check(sg, "seed " + std::to_string(seed));
   }
+}
+
+TEST(CoverBounds, HoldOnTheCorpusAndEveryCommittedMapRevision) {
+  for_each_corpus_revision(expect_bounds_hold);
+}
+
+TEST(CoverBounds, HoldOnRandomSpecs) {
+  for_each_random_graph(expect_bounds_hold);
+}
+
+std::vector<std::uint64_t> codes_in(const StateGraph& sg, const DynBitset& set) {
+  std::vector<std::uint64_t> out;
+  set.for_each([&](std::size_t s) {
+    out.push_back(sg.code(static_cast<StateId>(s)));
+  });
+  return out;
+}
+
+/// Distinct (signal, polarity) pairs labelling arcs, in either direction,
+/// between a state of `on` and a state of `off`: literals every cover of
+/// `off` against `on` must carry.
+int forced_literal_count(const StateGraph& sg, const DynBitset& on,
+                         const DynBitset& off) {
+  std::set<std::pair<int, bool>> forced;
+  on.for_each([&](std::size_t s) {
+    const auto u = static_cast<StateId>(s);
+    for (const auto* edges : {&sg.succs(u), &sg.preds(u)})
+      for (const auto& edge : *edges)
+        if (off.test(static_cast<std::size_t>(edge.target)))
+          forced.emplace(edge.event.signal,
+                         sg.value(edge.target, edge.event.signal));
+  });
+  return static_cast<int>(forced.size());
+}
+
+/// `complexity` is min(lit(direct), lit(the complement minimized in
+/// full)), and the arc-forced count bounds that complement.
+void expect_gate_measure(const StateGraph& sg, const Cover& direct,
+                         int complexity, const DynBitset& on,
+                         const DynBitset& off, const std::string& what) {
+  const Cover complement =
+      minimize_onoff(codes_in(sg, off), codes_in(sg, on), sg.num_signals());
+  EXPECT_EQ(complexity,
+            std::min(direct.num_literals(), complement.num_literals()))
+      << what;
+  EXPECT_LE(forced_literal_count(sg, on, off), complement.num_literals())
+      << what;
+}
+
+void expect_complexity_exact(const StateGraph& sg, const std::string& what) {
+  const DynBitset reachable = sg.reachable();
+  for (const int sig : sg.noninput_signals()) {
+    const std::string at = what + " signal " + sg.signal(sig).name;
+    const SignalSynthesis s = synthesize_signal(sg, sig);
+    EXPECT_GE(s.minimizations, 3) << at;
+    expect_gate_measure(sg, s.set.cover, s.set.complexity, s.set.on,
+                        s.set.off, at + " set");
+    expect_gate_measure(sg, s.reset.cover, s.reset.complexity, s.reset.on,
+                        s.reset.off, at + " reset");
+
+    DynBitset on = sg.empty_set();
+    reachable.for_each([&](std::size_t st) {
+      if (next_value(sg, static_cast<StateId>(st), sig)) on.set(st);
+    });
+    const DynBitset off = reachable - on;
+    const Cover direct =
+        minimize_onoff(codes_in(sg, on), codes_in(sg, off), sg.num_signals());
+    EXPECT_TRUE(direct == s.complete) << at;
+    expect_gate_measure(sg, s.complete, s.complete_complexity, on, off,
+                        at + " complete");
+  }
+}
+
+TEST(McCover, ComplementWinsAtItsForcedLiteralCount) {
+  // Inputs a, b, c toggle freely; x rises where c(a'+b') holds and then
+  // stays.  The next-state cover a'c + b'c has 4 literals, its complement
+  // ab + c' has 3, and arcs across the boundary flip a, b and c: the
+  // complement sits exactly at its forced count, one below the cover.
+  StateGraph sg;
+  for (const char* name : {"a", "b", "c"})
+    sg.add_signal(name, SignalKind::kInput);
+  const int x = sg.add_signal("x", SignalKind::kOutput);
+  const auto f = [](unsigned code) {
+    return (code & 4) != 0 && (code & 3) != 3;
+  };
+  for (unsigned code = 0; code < 8; ++code) sg.add_state(code);
+  for (unsigned code = 0; code < 8; ++code) {
+    const auto s = static_cast<StateId>(code);
+    for (int v = 0; v < 3; ++v)
+      sg.add_arc(s, Event{v, ((code >> v) & 1) == 0},
+                 static_cast<StateId>(code ^ (1u << v)));
+    if (f(code)) sg.add_arc(s, Event{x, true}, sg.add_state(code | 8));
+  }
+  sg.set_initial(0);
+
+  const SignalSynthesis s = synthesize_signal(sg, x);
+  EXPECT_EQ(s.complete.num_literals(), 4);
+  EXPECT_EQ(s.complete_complexity, 3);
+  expect_complexity_exact(sg, "c(a'+b')");
+}
+
+TEST(McCover, ComplexityEqualsTheFullComplementMeasureOnTheCorpus) {
+  for_each_corpus_revision(expect_complexity_exact);
+}
+
+TEST(McCover, ComplexityEqualsTheFullComplementMeasureOnRandomSpecs) {
+  for_each_random_graph(expect_complexity_exact);
 }
 
 }  // namespace

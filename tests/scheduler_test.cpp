@@ -165,8 +165,9 @@ TEST(ParallelFor, NestedCallsStayInsidePool) {
 
 /// Serialize `j` with the timing/scheduling observables stripped — the only
 /// fields allowed to differ across thread counts: times, the resolved
-/// thread counts, and the mapper's work counters for abandoned candidates
-/// and per-signal syntheses (its round width follows the map thread count).
+/// thread counts, and the mapper's work counters for abandoned candidates,
+/// per-signal syntheses and minimizations (its round width follows the map
+/// thread count).
 std::string normalized(const Json& j) {
   switch (j.kind()) {
     case Json::Kind::kObject: {
@@ -174,7 +175,7 @@ std::string normalized(const Json& j) {
       for (const auto& [k, v] : j.members()) {
         if (k == "wall_ms" || k == "total_ms" || k == "workers" ||
             k == "steals" || k == "threads" || k == "resyntheses_pruned" ||
-            k == "signals_resynthesized")
+            k == "signals_resynthesized" || k == "minimizations")
           continue;
         out += '"' + k + "\":" + normalized(v) + ',';
       }

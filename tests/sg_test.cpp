@@ -5,11 +5,14 @@
 
 #include <sstream>
 
+#include "benchlib/random_stg.hpp"
+#include "benchlib/suite.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sg/sg_io.hpp"
 #include "sg/state_graph.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace sitm {
 namespace {
@@ -83,6 +86,78 @@ TEST(StateGraph, ReachableAndPrune) {
   EXPECT_EQ(sg.prune_unreachable(), 1u);
   EXPECT_EQ(sg.num_states(), 4u);
   EXPECT_TRUE(check_consistency(sg));
+}
+
+TEST(StateGraph, AllReachableFlagFollowsTheMutators) {
+  StateGraph sg = handshake();
+  EXPECT_FALSE(sg.all_reachable());
+  sg.prune_unreachable();
+  EXPECT_TRUE(sg.all_reachable());
+  EXPECT_EQ(sg.reachable(), sg.full_set());
+
+  const StateId orphan = sg.add_state(0b10);
+  EXPECT_FALSE(sg.all_reachable());
+  EXPECT_FALSE(sg.reachable().test(static_cast<std::size_t>(orphan)));
+  EXPECT_EQ(sg.reachable().count(), 4u);
+
+  sg.prune_unreachable();
+  sg.add_arc(0, Event{0, true}, 1);
+  EXPECT_FALSE(sg.all_reachable());
+
+  // Moving the initial state strands the states only the old one reached.
+  sg.prune_unreachable();
+  const StateId head = sg.add_state(0b01);
+  sg.add_arc(head, Event{1, true}, 0);
+  sg.set_initial(head);
+  sg.prune_unreachable();
+  EXPECT_EQ(sg.num_states(), 5u);
+  sg.set_initial(0);
+  EXPECT_FALSE(sg.all_reachable());
+  EXPECT_EQ(sg.reachable().count(), 4u);
+
+  EXPECT_TRUE(bench::make_random_stg(1).to_state_graph().all_reachable());
+}
+
+/// `sg.reachable()` against a fresh depth-first search of a copy whose flag
+/// is cleared.
+void expect_reachable_matches_search(const StateGraph& sg,
+                                     const std::string& what) {
+  StateGraph searched = sg;
+  searched.set_initial(sg.initial());
+  ASSERT_FALSE(searched.all_reachable()) << what;
+  EXPECT_EQ(sg.reachable(), searched.reachable()) << what;
+}
+
+TEST(StateGraph, FlaggedReachableMatchesTheSearch) {
+  for (const std::string& name : bench::suite_names()) {
+    const StateGraph sg = bench::suite_benchmark(name).stg.to_state_graph();
+    EXPECT_TRUE(sg.all_reachable()) << name;
+    expect_reachable_matches_search(sg, name);
+  }
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    expect_reachable_matches_search(
+        bench::make_random_stg(seed).to_state_graph(), what);
+
+    // A random graph with stranded states: the search before pruning
+    // counts exactly the states the prune keeps.
+    Rng rng(seed);
+    StateGraph sg;
+    const int a = sg.add_signal("a", SignalKind::kOutput);
+    const int b = sg.add_signal("b", SignalKind::kOutput);
+    const auto n = static_cast<StateId>(8 + rng.below(24));
+    for (StateId s = 0; s < n; ++s) sg.add_state(rng.below(4));
+    for (StateId s = 0; s < n; ++s)
+      for (int k = 0; k < 2; ++k)
+        if (rng.below(3) == 0)
+          sg.add_arc(s, Event{rng.below(2) ? a : b, rng.below(2) == 0},
+                     static_cast<StateId>(rng.below(n)));
+    sg.set_initial(0);
+    const std::size_t found = sg.reachable().count();
+    EXPECT_EQ(sg.num_states() - sg.prune_unreachable(), found) << what;
+    EXPECT_TRUE(sg.all_reachable()) << what;
+    expect_reachable_matches_search(sg, what);
+  }
 }
 
 TEST(Properties, HandshakeIsImplementable) {
