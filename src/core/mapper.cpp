@@ -18,20 +18,35 @@ namespace {
 /// declaring failure.
 constexpr int kMaxTargetEvents = 4;
 
+/// Per-signal value sets over the reachable states of one SG revision:
+/// values[v] holds the reachable states where v is 1.
+std::vector<DynBitset> signal_values(const StateGraph& sg,
+                                     const DynBitset& reachable) {
+  std::vector<DynBitset> values(static_cast<std::size_t>(sg.num_signals()),
+                                sg.empty_set());
+  reachable.for_each([&](std::size_t s) {
+    const StateCode code = sg.code(static_cast<StateId>(s));
+    for (std::size_t v = 0; v < values.size(); ++v)
+      if ((code >> v) & 1) values[v].set(s);
+  });
+  return values;
+}
+
 /// Is the planned signal identical (over reachable states) to an existing
 /// signal or its complement?  Such an insertion adds a redundant wire.
-/// `reachable` is the (per-iteration, shared) reachable set of `sg`.
-bool duplicates_signal(const StateGraph& sg, const DynBitset& reachable,
+/// `reachable` and `values` (signal_values) are shared per iteration.
+bool duplicates_signal(const DynBitset& reachable,
+                       const std::vector<DynBitset>& values,
                        const DynBitset& s1) {
-  for (int sig = 0; sig < sg.num_signals(); ++sig) {
+  const auto& r = reachable.words();
+  const auto& f = s1.words();
+  for (const DynBitset& value : values) {
+    const auto& v = value.words();
     bool same = true, inverse = true;
-    reachable.for_each([&](std::size_t s) {
-      if (!same && !inverse) return;
-      const bool fv = s1.test(s);
-      const bool sv = sg.value(static_cast<StateId>(s), sig);
-      if (fv != sv) same = false;
-      if (fv == sv) inverse = false;
-    });
+    for (std::size_t w = 0; w < r.size() && (same || inverse); ++w) {
+      same = same && (f[w] & r[w]) == v[w];
+      inverse = inverse && (~f[w] & r[w]) == v[w];
+    }
     if (same || inverse) return true;
   }
   return false;
@@ -183,9 +198,10 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
 
     // Shared per-iteration planning state: one diamond enumeration and one
     // region memo serve every divisor candidate of every target below, and
-    // the reachable set feeds the duplicate-signal filter.
+    // the reachable set and signal values feed the duplicate-signal filter.
     InsertionPlanner planner(sg);
     const DynBitset reachable = sg.reachable();
+    const std::vector<DynBitset> values = signal_values(sg, reachable);
 
     // Collect event covers whose signal implementation exceeds the library.
     struct Target {
@@ -229,12 +245,16 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
 
       // ---- candidate generation -------------------------------------
       std::vector<Candidate> candidates;
+      const EventCover& opposite = target.cover == &target.synth->set
+                                       ? target.synth->reset
+                                       : target.synth->set;
+      const TargetZones zones = target_zones(sg, *target.cover, opposite);
       auto consider = [&](const Cover& f, std::optional<InsertionPlan> plan,
                           const Division& div) {
         if (!plan) return;
-        if (duplicates_signal(sg, reachable, plan->s1)) return;
+        if (duplicates_signal(reachable, values, plan->s1)) return;
         ProgressEstimate est =
-            estimate_progress(sg, result.syntheses, *target.cover,
+            estimate_progress(sg, result.syntheses, zones, *target.cover,
                               div.quotient, div.remainder, *plan);
         if (!opts.global_acknowledgement && est.new_triggers > 0) return;
         ++result.candidates_planned;
@@ -381,7 +401,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
                 };
                 ev.complete =
                     can_win(MapMetrics{}) &&
-                    synthesize_while(ev.sg, order, opts.mc, guard,
+                    synthesize_while(ev.sg, order, opts.mc, guard, bounds,
                                      &ev.syntheses,
                                      [&](const SignalSynthesis& s) {
                                        ev.metrics +=

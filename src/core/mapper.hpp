@@ -21,7 +21,8 @@
 // bound can no longer beat the current circuit or the best candidate found
 // before it, which may be before its first signal.  Abandoned candidates
 // could never have been committed, so the result is the one exhaustive
-// resynthesis would reach.
+// resynthesis would reach.  Each signal's synthesis gets its bound too, and
+// skips a complete cover the bound shows cannot be chosen.
 //
 // The bounds never change which candidates are abandoned, only how early.
 // Each signal's bound is componentwise at most its final cost, so the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <functional>
+#include <utility>
 
 #include "boolf/minimize.hpp"
 #include "util/error.hpp"
@@ -142,7 +144,8 @@ Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
 }
 
 SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
-                                  const McOptions& opts) {
+                                  const McOptions& opts,
+                                  const CoverBounds* bound) {
   if (sg.signal(sig).kind == SignalKind::kInput)
     throw Error("synthesize_signal: input signal " + sg.signal(sig).name);
 
@@ -150,13 +153,23 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
   out.signal = sig;
   out.set = monotonous_cover(sg, Event{sig, true}, opts, &out.minimizations);
   out.reset = monotonous_cover(sg, Event{sig, false}, opts, &out.minimizations);
-  out.complete = complete_cover(sg, sig, &out.complete_complexity, opts,
-                                &out.minimizations);
-
   const int seq = std::max(out.set.complexity, out.reset.complexity);
+
+  // The complete cover is minimized only when it could be chosen.
+  const bool wanted =
+      opts.architecture == Architecture::kComplexGate ||
+      (opts.architecture == Architecture::kAuto &&
+       !(bound && bound->complete > seq));
+  if (wanted) {
+    out.complete = complete_cover(sg, sig, &out.complete_complexity, opts,
+                                  &out.minimizations);
+  } else if (bound) {
+    out.complete_complexity = bound->complete;
+  }
+
   switch (opts.architecture) {
     case Architecture::kAuto:
-      out.combinational = out.complete_complexity <= seq;
+      out.combinational = wanted && out.complete_complexity <= seq;
       break;
     case Architecture::kStandardC:
       out.combinational = false;
@@ -168,6 +181,39 @@ SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
   out.complexity = out.combinational ? out.complete_complexity : seq;
   return out;
 }
+
+namespace {
+
+/// A state with the variables forced at it for one signal a
+/// (cover_lower_bounds), and its side: 2 * (value of a) + next_a.
+struct ForcedState {
+  std::uint64_t code = 0;
+  std::uint64_t vars = 0;
+  unsigned side = 0;
+};
+
+/// The disjoint-cube sum of the states whose side is in the `sides` mask:
+/// keep the states, in the given greedy order, that are apart from every
+/// state kept before, and add up their forced variables.  `kept` is
+/// scratch space.
+int disjoint_cube_literals(const std::vector<ForcedState>& states,
+                           unsigned sides,
+                           std::vector<const ForcedState*>& kept) {
+  kept.clear();
+  int literals = 0;
+  for (const ForcedState& s : states) {
+    if (((sides >> s.side) & 1) == 0) continue;
+    const bool apart = std::ranges::all_of(kept, [&](const ForcedState* k) {
+      return ((k->code ^ s.code) & (k->vars | s.vars)) != 0;
+    });
+    if (!apart) continue;
+    kept.push_back(&s);
+    literals += std::popcount(s.vars);
+  }
+  return literals;
+}
+
+}  // namespace
 
 std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
   using Literals = std::array<std::uint64_t, 2>;  // bit 2*v + polarity
@@ -191,11 +237,19 @@ std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
     noninput |= std::uint64_t{1} << sig;
   const auto signals = static_cast<std::size_t>(sg.num_signals());
   std::vector<Literals> set(signals), reset(signals), complete(signals);
+  // Both ends of every arc that crosses signal a's next-state boundary,
+  // with the variable the arc forces there.
+  struct ForcedEnd {
+    int signal;
+    StateId state;
+    std::uint64_t var;
+  };
+  std::vector<ForcedEnd> forced;
   for (StateId s = 0; s < n; ++s) {
     for (const auto& edge : sg.succs(s)) {
       const int v = edge.event.signal;
-      std::uint64_t crossing =
-          (next[s] ^ next[edge.target]) & noninput & ~(std::uint64_t{1} << v);
+      const std::uint64_t var = std::uint64_t{1} << v;
+      std::uint64_t crossing = (next[s] ^ next[edge.target]) & noninput & ~var;
       for (; crossing != 0; crossing &= crossing - 1) {
         const int a = std::countr_zero(crossing);
         const StateId on = ((next[s] >> a) & 1) ? s : edge.target;
@@ -206,16 +260,57 @@ std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
         const std::uint64_t bit = std::uint64_t{1} << (lit & 63);
         complete[a][lit >> 6] |= bit;
         (sg.value(s, a) ? reset[a] : set[a])[lit >> 6] |= bit;
+        forced.push_back(ForcedEnd{a, s, var});
+        forced.push_back(ForcedEnd{a, edge.target, var});
       }
     }
   }
 
+  // The union terms.
   const auto count = [](const Literals& l) {
     return std::popcount(l[0]) + std::popcount(l[1]);
   };
   std::vector<CoverBounds> out(signals);
   for (std::size_t a = 0; a < signals; ++a)
     out[a] = CoverBounds{count(set[a]), count(reset[a]), count(complete[a])};
+
+  // The disjoint-cube terms, signal by signal: merge each state's forced
+  // variables, order the states for the greedy (most forced variables
+  // first, then by id) and raise each bound to min(direct, complement).
+  // Sides: bit 2 * (value of a) + next_a.
+  constexpr unsigned kStable0 = 1u << 0, kErRise = 1u << 1;
+  constexpr unsigned kErFall = 1u << 2, kStable1 = 1u << 3;
+  std::ranges::sort(forced, {}, [](const ForcedEnd& f) {
+    return std::pair(f.signal, f.state);
+  });
+  std::vector<ForcedState> states;
+  std::vector<const ForcedState*> kept;
+  for (auto it = forced.begin(); it != forced.end();) {
+    const int a = it->signal;
+    states.clear();
+    while (it != forced.end() && it->signal == a) {
+      const StateId s = it->state;
+      ForcedState f;
+      f.code = sg.code(s);
+      f.side = static_cast<unsigned>(2 * ((f.code >> a) & 1) +
+                                     ((next[s] >> a) & 1));
+      for (; it != forced.end() && it->signal == a && it->state == s; ++it)
+        f.vars |= it->var;
+      states.push_back(f);
+    }
+    std::ranges::stable_sort(states, std::greater{}, [](const ForcedState& f) {
+      return std::popcount(f.vars);
+    });
+    const auto disjoint = [&](unsigned direct, unsigned complement) {
+      return std::min(disjoint_cube_literals(states, direct, kept),
+                      disjoint_cube_literals(states, complement, kept));
+    };
+    CoverBounds& b = out[static_cast<std::size_t>(a)];
+    b.set = std::max(b.set, disjoint(kErRise, kStable0));
+    b.reset = std::max(b.reset, disjoint(kErFall, kStable1));
+    b.complete =
+        std::max(b.complete, disjoint(kErRise | kStable1, kStable0 | kErFall));
+  }
   return out;
 }
 
@@ -225,20 +320,23 @@ namespace {
 /// charge, then the pure synthesis.
 SignalSynthesis synthesize_charged(const StateGraph& sg, int sig,
                                    const McOptions& opts,
-                                   const RunGuard* guard) {
+                                   const RunGuard* guard,
+                                   const CoverBounds* bound) {
   fault::hit("synth.signal");
   guard_charge(guard, 1, "synth.signal");
-  return synthesize_signal(sg, sig, opts);
+  return synthesize_signal(sg, sig, opts, bound);
 }
 
 }  // namespace
 
 bool synthesize_while(
     const StateGraph& sg, const std::vector<int>& sigs, const McOptions& opts,
-    const RunGuard* guard, std::vector<SignalSynthesis>* out,
+    const RunGuard* guard, const std::vector<CoverBounds>& bounds,
+    std::vector<SignalSynthesis>* out,
     const std::function<bool(const SignalSynthesis&)>& keep_going) {
   for (const int sig : sigs) {
-    out->push_back(synthesize_charged(sg, sig, opts, guard));
+    out->push_back(synthesize_charged(
+        sg, sig, opts, guard, &bounds[static_cast<std::size_t>(sig)]));
     if (!keep_going(out->back())) return false;
   }
   return true;
@@ -253,7 +351,7 @@ Netlist netlist_of(const StateGraph& sg,
     impl.combinational = synth.combinational;
     impl.complexity = synth.complexity;
     if (synth.combinational) {
-      impl.set = synth.complete;
+      impl.set = *synth.complete;
       impl.set_complexity = synth.complete_complexity;
     } else {
       impl.set = synth.set.cover;
@@ -272,9 +370,16 @@ Netlist synthesize_all(const StateGraph& sg, const McOptions& opts,
   // The SG is shared read-only and each signal's synthesis is independent,
   // so any schedule fills the per-slot results of the serial loop.
   const std::vector<int> sigs = sg.noninput_signals();
+  // Only kAuto reads the bounds, and they need every state reachable.
+  const std::vector<CoverBounds> bounds =
+      opts.architecture == Architecture::kAuto && sg.all_reachable()
+          ? cover_lower_bounds(sg)
+          : std::vector<CoverBounds>{};
   std::vector<SignalSynthesis> syntheses(sigs.size());
   parallel_for(sigs.size(), opts.threads, [&](std::size_t i) {
-    syntheses[i] = synthesize_charged(sg, sigs[i], opts, guard);
+    const auto sig = static_cast<std::size_t>(sigs[i]);
+    syntheses[i] = synthesize_charged(sg, sigs[i], opts, guard,
+                                      bounds.empty() ? nullptr : &bounds[sig]);
   });
   Netlist netlist = netlist_of(sg, syntheses);
   if (out_syntheses) *out_syntheses = std::move(syntheses);

@@ -25,8 +25,15 @@
 // bound the literals of any valid complement from below.  When the cover
 // has no more literals than that count, the minimum is already known and
 // the complement is not minimized; the results are the same either way.
+//
+// The complete cover is minimized only when it could be chosen: never under
+// kStandardC, and under kAuto not when its lower bound (CoverBounds) already
+// exceeds the worse set/reset gate.  Those bounds hold for every valid
+// cover, the heuristic minimizer's included: a cover must hold each on-state
+// in a cube that avoids every off-state, and nothing else is assumed.
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "boolf/cover.hpp"
@@ -56,7 +63,11 @@ struct SignalSynthesis {
   bool combinational = false;
   EventCover set;        ///< a+ cover; the complete cover when combinational
   EventCover reset;      ///< a- cover (empty when combinational)
-  Cover complete;        ///< minimized next-state function
+  /// Minimized next-state function; empty when it was not minimized
+  /// because it could not be chosen (see synthesize_signal).
+  std::optional<Cover> complete;
+  /// Gate measure of `complete`.  When `complete` is empty, a lower bound
+  /// of that measure instead: the given CoverBounds::complete, else 0.
   int complete_complexity = 0;
   /// Worst gate complexity of the chosen implementation.
   int complexity = 0;
@@ -107,15 +118,75 @@ Cover complete_cover(const StateGraph& sg, int sig, int* complexity,
                      const McOptions& opts = {},
                      int* minimizations = nullptr);
 
-/// Synthesize one signal (choosing combinational vs standard-C).
-SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
-                                  const McOptions& opts = {});
+/// Lower bounds of one signal's synthesis, read off the state graph before
+/// anything is minimized.  Each holds for every valid cover of its
+/// function and of the function's complement, so it bounds the gate
+/// measure min(lit(cover), lit(complement)) whichever minimizer made them.
+struct CoverBounds {
+  int set = 0;       ///< <= SignalSynthesis::set.complexity
+  int reset = 0;     ///< <= SignalSynthesis::reset.complexity
+  int complete = 0;  ///< <= the complete cover's gate measure
+};
 
-/// Synthesize every non-input signal into a standard-C netlist.
-/// `out_syntheses` (optional) receives the per-signal details.  `guard`
-/// (optional) is polled once per signal by every worker; exhaustion stops
-/// further signal claims and rethrows GuardExhausted on the calling thread
-/// (parallel_for's error contract), at any thread count.
+/// The bounds of every signal of `sg`, indexed by signal (input signals get
+/// zeros), from one pass over the arcs.  Precondition: every state of `sg`
+/// is reachable, as `prune_unreachable` and `insert_signal` leave it.
+///
+/// Forced literals.  Let next_a(s) be the next-state value of a in s: 1
+/// when a+ is enabled, 0 when a- is, else the value of a.  Take an arc
+/// s->t labelled by a transition of v != a with next_a(s) != next_a(t).
+/// The codes of s and t differ in v alone, and s, t are reachable, so one
+/// lies in the on-set of a's complete function and the other in its
+/// off-set.  The cube covering either state in a cover of its side must
+/// exclude the other, so it carries the literal of v with its value there:
+/// v is forced at both s and t.  F(s) is the set of variables forced at s.
+///
+/// The union term.  Every cover of a side carries each distinct (v,
+/// polarity) pair forced at the side's states, and the other side's pairs
+/// are the same with the polarities flipped, so a cover and its complement
+/// both hold at least that many literals.
+///
+/// The disjoint-cube term.  Call two states of one side apart when their
+/// codes differ in a variable forced at either of them:
+/// (code_i ^ code_j) & (F_i | F_j) != 0.  No cube of a valid cover holds
+/// two apart states: it would have no literal on that variable, so it would
+/// also hold the code of the forcing arc's other end, which lies on the
+/// opposite side.  A set of pairwise apart states thus needs as many
+/// distinct cubes, each carrying the forced literals of its state, and the
+/// sum of |F| over the set bounds the cover.  A greedy pass (most forced
+/// variables first, then by state id) picks the set on each side.  Each
+/// bound is max(union, min(direct, complement)), with direct and
+/// complement the disjoint-cube sums of the function's two sides.
+///
+/// The sides.  Group a's states by (value of a, next_a).  The complete
+/// function's sides are next_a = 1 and next_a = 0.  An arc of v != a keeps
+/// a's value, so every forcing arc joins (0,1) = ER(a+) with (0,0), or
+/// (1,0) = ER(a-) with (1,1).  The set cover's on-set is ER(a+), and (0,0)
+/// lies outside ER(a+) and outside QR(a+), whose states have a=1: it is in
+/// the set cover's initial off-set.  The monotonicity repair only grows
+/// that off-set, so (0,0) stays a subset of the final one, the side the
+/// complement covers.  Likewise the reset cover's on-set is ER(a-) and
+/// (1,1) lies in its final off-set.  So every side is a subset of the
+/// states its cover must hold, every forcing neighbour is in the states it
+/// must avoid, and the bounds hold for any valid cover.
+std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg);
+
+/// Synthesize one signal (choosing combinational vs standard-C).  The
+/// complete cover is not minimized under kStandardC, which never reads it,
+/// nor under kAuto when `bound` (the signal's entry of
+/// cover_lower_bounds(sg), optional) shows its gate measure exceeds the
+/// worse set/reset gate, so that it could not be chosen.  set, reset,
+/// combinational and complexity are the same with or without `bound`.
+SignalSynthesis synthesize_signal(const StateGraph& sg, int sig,
+                                  const McOptions& opts = {},
+                                  const CoverBounds* bound = nullptr);
+
+/// Synthesize every non-input signal into a standard-C netlist.  Under
+/// kAuto, on a graph known to be fully reachable, the signals get their
+/// cover_lower_bounds.  `out_syntheses` (optional) receives the per-signal
+/// details.  `guard` (optional) is polled once per signal by every worker;
+/// exhaustion stops further signal claims and rethrows GuardExhausted on
+/// the calling thread (parallel_for's error contract), at any thread count.
 Netlist synthesize_all(const StateGraph& sg, const McOptions& opts = {},
                        std::vector<SignalSynthesis>* out_syntheses = nullptr,
                        const RunGuard* guard = nullptr);
@@ -125,48 +196,16 @@ Netlist synthesize_all(const StateGraph& sg, const McOptions& opts = {},
 Netlist netlist_of(const StateGraph& sg,
                    const std::vector<SignalSynthesis>& syntheses);
 
-/// Lower bounds of one signal's synthesis, read off the state graph before
-/// anything is minimized.  Each counts the distinct literals (signal,
-/// polarity) that every cover of the function must contain.
-struct CoverBounds {
-  int set = 0;       ///< <= SignalSynthesis::set.complexity
-  int reset = 0;     ///< <= SignalSynthesis::reset.complexity
-  int complete = 0;  ///< <= SignalSynthesis::complete_complexity
-};
-
-/// The bounds of every signal of `sg`, indexed by signal (input signals get
-/// zeros), in one pass over the arcs.  Precondition: every state of `sg` is
-/// reachable, as `prune_unreachable` and `insert_signal` leave it.
-///
-/// Why they hold.  Let next_a(s) be the next-state value of a in s: 1 when
-/// a+ is enabled, 0 when a- is, else the value of a.  Take an arc s->t
-/// labelled by a transition of v != a with next_a(s) != next_a(t).  The
-/// codes of s and t differ in v alone, and s, t are reachable, so one lies
-/// in the on-set of a's complete function and the other in its off-set.
-/// The cube covering the on-state must exclude the off-state, so it carries
-/// the literal of v with its value at the on-state; the complemented cover
-/// likewise carries the opposite literal.  Both covers therefore hold at
-/// least as many literals as there are distinct forced (v, polarity)
-/// pairs, and complete_complexity, the smaller of the two, is bounded by
-/// that count.
-///
-/// a has the same value at s and t.  If it is 0, the next=1 state is in
-/// ER(a+), and the other state is a stable a=0 state: outside ER(a+) and
-/// outside QR(a+), whose states have a=1.  It is thus in the set cover's
-/// initial off-set, and the monotonicity repair only grows that off-set, so
-/// the same literal is forced into the set cover and its complement.  If a
-/// is 1, the next=0 state is in ER(a-) and the stable a=1 state is in the
-/// reset cover's off-set, which bounds reset.complexity the same way.
-std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg);
-
 /// Synthesize `sigs` serially in the given order, appending each result to
 /// `out`, and stop as soon as `keep_going` rejects the latest one.  Returns
-/// true when every signal was synthesized and accepted.  Each synthesized
-/// signal hits the "synth.signal" fault site and charges `guard` one unit,
-/// exactly as in synthesize_all.
+/// true when every signal was synthesized and accepted.  `bounds` are
+/// cover_lower_bounds(sg), passed on to synthesize_signal.  Each
+/// synthesized signal hits the "synth.signal" fault site and charges
+/// `guard` one unit, exactly as in synthesize_all.
 bool synthesize_while(
     const StateGraph& sg, const std::vector<int>& sigs, const McOptions& opts,
-    const RunGuard* guard, std::vector<SignalSynthesis>* out,
+    const RunGuard* guard, const std::vector<CoverBounds>& bounds,
+    std::vector<SignalSynthesis>* out,
     const std::function<bool(const SignalSynthesis&)>& keep_going);
 
 }  // namespace sitm

@@ -4,39 +4,39 @@
 
 namespace sitm {
 
-namespace {
-
-/// Extended quiescent region QR(a*)' (paper Section 3.3): the union of the
-/// QRs of the event, extended with the excitation regions of the subsequent
-/// transitions of the same signal (entered directly from a QR state) — the
-/// states where a falling x may become a trigger of those transitions.
-DynBitset extended_qr(const StateGraph& sg, const EventCover& target) {
-  DynBitset qr = union_qr(sg, target.regions);
-  const auto opp_regions =
-      excitation_regions(sg, opposite(target.event));
-  for (const auto& region : opp_regions) {
+TargetZones target_zones(const StateGraph& sg, const EventCover& target,
+                         const EventCover& opposite) {
+  TargetZones z;
+  z.er = union_er(sg, target.regions);
+  // Extended quiescent region QR(a*)' (paper Section 3.3): the union of the
+  // QRs of the event, extended with the excitation regions of the
+  // subsequent transitions of the same signal (entered directly from a QR
+  // state) — the states where a falling x may become a trigger of those
+  // transitions.
+  z.qr_ext = union_qr(sg, target.regions);
+  for (const auto& region : opposite.regions) {
     bool entered_from_qr = false;
     region.er.for_each([&](std::size_t s) {
       if (entered_from_qr) return;
       for (const auto& p : sg.preds(static_cast<StateId>(s)))
-        if (qr.test(p.target)) {
+        if (z.qr_ext.test(p.target)) {
           entered_from_qr = true;
           return;
         }
     });
-    if (entered_from_qr) qr |= region.er;
+    if (entered_from_qr) z.qr_ext |= region.er;
   }
-  return qr;
+  z.inside = z.er | z.qr_ext;
+  z.reachable = sg.reachable();
+  return z;
 }
 
-}  // namespace
-
-bool property_3_1(const StateGraph& sg, const EventCover& target,
-                  const Cover& g, const Cover& r, const InsertionPlan& plan) {
-  const DynBitset er = union_er(sg, target.regions);
-  const DynBitset qr_ext = extended_qr(sg, target);
-  const DynBitset inside = er | qr_ext;
-  const DynBitset reachable = sg.reachable();
+bool property_3_1(const StateGraph& sg, const TargetZones& zones,
+                  const EventCover& target, const Cover& g, const Cover& r,
+                  const InsertionPlan& plan) {
+  const DynBitset& er = zones.er;
+  const DynBitset& qr_ext = zones.qr_ext;
+  const DynBitset& inside = zones.inside;
 
   auto fg_only = [&](StateId s) {
     const StateCode code = sg.code(s);
@@ -55,7 +55,7 @@ bool property_3_1(const StateGraph& sg, const EventCover& target,
 
   // Condition 2: outside ER(a*) u QR(a*)' the cube x*g must stay 0 — no
   // state there may carry a pending x- while g evaluates to 1.
-  reachable.for_each([&](std::size_t s) {
+  zones.reachable.for_each([&](std::size_t s) {
     if (!ok) return;
     if (inside.test(s)) return;
     if (plan.er_fall.test(s) && g.eval(sg.code(static_cast<StateId>(s))))
@@ -130,10 +130,10 @@ bool becomes_trigger(const StateGraph& sg, const EventCover& other,
 
 ProgressEstimate estimate_progress(
     const StateGraph& sg, const std::vector<SignalSynthesis>& syntheses,
-    const EventCover& target, const Cover& g, const Cover& r,
-    const InsertionPlan& plan) {
+    const TargetZones& zones, const EventCover& target, const Cover& g,
+    const Cover& r, const InsertionPlan& plan) {
   ProgressEstimate out;
-  out.target_ok = property_3_1(sg, target, g, r, plan);
+  out.target_ok = property_3_1(sg, zones, target, g, r, plan);
 
   // Expected gain on the target: c = f*g + r becomes x*g + r.
   const int before = target.cover.num_literals();

@@ -36,9 +36,27 @@ struct ProgressEstimate {
   bool acceptable() const { return target_ok && others_ok; }
 };
 
-/// Check Property 3.1 for the decomposition c(a*) = f*g + r of `target`.
-bool property_3_1(const StateGraph& sg, const EventCover& target,
-                  const Cover& g, const Cover& r, const InsertionPlan& plan);
+/// The state sets Property 3.1 reads that depend only on the target event
+/// a*, not on the candidate: computed once per target and shared by all of
+/// its candidates.
+struct TargetZones {
+  DynBitset er;         ///< ER(a*)
+  DynBitset qr_ext;     ///< extended quiescent region QR(a*)'
+  DynBitset inside;     ///< ER(a*) u QR(a*)'
+  DynBitset reachable;  ///< reachable states of the SG
+};
+
+/// The zones of `target`.  `opposite` is the cover of the opposite event of
+/// the same signal (the other cover of its SignalSynthesis), whose regions
+/// extend the quiescent region.
+TargetZones target_zones(const StateGraph& sg, const EventCover& target,
+                         const EventCover& opposite);
+
+/// Check Property 3.1 for the decomposition c(a*) = f*g + r of `target`,
+/// whose target_zones are `zones`.
+bool property_3_1(const StateGraph& sg, const TargetZones& zones,
+                  const EventCover& target, const Cover& g, const Cover& r,
+                  const InsertionPlan& plan);
 
 /// Check Property 3.2 for event cover `other` against the insertion plan.
 /// `rising_trigger` selects which transition of x becomes the trigger.
@@ -47,10 +65,11 @@ bool property_3_2(const StateGraph& sg, const EventCover& other,
 
 /// Combined estimate over the full synthesis state.  `syntheses` holds the
 /// current covers of every non-input signal; `target` identifies the cover
-/// being decomposed; `g`/`r` are quotient and remainder of the division by
-/// plan.f.
+/// being decomposed, with target_zones `zones`; `g`/`r` are quotient and
+/// remainder of the division by plan.f.
 ProgressEstimate estimate_progress(const StateGraph& sg,
                                    const std::vector<SignalSynthesis>& syntheses,
+                                   const TargetZones& zones,
                                    const EventCover& target, const Cover& g,
                                    const Cover& r, const InsertionPlan& plan);
 

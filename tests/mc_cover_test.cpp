@@ -4,10 +4,13 @@
 // than its bound, under every architecture, on the corpus, on each SG
 // revision the mapper commits, and on random specs.  On the same graphs,
 // every cover's complexity equals the min-literal measure over its fully
-// minimized complement, which the synthesis skips when arcs prove it moot.
+// minimized complement, which the synthesis skips when arcs prove it moot,
+// and a synthesis given its bounds equals the unbounded one apart from the
+// complete covers the bounds show cannot be chosen.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <utility>
@@ -194,13 +197,17 @@ TEST(CoverBounds, HandshakeBoundsAreTight) {
 }
 
 /// Every non-input signal of `sg`, synthesized under each architecture,
-/// costs at least its bound: each cover and each gate-cost component.
+/// costs at least its bound: each cover and each gate-cost component.  The
+/// complete cover is minimized here once, since kStandardC skips it.
 void expect_bounds_hold(const StateGraph& sg, const std::string& what) {
   const std::vector<CoverBounds> bounds = cover_lower_bounds(sg);
   ASSERT_EQ(bounds.size(), static_cast<std::size_t>(sg.num_signals())) << what;
   for (const int sig : sg.noninput_signals()) {
     const CoverBounds& b = bounds[static_cast<std::size_t>(sig)];
     const std::string at = what + " signal " + sg.signal(sig).name;
+    int complete_measure = 0;
+    complete_cover(sg, sig, &complete_measure);
+    EXPECT_GE(complete_measure, b.complete) << at;
     for (const Architecture arch :
          {Architecture::kAuto, Architecture::kStandardC,
           Architecture::kComplexGate}) {
@@ -209,7 +216,9 @@ void expect_bounds_hold(const StateGraph& sg, const std::string& what) {
       const SignalSynthesis s = synthesize_signal(sg, sig, mc);
       EXPECT_GE(s.set.complexity, b.set) << at;
       EXPECT_GE(s.reset.complexity, b.reset) << at;
-      EXPECT_GE(s.complete_complexity, b.complete) << at;
+      EXPECT_EQ(s.complete.has_value(), arch != Architecture::kStandardC)
+          << at;
+      if (s.complete) EXPECT_EQ(s.complete_complexity, complete_measure) << at;
       for (const int i : {2, 3, 4}) {
         const GateLibrary library{i};
         const MapMetrics cost = signal_metrics(s, library);
@@ -275,6 +284,66 @@ TEST(CoverBounds, HoldOnRandomSpecs) {
   for_each_random_graph(expect_bounds_hold);
 }
 
+/// Synthesizing each signal of `sg` with its bound, under each
+/// architecture, gives the unbounded synthesis's set, reset,
+/// combinational and complexity.  Where the bound skipped the complete
+/// cover, the cover's measure exceeds the worse set/reset gate, so it could
+/// not have been chosen, and is at least the stored bound.  Returns the
+/// number of skips.
+int expect_bounded_synthesis_same(const StateGraph& sg,
+                                  const std::string& what) {
+  const std::vector<CoverBounds> bounds = cover_lower_bounds(sg);
+  int skipped = 0;
+  for (const int sig : sg.noninput_signals()) {
+    const CoverBounds& b = bounds[static_cast<std::size_t>(sig)];
+    const std::string at = what + " signal " + sg.signal(sig).name;
+    for (const Architecture arch :
+         {Architecture::kAuto, Architecture::kStandardC,
+          Architecture::kComplexGate}) {
+      McOptions mc;
+      mc.architecture = arch;
+      const SignalSynthesis free = synthesize_signal(sg, sig, mc);
+      const SignalSynthesis bounded = synthesize_signal(sg, sig, mc, &b);
+      EXPECT_TRUE(bounded.set.cover == free.set.cover) << at;
+      EXPECT_EQ(bounded.set.complexity, free.set.complexity) << at;
+      EXPECT_TRUE(bounded.reset.cover == free.reset.cover) << at;
+      EXPECT_EQ(bounded.reset.complexity, free.reset.complexity) << at;
+      EXPECT_EQ(bounded.combinational, free.combinational) << at;
+      EXPECT_EQ(bounded.complexity, free.complexity) << at;
+      if (bounded.complete) {
+        EXPECT_TRUE(bounded.complete == free.complete) << at;
+        EXPECT_EQ(bounded.complete_complexity, free.complete_complexity)
+            << at;
+      } else if (arch == Architecture::kAuto) {
+        ++skipped;
+        EXPECT_EQ(bounded.complete_complexity, b.complete) << at;
+        EXPECT_GT(free.complete_complexity,
+                  std::max(free.set.complexity, free.reset.complexity))
+            << at;
+        EXPECT_GE(free.complete_complexity, bounded.complete_complexity)
+            << at;
+      }
+    }
+  }
+  return skipped;
+}
+
+TEST(CoverBounds, SkippedCompleteCoversChangeNothingOnTheCorpus) {
+  int skipped = 0;
+  for_each_corpus_revision([&](const StateGraph& sg, const std::string& what) {
+    skipped += expect_bounded_synthesis_same(sg, what);
+  });
+  EXPECT_GT(skipped, 0);
+}
+
+TEST(CoverBounds, SkippedCompleteCoversChangeNothingOnRandomSpecs) {
+  int skipped = 0;
+  for_each_random_graph([&](const StateGraph& sg, const std::string& what) {
+    skipped += expect_bounded_synthesis_same(sg, what);
+  });
+  EXPECT_GT(skipped, 0);
+}
+
 std::vector<std::uint64_t> codes_in(const StateGraph& sg, const DynBitset& set) {
   std::vector<std::uint64_t> out;
   set.for_each([&](std::size_t s) {
@@ -332,8 +401,9 @@ void expect_complexity_exact(const StateGraph& sg, const std::string& what) {
     const DynBitset off = reachable - on;
     const Cover direct =
         minimize_onoff(codes_in(sg, on), codes_in(sg, off), sg.num_signals());
-    EXPECT_TRUE(direct == s.complete) << at;
-    expect_gate_measure(sg, s.complete, s.complete_complexity, on, off,
+    ASSERT_TRUE(s.complete.has_value()) << at;
+    EXPECT_TRUE(direct == *s.complete) << at;
+    expect_gate_measure(sg, *s.complete, s.complete_complexity, on, off,
                         at + " complete");
   }
 }
@@ -361,9 +431,63 @@ TEST(McCover, ComplementWinsAtItsForcedLiteralCount) {
   sg.set_initial(0);
 
   const SignalSynthesis s = synthesize_signal(sg, x);
-  EXPECT_EQ(s.complete.num_literals(), 4);
+  ASSERT_TRUE(s.complete.has_value());
+  EXPECT_EQ(s.complete->num_literals(), 4);
   EXPECT_EQ(s.complete_complexity, 3);
   expect_complexity_exact(sg, "c(a'+b')");
+}
+
+TEST(CoverBounds, DisjointCubesSkipTheCElementsCompleteCover) {
+  // Inputs a, b toggle freely; c rises when both are 1 and falls when both
+  // are 0.  The next-state function ab + ac + bc and its complement both
+  // have 6 literals.  The inputs may fall back while c is stable, so the
+  // monotonicity repair keeps c's own literal in set abc' and reset a'b'c:
+  // 3 literals each.  Arcs across the next-state boundary force only a and
+  // b (2 distinct literals), but the next=1 states 011, 101 and 110 (cba)
+  // are pairwise apart and force 1 + 1 + 2 literals, as do 100, 010 and
+  // 001 on the next=0 side: the complete bound is 4, above the gates.
+  StateGraph sg;
+  const int a = sg.add_signal("a", SignalKind::kInput);
+  const int b = sg.add_signal("b", SignalKind::kInput);
+  const int c = sg.add_signal("c", SignalKind::kOutput);
+  for (unsigned code = 0; code < 8; ++code) sg.add_state(code);
+  for (unsigned code = 0; code < 8; ++code) {
+    const auto s = static_cast<StateId>(code);
+    for (const int v : {a, b})
+      sg.add_arc(s, Event{v, ((code >> v) & 1) == 0},
+                 static_cast<StateId>(code ^ (1u << v)));
+  }
+  sg.add_arc(3, Event{c, true}, 7);
+  sg.add_arc(4, Event{c, false}, 0);
+  sg.set_initial(0);
+  sg.prune_unreachable();
+  ASSERT_EQ(sg.num_states(), 8u);
+
+  const CoverBounds bound = cover_lower_bounds(sg)[c];
+  EXPECT_EQ(bound.set, 2);
+  EXPECT_EQ(bound.reset, 2);
+  EXPECT_EQ(bound.complete, 4);
+  DynBitset on = sg.empty_set();
+  for (StateId s = 0; s < 8; ++s)
+    if (next_value(sg, s, c)) on.set(s);
+  EXPECT_EQ(forced_literal_count(sg, on, sg.full_set() - on), 2);
+
+  const SignalSynthesis bounded = synthesize_signal(sg, c, {}, &bound);
+  EXPECT_FALSE(bounded.complete.has_value());
+  EXPECT_FALSE(bounded.combinational);
+  EXPECT_EQ(bounded.complexity, 3);
+  EXPECT_EQ(bounded.complete_complexity, 4);
+  const SignalSynthesis free = synthesize_signal(sg, c);
+  ASSERT_TRUE(free.complete.has_value());
+  EXPECT_EQ(free.complete_complexity, 6);
+  EXPECT_FALSE(free.combinational);
+
+  std::vector<SignalSynthesis> syntheses;
+  const Netlist netlist = synthesize_all(sg, {}, &syntheses);
+  ASSERT_EQ(syntheses.size(), 1u);
+  EXPECT_FALSE(syntheses[0].complete.has_value());
+  EXPECT_EQ(netlist.num_c_elements(), 1);
+  expect_bounds_hold(sg, "C element");
 }
 
 TEST(McCover, ComplexityEqualsTheFullComplementMeasureOnTheCorpus) {

@@ -31,6 +31,10 @@ class HazardProgress : public ::testing::Test {
       if (s.signal == x) target = &s;
     ASSERT_NE(target, nullptr);
   }
+  /// Property 3.1's zones of the target's set cover.
+  TargetZones zones() const {
+    return target_zones(sg, target->set, target->reset);
+  }
   StateGraph sg;
   std::vector<SignalSynthesis> syntheses;
   const SignalSynthesis* target = nullptr;
@@ -50,8 +54,9 @@ TEST_F(HazardProgress, EstimateForLegalDivisors) {
     ASSERT_FALSE(div.quotient.empty());
     const auto plan = plan_insertion(sg, f);
     ASSERT_TRUE(plan.has_value());
-    const ProgressEstimate est = estimate_progress(
-        sg, syntheses, target->set, div.quotient, div.remainder, *plan);
+    const ProgressEstimate est =
+        estimate_progress(sg, syntheses, zones(), target->set, div.quotient,
+                          div.remainder, *plan);
     EXPECT_LE(est.estimated_delta, 1);
   }
 }
@@ -63,8 +68,9 @@ TEST_F(HazardProgress, NewTriggersAreCounted) {
   const Division div = algebraic_division(target->set.cover, f);
   const auto plan = plan_insertion(sg, f);
   ASSERT_TRUE(plan.has_value());
-  const ProgressEstimate est = estimate_progress(
-      sg, syntheses, target->set, div.quotient, div.remainder, *plan);
+  const ProgressEstimate est =
+      estimate_progress(sg, syntheses, zones(), target->set, div.quotient,
+                        div.remainder, *plan);
   EXPECT_GE(est.new_triggers, 0);
 }
 
@@ -128,8 +134,8 @@ TEST(Progress, Property31HoldsForCleanSubstitution) {
   });
   EXPECT_TRUE(er.subset_of(plan->er_rise))
       << "x+ should be pending throughout ER(d+), retriggering d+";
-  EXPECT_FALSE(property_3_1(sg, target->set, div.quotient, div.remainder,
-                            *plan));
+  EXPECT_FALSE(property_3_1(sg, target_zones(sg, target->set, target->reset),
+                            target->set, div.quotient, div.remainder, *plan));
 }
 
 TEST(Progress, EstimateRanksLatchAboveHarmfulDivisor) {
@@ -152,12 +158,11 @@ TEST(Progress, EstimateRanksLatchAboveHarmfulDivisor) {
       sg, f, cube_cover(sg.num_signals(), {{g0, false}, {g1, false}}));
   ASSERT_TRUE(comb.has_value());
   ASSERT_TRUE(latch.has_value());
-  const ProgressEstimate ec = estimate_progress(sg, syntheses, target->set,
-                                                div.quotient, div.remainder,
-                                                *comb);
-  const ProgressEstimate el = estimate_progress(sg, syntheses, target->set,
-                                                div.quotient, div.remainder,
-                                                *latch);
+  const TargetZones zones = target_zones(sg, target->set, target->reset);
+  const ProgressEstimate ec = estimate_progress(
+      sg, syntheses, zones, target->set, div.quotient, div.remainder, *comb);
+  const ProgressEstimate el = estimate_progress(
+      sg, syntheses, zones, target->set, div.quotient, div.remainder, *latch);
   EXPECT_LE(el.estimated_delta, ec.estimated_delta);
 }
 
