@@ -1,5 +1,6 @@
 #include "netlist/si_verify.hpp"
 
+#include <bit>
 #include <vector>
 
 #include "util/error.hpp"
@@ -14,8 +15,8 @@ namespace {
 /// One delay element of the closed system.
 struct Element {
   enum class Kind { kInput, kSetNet, kResetNet, kCOut, kCombOut } kind;
-  int signal = -1;      ///< SG signal (all kinds except pure nets use it)
-  int impl_index = -1;  ///< index into netlist.impls() for net/output kinds
+  int signal = -1;        ///< SG signal (of the impl, for nets and outputs)
+  std::uint64_t bit = 0;  ///< the element's bit in its excitation word
 };
 
 struct Composite {
@@ -35,6 +36,36 @@ struct CompositeHash {
   }
 };
 
+/// What a composite state's excitation depends on through its spec state.
+struct SpecWords {
+  std::uint64_t gate = 0;    ///< bit 2i / 2i+1: impl i's set / reset cover
+  std::uint64_t value = 0;   ///< bit 2i: value of impl i's signal
+  std::uint64_t inputs = 0;  ///< bit j: input j has an enabled event
+};
+
+/// Excited elements of one composite state, one word per element class.
+struct Excitation {
+  std::uint64_t inputs = 0;  ///< bit j: input j
+  std::uint64_t nets = 0;    ///< bit 2i / 2i+1: impl i's set / reset net
+  std::uint64_t outs = 0;    ///< bit 2i: impl i's output (C element or gate)
+
+  std::uint64_t word(Element::Kind kind) const {
+    switch (kind) {
+      case Element::Kind::kInput:
+        return inputs;
+      case Element::Kind::kSetNet:
+      case Element::Kind::kResetNet:
+        return nets;
+      case Element::Kind::kCOut:
+      case Element::Kind::kCombOut:
+        return outs;
+    }
+    return 0;
+  }
+};
+
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
 }  // namespace
 
 SiVerifyResult verify_speed_independence(const Netlist& netlist,
@@ -51,71 +82,68 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
                             0};
   if (impls.size() > 32) throw Error("si_verify: more than 32 implementations");
 
-  // Element universe.
+  // Element universe, in firing order, and the masks of the word layout.
+  const std::vector<int> inputs = sg.input_signals();
   std::vector<Element> elements;
-  for (int s : sg.input_signals())
-    elements.push_back(Element{Element::Kind::kInput, s, -1});
+  for (std::size_t j = 0; j < inputs.size(); ++j)
+    elements.push_back(
+        Element{Element::Kind::kInput, inputs[j], std::uint64_t{1} << j});
+  std::uint64_t seq_net_mask = 0, comb_mask = 0;
   for (std::size_t i = 0; i < impls.size(); ++i) {
+    const std::uint64_t even = std::uint64_t{1} << (2 * i);
     if (impls[i].combinational) {
+      comb_mask |= even;
       elements.push_back(
-          Element{Element::Kind::kCombOut, impls[i].signal, static_cast<int>(i)});
+          Element{Element::Kind::kCombOut, impls[i].signal, even});
     } else {
+      seq_net_mask |= even | even << 1;
       elements.push_back(
-          Element{Element::Kind::kSetNet, impls[i].signal, static_cast<int>(i)});
-      elements.push_back(Element{Element::Kind::kResetNet, impls[i].signal,
-                                 static_cast<int>(i)});
+          Element{Element::Kind::kSetNet, impls[i].signal, even});
       elements.push_back(
-          Element{Element::Kind::kCOut, impls[i].signal, static_cast<int>(i)});
+          Element{Element::Kind::kResetNet, impls[i].signal, even << 1});
+      elements.push_back(
+          Element{Element::Kind::kCOut, impls[i].signal, even});
     }
   }
 
-  auto net_bit = [](int impl_index, bool reset) {
-    return std::uint64_t{1} << (2 * impl_index + (reset ? 1 : 0));
-  };
-
-  // Excitation of an element in a composite state.  For inputs the possible
-  // transitions are given by the specification.
-  auto excited = [&](const Element& e, const Composite& c) -> bool {
-    const StateCode code = sg.code(c.q);
-    switch (e.kind) {
-      case Element::Kind::kInput:
-        return sg.enabled(c.q, Event{e.signal, true}) ||
-               sg.enabled(c.q, Event{e.signal, false});
-      case Element::Kind::kSetNet: {
-        const bool now = (c.nets & net_bit(e.impl_index, false)) != 0;
-        return impls[e.impl_index].set.eval(code) != now;
-      }
-      case Element::Kind::kResetNet: {
-        const bool now = (c.nets & net_bit(e.impl_index, true)) != 0;
-        return impls[e.impl_index].reset.eval(code) != now;
-      }
-      case Element::Kind::kCOut: {
-        // Muller C element out = C(S, ~R): rises when S=1,R=0; falls when
-        // S=0,R=1; holds otherwise (S=R=1 transients are legal holds).
-        const bool set = (c.nets & net_bit(e.impl_index, false)) != 0;
-        const bool reset = (c.nets & net_bit(e.impl_index, true)) != 0;
-        const bool value = sg.value(c.q, e.signal);
-        return (set && !reset && !value) || (reset && !set && value);
-      }
-      case Element::Kind::kCombOut:
-        return impls[e.impl_index].set.eval(code) != sg.value(c.q, e.signal);
+  // Gates read only the spec code, so every cover is evaluated once per
+  // spec state here instead of once per element and composite state.
+  std::vector<SpecWords> spec_words(sg.num_states());
+  for (StateId q = 0; q < static_cast<StateId>(sg.num_states()); ++q) {
+    SpecWords& w = spec_words[q];
+    const StateCode code = sg.code(q);
+    for (std::size_t i = 0; i < impls.size(); ++i) {
+      const std::uint64_t even = std::uint64_t{1} << (2 * i);
+      if (impls[i].set.eval(code)) w.gate |= even;
+      if (!impls[i].combinational && impls[i].reset.eval(code))
+        w.gate |= even << 1;
+      if (sg.value(q, impls[i].signal)) w.value |= even;
     }
-    return false;
+    for (std::size_t j = 0; j < inputs.size(); ++j)
+      if (sg.enabled(q, Event{inputs[j], true}) ||
+          sg.enabled(q, Event{inputs[j], false}))
+        w.inputs |= std::uint64_t{1} << j;
+  }
+
+  // Muller C element out = C(S, ~R): rises when S=1,R=0; falls when S=0,R=1;
+  // holds otherwise (S=R=1 transients are legal holds).  Combinational
+  // impls have no nets, so their S and R bits are zero here.
+  auto excitation = [&](const Composite& c) {
+    const SpecWords& w = spec_words[c.q];
+    const std::uint64_t set = c.nets & kEvenBits;
+    const std::uint64_t reset = (c.nets >> 1) & kEvenBits;
+    const std::uint64_t c_out =
+        (set & ~reset & ~w.value) | (reset & ~set & w.value);
+    return Excitation{w.inputs, (w.gate ^ c.nets) & seq_net_mask,
+                      c_out | ((w.gate ^ w.value) & comb_mask)};
   };
 
   SiVerifyResult result;
   FlatMap<Composite, char, CompositeHash> seen;
 
   // Initial composite state: spec initial state, S/R nets settled.
-  Composite init{sg.initial(), 0};
-  {
-    const StateCode code = sg.code(init.q);
-    for (std::size_t i = 0; i < impls.size(); ++i) {
-      if (impls[i].combinational) continue;
-      if (impls[i].set.eval(code)) init.nets |= net_bit(static_cast<int>(i), false);
-      if (impls[i].reset.eval(code)) init.nets |= net_bit(static_cast<int>(i), true);
-    }
-  }
+  const Composite init{sg.initial(),
+                       spec_words[sg.initial()].gate & seq_net_mask};
 
   std::vector<Composite> queue{init};
   seen.emplace(init, 0);
@@ -131,6 +159,7 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
     result.why = std::move(why);
   };
 
+  std::vector<std::pair<const Element*, Composite>> successors;
   while (!queue.empty() && result.ok) {
     const Composite c = queue.back();
     queue.pop_back();
@@ -145,9 +174,10 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
     }
 
     // Successors: fire every excited element in turn.
-    std::vector<std::pair<const Element*, Composite>> successors;
+    const Excitation ec = excitation(c);
+    successors.clear();
     for (const auto& e : elements) {
-      if (!excited(e, c)) continue;
+      if (!(ec.word(e.kind) & e.bit)) continue;
       switch (e.kind) {
         case Element::Kind::kInput: {
           for (bool rising : {true, false}) {
@@ -158,12 +188,9 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
           break;
         }
         case Element::Kind::kSetNet:
-        case Element::Kind::kResetNet: {
-          Composite n = c;
-          n.nets ^= net_bit(e.impl_index, e.kind == Element::Kind::kResetNet);
-          successors.push_back({&e, n});
+        case Element::Kind::kResetNet:
+          successors.push_back({&e, Composite{c.q, c.nets ^ e.bit}});
           break;
-        }
         case Element::Kind::kCOut:
         case Element::Kind::kCombOut: {
           const bool rising = !sg.value(c.q, e.signal);
@@ -184,18 +211,24 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
     if (!result.ok) break;
 
     // Semi-modularity: firing one element must not dis-excite another
-    // non-input element.
+    // non-input element.  The lowest impl among the lost bits is the first
+    // such element in element order, which names the hazard.
     for (const auto& [fired, next] : successors) {
-      for (const auto& e : elements) {
-        if (&e == fired || e.kind == Element::Kind::kInput) continue;
-        if (excited(e, c) && !excited(e, next)) {
-          fail(strfmt("gate for signal %s dis-excited (hazard) when %s fires",
-                      sg.signal(e.signal).name.c_str(),
-                      sg.signal(fired->signal).name.c_str()));
-          break;
-        }
+      const Excitation en = excitation(next);
+      std::uint64_t lost_nets = ec.nets & ~en.nets;
+      std::uint64_t lost_outs = ec.outs & ~en.outs;
+      if (fired->kind == Element::Kind::kSetNet ||
+          fired->kind == Element::Kind::kResetNet)
+        lost_nets &= ~fired->bit;
+      else if (fired->kind != Element::Kind::kInput)
+        lost_outs &= ~fired->bit;
+      if (lost_nets | lost_outs) {
+        const int impl = std::countr_zero(lost_nets | lost_outs) / 2;
+        fail(strfmt("gate for signal %s dis-excited (hazard) when %s fires",
+                    sg.signal(impls[impl].signal).name.c_str(),
+                    sg.signal(fired->signal).name.c_str()));
+        break;
       }
-      if (!result.ok) break;
       auto [slot, inserted] = seen.emplace(next, 0);
       if (inserted) {
         if (seen.size() > max_states) {

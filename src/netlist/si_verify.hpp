@@ -16,6 +16,32 @@
 //
 // This is the independent check behind the paper's remark that "all the
 // implementations have been verified to be speed-independent".
+//
+// Word-parallel excitation.  A composite state is c = (q, nets): the spec
+// state q and the values of the set/reset nets of every C element.  Every
+// gate reads only signal values, i.e. code(q), so for each spec state q the
+// verifier evaluates each cover once, up front, into three words:
+//   gate[q]    bit 2i = impl i's set (or combinational) cover at code(q),
+//              bit 2i+1 = its reset cover;
+//   value[q]   bit 2i = the value of impl i's signal in q;
+//   inputs[q]  bit j = input j has an enabled event in q.
+// The excited elements of c are then three words, one per element class:
+//   inputs     inputs[q];
+//   nets       (gate[q] ^ nets) & sequential-net mask — a net is excited
+//              iff its cover disagrees with its current value;
+//   outputs    (S & ~R & ~V) | (R & ~S & V) for C elements, with S, R the
+//              even-aligned set/reset nets and V = value[q] (the Muller rule
+//              above), or'ed with (gate[q] ^ V) & combinational mask, since
+//              a complex gate is excited iff its cover disagrees with its
+//              signal.
+// Each bit is exactly the per-element test it replaces, evaluated on the
+// same (code(q), nets).  Semi-modularity after firing element e into c' is
+// `excited(c) & ~excited(c')` on the net and output words with e's own bit
+// cleared; the lowest impl among the set bits is the first dis-excited
+// element in element order (inputs, then per impl set net, reset net,
+// output), so the hazard names the same gate an element-by-element scan
+// would.  Successors are still generated in element order, so the
+// exploration order, every verdict and the state count are unchanged.
 
 #include <cstddef>
 #include <string>

@@ -1,7 +1,8 @@
 #include "sg/properties.hpp"
 
-#include <map>
+#include <array>
 
+#include "util/flat_map.hpp"
 #include "util/text.hpp"
 
 namespace sitm {
@@ -101,33 +102,21 @@ PropertyResult check_speed_independence(const StateGraph& sg) {
   return check_output_persistency(sg);
 }
 
-namespace {
-
-/// Bitmask of enabled non-input events: bit 2*sig (+1 if rising).
-std::uint64_t noninput_event_mask(const StateGraph& sg, StateId s) {
-  std::uint64_t mask = 0;
-  for (const auto& e : sg.succs(s)) {
-    if (is_noninput(sg.signal(e.event.signal).kind)) {
-      // num_signals <= 64 would overflow 2 bits/signal in uint64; use a
-      // 128-bit-safe encoding only if needed.  Benchmarks have < 32 signals.
-      mask |= std::uint64_t{1}
-              << (2 * (e.event.signal % 32) + (e.event.rising ? 1 : 0));
-    }
-  }
-  return mask;
-}
-
-}  // namespace
-
 PropertyResult check_csc(const StateGraph& sg) {
-  std::map<StateCode, std::pair<StateId, std::uint64_t>> seen;
+  // Each code is compared with the first state that carried it.
+  const std::array<std::uint64_t, 2> noninput = sg.noninput_event_mask();
+  auto output_events = [&](StateId s) {
+    const auto& enabled = sg.enabled_mask(s);
+    return std::array<std::uint64_t, 2>{enabled[0] & noninput[0],
+                                        enabled[1] & noninput[1]};
+  };
+  FlatMap<StateCode, StateId> first(sg.num_states());
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
-    const std::uint64_t mask = noninput_event_mask(sg, s);
-    auto [it, inserted] = seen.emplace(sg.code(s), std::make_pair(s, mask));
-    if (!inserted && it->second.second != mask) {
+    const auto [slot, inserted] = first.emplace(sg.code(s), s);
+    if (!inserted && output_events(*slot) != output_events(s)) {
       return PropertyResult::fail(
           strfmt("CSC conflict between states %d and %d (code %s)",
-                 static_cast<int>(it->second.first), static_cast<int>(s),
+                 static_cast<int>(*slot), static_cast<int>(s),
                  sg.code_string(s).c_str()));
     }
   }
@@ -135,12 +124,12 @@ PropertyResult check_csc(const StateGraph& sg) {
 }
 
 PropertyResult check_usc(const StateGraph& sg) {
-  std::map<StateCode, StateId> seen;
+  FlatMap<StateCode, StateId> first(sg.num_states());
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
-    auto [it, inserted] = seen.emplace(sg.code(s), s);
+    const auto [slot, inserted] = first.emplace(sg.code(s), s);
     if (!inserted) {
       return PropertyResult::fail(strfmt("states %d and %d share code %s",
-                                         static_cast<int>(it->second),
+                                         static_cast<int>(*slot),
                                          static_cast<int>(s),
                                          sg.code_string(s).c_str()));
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "benchlib/generators.hpp"
@@ -140,6 +141,29 @@ TEST(RandomDivisors, PlannedInsertionsAlwaysVerify) {
   }
   // The generator families admit at least some random legal insertions.
   EXPECT_GT(valid, 0);
+}
+
+// ---------------------------------------------------------- state coding
+
+TEST(StateCoding, CscTellsApartOutputsThirtyTwoSignalsApart) {
+  // Two states share the all-zero code; one enables o1+ and the other o33+.
+  // Their output events differ, so this is a CSC conflict however wide the
+  // graph is.
+  StateGraph sg;
+  for (int i = 0; i < 34; ++i)
+    sg.add_signal("o" + std::to_string(i), SignalKind::kOutput);
+  const StateId s0 = sg.add_state(0), s1 = sg.add_state(0);
+  const StateId up1 = sg.add_state(StateCode{1} << 1);
+  const StateId up33 = sg.add_state(StateCode{1} << 33);
+  sg.add_arc(s0, Event{1, true}, up1);
+  sg.add_arc(s1, Event{33, true}, up33);
+  sg.set_initial(s0);
+  const PropertyResult csc = check_csc(sg);
+  EXPECT_FALSE(csc);
+  const std::string zeros(34, '0');
+  EXPECT_EQ(csc.why,
+            "CSC conflict between states 0 and 1 (code " + zeros + ")");
+  EXPECT_FALSE(check_usc(sg));
 }
 
 TEST(MapperSweep, LibraryMonotonicity) {
