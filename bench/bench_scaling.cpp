@@ -211,13 +211,11 @@ void BM_ExpandMinterm(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandMinterm)->DenseRange(4, 8, 2);
 
-// Greedy irredundant selection in isolation, priority engine (arg 0) vs the
-// retained rescan-all reference loop (arg 1).  The candidate pool is what
+// Greedy irredundant selection in isolation.  The candidate pool is what
 // minimize_onoff's refinement passes really produce — every on-minterm of
 // the parallelizer's done-signal function expanded under several rotated
 // variable orders — so the selection loop sees many overlapping cubes per
-// minterm, the regime where the reference loop's O(cubes) rescan per pick
-// dominates.
+// minterm, the regime where an O(cubes) rescan per pick would dominate.
 void BM_Irredundant(benchmark::State& state) {
   const StateGraph sg = bench::make_parallelizer(8).to_state_graph();
   const int sig = sg.noninput_signals().back();
@@ -241,14 +239,13 @@ void BM_Irredundant(benchmark::State& state) {
   std::sort(cubes.begin(), cubes.end());
   cubes.erase(std::unique(cubes.begin(), cubes.end()), cubes.end());
 
-  const bool reference = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(irredundant(cubes, on, reference));
+    benchmark::DoNotOptimize(irredundant(cubes, on));
   }
   state.counters["cubes"] = static_cast<double>(cubes.size());
   state.counters["on"] = static_cast<double>(on.size());
 }
-BENCHMARK(BM_Irredundant)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Irredundant)->Unit(benchmark::kMicrosecond);
 
 // The mapper's candidate resynthesis loop swept over
 // MapperOptions::threads: each candidate is an independent full
@@ -281,11 +278,8 @@ BENCHMARK(BM_MapParallelResynth)
 // pair of a conflicted diamond ring — exactly resolve_csc's per-iteration
 // candidate planning, on the concurrency-rich workload where planning is
 // diamond-bound (the plain csc_ring is diamond-free, so there is nothing to
-// amortize there).  Arg 0 is the fork width, arg 1 the engine: 0 = one
-// shared InsertionPlanner (diamond enumeration and region memos reused
-// across pairs), 1 = a fresh one-shot plan per pair (the retained reference
-// cost model).  Both produce identical plans (pinned by
-// tests/perf_equiv_test.cpp); the /0 vs /1 ratio is the planner's win.
+// amortize there).  The arg is the fork width; one shared InsertionPlanner
+// reuses the diamond enumeration and region memos across pairs.
 void BM_PlanInsertion(benchmark::State& state) {
   const StateGraph sg =
       bench::make_csc_diamond_ring(3, static_cast<int>(state.range(0)))
@@ -295,7 +289,6 @@ void BM_PlanInsertion(benchmark::State& state) {
   for (const auto& r : region)
     if (r.any()) occupied.push_back(&r);
 
-  const bool one_shot = state.range(1) != 0;
   long planned = 0;
   for (auto _ : state) {
     planned = 0;
@@ -303,8 +296,7 @@ void BM_PlanInsertion(benchmark::State& state) {
     for (const DynBitset* r1 : occupied) {
       for (const DynBitset* r2 : occupied) {
         if (r1 == r2) continue;
-        auto plan = one_shot ? plan_state_latch_insertion(sg, *r1, *r2)
-                             : planner.plan_state_latch(*r1, *r2);
+        auto plan = planner.plan_state_latch(*r1, *r2);
         planned += plan.has_value();
         benchmark::DoNotOptimize(plan);
       }
@@ -314,12 +306,7 @@ void BM_PlanInsertion(benchmark::State& state) {
       static_cast<double>(occupied.size() * (occupied.size() - 1));
   state.counters["planned"] = static_cast<double>(planned);
 }
-BENCHMARK(BM_PlanInsertion)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanInsertion)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 // One resolve_csc candidate round's insertion cost in isolation: every
 // planned (e1, e2) latch of the conflicted diamond ring, either materialized
@@ -372,22 +359,17 @@ BENCHMARK(BM_InsertSignal)
     ->Args({5, 1})
     ->Unit(benchmark::kMillisecond);
 
-// resolve_csc end to end on the diamond ring (args: segments, width,
-// engine), the default lazy candidate engine (engine 0: shared incremental
-// planner, copy-map scoring, winner-only materialization, memoized
-// persistency baseline) vs the retained eager one-shot path (engine 1,
-// CscOptions::reference_planner).  Bit-identical CscResults by construction
-// (pinned by tests/perf_equiv_test.cpp).
+// resolve_csc end to end on the diamond ring (args: segments, width): shared
+// incremental planner, copy-map scoring, winner-only materialization and a
+// memoized persistency baseline.
 void BM_ResolveCscIncremental(benchmark::State& state) {
   const StateGraph sg =
       bench::make_csc_diamond_ring(static_cast<int>(state.range(0)),
                                    static_cast<int>(state.range(1)))
           .to_state_graph();
-  CscOptions opts;
-  opts.reference_planner = state.range(2) != 0;
   int inserted = 0;
   for (auto _ : state) {
-    const CscResult r = resolve_csc(sg, opts);
+    const CscResult r = resolve_csc(sg);
     inserted = r.signals_inserted;
     benchmark::DoNotOptimize(r);
   }
@@ -395,10 +377,8 @@ void BM_ResolveCscIncremental(benchmark::State& state) {
   state.counters["inserted"] = inserted;
 }
 BENCHMARK(BM_ResolveCscIncremental)
-    ->Args({5, 4, 0})
-    ->Args({5, 4, 1})
-    ->Args({4, 5, 0})
-    ->Args({4, 5, 1})
+    ->Args({5, 4})
+    ->Args({4, 5})
     ->Unit(benchmark::kMillisecond);
 
 // The mapper with the pre-check prune (arg 0 = pruned, 1 = exhaustive):
@@ -424,8 +404,7 @@ void BM_MapPruned(benchmark::State& state) {
 BENCHMARK(BM_MapPruned)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // CSC resolution on the conflicted ring family.  Default options: exhaustive
-// candidate order, bit-identical to the reference algorithm (class-local
-// conflict recount, deferred verification).
+// candidate order (class-local conflict recount, deferred verification).
 void BM_ResolveCsc(benchmark::State& state) {
   const StateGraph sg =
       bench::make_csc_ring(static_cast<int>(state.range(0))).to_state_graph();

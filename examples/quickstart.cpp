@@ -57,7 +57,7 @@ int main() {
   };
   for (const auto& trial : trials) {
     InsertionFailure why;
-    const auto plan = plan_insertion(sg, trial.f, &why);
+    const auto plan = InsertionPlanner(sg).plan(trial.f, &why);
     if (plan) {
       std::printf("divisor %-4s -> legal insertion: |ER(x+)|=%zu, "
                   "|ER(x-)|=%zu\n",

@@ -35,6 +35,26 @@ struct CubeHash {
 /// hot spot on large on-sets).
 using CubeSet = FlatMap<Cube, char, CubeHash>;
 
+/// Heap entry for irredundant's lazy revalidation.  `gain` is the marginal
+/// coverage at push time — an upper bound on the current value, since
+/// covering a minterm only ever lowers other cubes' gains.
+struct GainEntry {
+  int gain;
+  int lits;
+  std::uint32_t index;
+};
+
+/// priority_queue "less": lower priority = smaller gain, then more
+/// literals, then higher index — so the top is the lowest-index cube among
+/// the (max gain, min literals) ties.
+struct GainLess {
+  bool operator()(const GainEntry& a, const GainEntry& b) const {
+    if (a.gain != b.gain) return a.gain < b.gain;
+    if (a.lits != b.lits) return a.lits > b.lits;
+    return a.index > b.index;
+  }
+};
+
 }  // namespace
 
 Cube expand_minterm(std::uint64_t code, const std::vector<std::uint64_t>& off,
@@ -56,108 +76,13 @@ Cube expand_minterm(std::uint64_t code, const std::vector<std::uint64_t>& off,
   return cube;
 }
 
-namespace {
-
-std::vector<Cube> selected_cubes(const std::vector<Cube>& cubes,
-                                 const std::vector<char>& selected) {
-  std::vector<Cube> out;
-  for (std::size_t i = 0; i < cubes.size(); ++i)
-    if (selected[i]) out.push_back(cubes[i]);
-  return out;
-}
-
-/// Retained rescan-all greedy loop (MinimizeOptions::reference_engine): the
-/// equivalence baseline the heap engine below is pinned against.
-std::vector<Cube> irredundant_reference(const std::vector<Cube>& cubes,
-                                        const std::vector<std::uint64_t>& on) {
-  // coverage[i] = indices of on-minterms covered by cube i;
-  // first_cover[m] = lowest cube index covering minterm m.
-  std::vector<std::vector<int>> coverage(cubes.size());
-  std::vector<int> cover_count(on.size(), 0);
-  std::vector<int> first_cover(on.size(), -1);
-  for (std::size_t i = 0; i < cubes.size(); ++i) {
-    for (std::size_t m = 0; m < on.size(); ++m) {
-      if (cubes[i].contains_code(on[m])) {
-        coverage[i].push_back(static_cast<int>(m));
-        if (cover_count[m]++ == 0) first_cover[m] = static_cast<int>(i);
-      }
-    }
-  }
-
-  std::vector<char> selected(cubes.size(), 0);
-  std::vector<char> covered(on.size(), 0);
-  std::size_t num_covered = 0;
-
-  auto select = [&](std::size_t i) {
-    if (selected[i]) return;
-    selected[i] = 1;
-    for (int m : coverage[i]) {
-      if (!covered[m]) {
-        covered[m] = 1;
-        ++num_covered;
-      }
-    }
-  };
-
-  // Essential cubes: sole cover of some minterm (its recorded first — and
-  // only — coverer; no per-(minterm, cube) containment rescan needed).
-  for (std::size_t m = 0; m < on.size(); ++m) {
-    if (cover_count[m] == 1) select(static_cast<std::size_t>(first_cover[m]));
-  }
-
-  // Greedy: biggest marginal coverage, ties by fewer literals.
-  while (num_covered < on.size()) {
-    std::size_t best = cubes.size();
-    int best_gain = -1, best_lits = 65;
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      if (selected[i]) continue;
-      int gain = 0;
-      for (int m : coverage[i])
-        if (!covered[m]) ++gain;
-      const int lits = cubes[i].num_literals();
-      if (gain > best_gain || (gain == best_gain && lits < best_lits)) {
-        best_gain = gain;
-        best_lits = lits;
-        best = i;
-      }
-    }
-    if (best == cubes.size() || best_gain <= 0)
-      throw Error("irredundant: on-set not coverable by candidate cubes");
-    select(best);
-  }
-
-  return selected_cubes(cubes, selected);
-}
-
-/// Heap entry for the lazy-revalidation engine.  `gain` is the marginal
-/// coverage at push time — an upper bound on the current value, since
-/// covering a minterm only ever lowers other cubes' gains.
-struct GainEntry {
-  int gain;
-  int lits;
-  std::uint32_t index;
-};
-
-/// priority_queue "less": lower priority = smaller gain, then more
-/// literals, then higher index — so the top is exactly the cube the
-/// reference rescan would pick (its scan keeps the first maximum, i.e. the
-/// lowest index among (max gain, min literals) ties).
-struct GainLess {
-  bool operator()(const GainEntry& a, const GainEntry& b) const {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    if (a.lits != b.lits) return a.lits > b.lits;
-    return a.index > b.index;
-  }
-};
-
 /// Priority-driven greedy selection.  Per-cube coverage is stored as packed
 /// 64-bit rows over on-minterm indices (the bit-sliced layout of
 /// boolf/bitslice.hpp turned sideways), so re-scoring a cube is a
 /// word-parallel AND/popcount against the uncovered mask instead of a list
-/// walk, and only cubes popped with a stale key are re-scored at all — the
-/// O(cubes) rescan per pick of the reference loop never happens.
-std::vector<Cube> irredundant_priority(const std::vector<Cube>& cubes,
-                                       const std::vector<std::uint64_t>& on) {
+/// walk, and only cubes popped with a stale key are re-scored at all.
+std::vector<Cube> irredundant(const std::vector<Cube>& cubes,
+                              const std::vector<std::uint64_t>& on) {
   const std::size_t words = bitwords::words_for(on.size());
   std::vector<std::uint64_t> rows(cubes.size() * words, 0);
   std::vector<int> cover_count(on.size(), 0);
@@ -195,7 +120,8 @@ std::vector<Cube> irredundant_priority(const std::vector<Cube>& cubes,
     }
   };
 
-  // Essential cubes first, exactly as in the reference engine.
+  // Essential cubes: sole cover of some minterm (its recorded first — and
+  // only — coverer).
   for (std::size_t m = 0; m < on.size(); ++m) {
     if (cover_count[m] == 1) select(static_cast<std::size_t>(first_cover[m]));
   }
@@ -226,16 +152,10 @@ std::vector<Cube> irredundant_priority(const std::vector<Cube>& cubes,
     select(top.index);
   }
 
-  return selected_cubes(cubes, selected);
-}
-
-}  // namespace
-
-std::vector<Cube> irredundant(const std::vector<Cube>& cubes,
-                              const std::vector<std::uint64_t>& on,
-                              bool reference_engine) {
-  return reference_engine ? irredundant_reference(cubes, on)
-                          : irredundant_priority(cubes, on);
+  std::vector<Cube> out;
+  for (std::size_t i = 0; i < cubes.size(); ++i)
+    if (selected[i]) out.push_back(cubes[i]);
+  return out;
 }
 
 Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
@@ -283,10 +203,10 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
   }
 
   // The off-set is transposed once per call; every expansion below is a
-  // word-parallel reduction over its columns.  Both engines return identical
-  // cubes, so the choice is pure engineering: below a dozen or so
+  // word-parallel reduction over its columns.  Both expansions return
+  // identical cubes, so the choice is pure engineering: below a dozen or so
   // off-minterms the transpose allocation costs more than the scan it saves.
-  const bool slice = !opts.reference_engine && off.size() >= 12;
+  const bool slice = off.size() >= 12;
   const BitSlicedOffSet sliced =
       slice ? BitSlicedOffSet(off, num_vars) : BitSlicedOffSet{};
   auto expand = [&](std::uint64_t code, const std::vector<int>& order) {
@@ -301,7 +221,7 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
     const Cube c = expand(code, var_order);
     if (seen.emplace(c, 1).second) primes.push_back(c);
   }
-  std::vector<Cube> chosen = irredundant(primes, on, opts.reference_engine);
+  std::vector<Cube> chosen = irredundant(primes, on);
 
   // Refinement: re-expand each chosen cube with a reversed order and keep
   // the variant set if it lowers the literal count.
@@ -313,7 +233,7 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
       const Cube c = expand(code, reversed);
       if (alt_seen.emplace(c, 1).second) alt.push_back(c);
     }
-    std::vector<Cube> alt_chosen = irredundant(alt, on, opts.reference_engine);
+    std::vector<Cube> alt_chosen = irredundant(alt, on);
     auto lits = [](const std::vector<Cube>& v) {
       int n = 0;
       for (const auto& c : v) n += c.num_literals();

@@ -15,12 +15,6 @@ namespace sitm {
 struct MinimizeOptions {
   /// Extra reduce/re-expand refinement passes.
   int passes = 1;
-  /// Use the retained row-major reference paths instead of the fast
-  /// engines: the full off-set scan in expand_minterm (vs the bit-sliced
-  /// reduction) and the rescan-all greedy loop in irredundant (vs the
-  /// lazy-revalidation max-heap).  Slower; kept as the equivalence-test
-  /// reference — both engines return literal-for-literal identical covers.
-  bool reference_engine = false;
 };
 
 /// Minimal-ish SOP cover that contains every `on` minterm and no `off`
@@ -31,19 +25,19 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on,
 
 /// Expand a single minterm into a prime-ish cube against `off`.
 /// `var_order` lists variables in the order literal removal is attempted.
-/// Row-major reference engine; the bit-sliced overload lives in bitslice.hpp
-/// and returns identical cubes.
+/// Row-major scan of the off-set, which minimize_onoff uses for off-sets
+/// under a dozen minterms; the bit-sliced overload in bitslice.hpp returns
+/// identical cubes and takes over above that.
 Cube expand_minterm(std::uint64_t code, const std::vector<std::uint64_t>& off,
                     int num_vars, const std::vector<int>& var_order);
 
 /// Greedy irredundant: select a subset of `cubes` covering all `on`
 /// minterms, essential cubes first, then by descending marginal coverage
-/// (ties: fewer literals, then lower cube index).  The default engine keys
-/// candidates in a max-heap over packed uncovered-minterm words and
-/// re-scores a cube only when it is popped stale; `reference_engine`
-/// selects the retained rescan-all loop.  Both return the same cubes.
+/// (ties: fewer literals, then lower cube index).  Candidates are keyed in
+/// a max-heap over packed uncovered-minterm words, and a cube is re-scored
+/// only when it is popped stale.  Throws if some `on` minterm lies in no
+/// cube.
 std::vector<Cube> irredundant(const std::vector<Cube>& cubes,
-                              const std::vector<std::uint64_t>& on,
-                              bool reference_engine = false);
+                              const std::vector<std::uint64_t>& on);
 
 }  // namespace sitm

@@ -77,39 +77,12 @@ ConflictInfo csc_conflicts(const StateGraph& sg) {
   return info;
 }
 
-/// Conflict-pair count of the post-insertion graph `next` — equal to
-/// count_csc_conflicts(next), but computed class-locally.  A new state's
-/// code is its source state's code plus the latch bit, so the only code
-/// classes of `next` with >= 2 members are the old multi-state classes
-/// refined by latch value; output masks are recomputed for just those
-/// states instead of rescanning the whole graph per candidate.
-int conflicts_after_insertion(
-    const StateGraph& next, const InsertionCopies& copies,
-    const std::vector<std::vector<StateId>>& multi_classes,
-    const OutputMask& ni_next) {
-  std::vector<OutputMask> masks;
-  int pairs = 0;
-  for (const auto& cls : multi_classes) {
-    for (const auto* side : {&copies.x0, &copies.x1}) {
-      masks.clear();
-      for (StateId s : cls) {
-        const StateId t = (*side)[static_cast<std::size_t>(s)];
-        if (t == kNoState) continue;
-        const auto& m = next.enabled_mask(t);
-        masks.push_back(OutputMask{m[0] & ni_next[0], m[1] & ni_next[1]});
-      }
-      for (std::size_t i = 0; i < masks.size(); ++i)
-        for (std::size_t j = i + 1; j < masks.size(); ++j)
-          if (!(masks[i] == masks[j])) ++pairs;
-    }
-  }
-  return pairs;
-}
-
-/// Same count, computed from the lazy preview instead of a materialized
-/// graph: the surviving class members and their output masks are read off
-/// the copy product directly.  Sides are visited in the same x0-then-x1
-/// order (the count is order-independent, but keep the scans parallel).
+/// Conflict-pair count of the post-insertion graph, equal to
+/// count_csc_conflicts(insert_signal(...)) but read off the lazy preview.
+/// A new state's code is its source state's code plus the latch bit, so the
+/// only code classes of the inserted graph with >= 2 members are the old
+/// multi-state classes refined by latch value: only those classes' surviving
+/// copies are visited, and their output masks come from the copy product.
 int conflicts_after_preview(
     const InsertionPreview& preview,
     const std::vector<std::vector<StateId>>& multi_classes,
@@ -176,6 +149,11 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
     }
     if (result.signals_inserted >= opts.max_insertions) {
       result.failure = "insertion limit reached";
+      return result;
+    }
+    if (sg.num_signals() >= 64) {
+      result.failure = "no room for a state signal: the graph has " +
+                       std::to_string(sg.num_signals()) + " signals";
       return result;
     }
     // Exhaustion exactly between iterations: report the remaining conflicts
@@ -265,7 +243,6 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
 
     struct Best {
       StateGraph sg;
-      int pairs = 0;
       CscStep step;
     };
     std::optional<Best> best;
@@ -274,10 +251,8 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
     // signals (indices preserved by insert_signal) plus the new internal
     // latch at signal index num_signals().
     OutputMask ni_next = sg.noninput_event_mask();
-    if (sg.num_signals() < 64) {
-      const int id = 2 * sg.num_signals();
-      ni_next[id >> 6] |= std::uint64_t{3} << (id & 63);
-    }
+    const int new_id = 2 * sg.num_signals();
+    ni_next[new_id >> 6] |= std::uint64_t{3} << (new_id & 63);
 
     // One planner per iteration: every candidate below shares the diamond
     // enumeration, and candidates whose seed regions or propagated latch
@@ -291,142 +266,90 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
     // a failure.
     bool exhausted = false;
 
-    if (!opts.reference_planner && sg.num_signals() < 64) {
-      // Lazy engine: score every candidate from its plan's copy structure
-      // (InsertionPreview) and defer both graph construction and
-      // verification to the scan's tentative winner.  The committed result
-      // is bit-identical to the eager engine below, which commits the
-      // earliest candidate minimizing (pairs_after, states) among the
-      // filter- and verify-passing ones, subject to its two truncations:
-      // the scan stops once a passing candidate reaches zero pairs, and at
-      // the ranked-prefix boundary once any passing candidate exists.  The
-      // scan reproduces those truncations assuming unverified candidates
-      // pass; a tentative winner failing verification is marked rejected
-      // and the scan resumes — so only verification attempts (in the common
-      // case exactly one per iteration) materialize a graph.
-      struct Scored {
-        std::size_t ci;  ///< index into cands
-        InsertionPlan plan;
-        int pairs;
-        std::size_t states;
-        bool rejected = false;  ///< failed the deferred verification
-      };
-      std::vector<Scored> scored;
-      std::optional<std::size_t> best_at;  // tentative winner in `scored`
-      const auto better = [](const Scored& a, const Scored& b) {
-        return a.pairs < b.pairs || (a.pairs == b.pairs && a.states < b.states);
-      };
-      std::size_t pos = 0;  // next candidate to score
-      const auto scan = [&] {
-        while (pos < cands.size()) {
-          if (pos == stop_if_best_at && best_at) return;
-          const std::size_t ci = pos++;
-          auto plan = planner.plan_state_latch(region[event_id(cands[ci].e1)],
-                                               region[event_id(cands[ci].e2)]);
-          if (!plan) continue;
-          // Useless if it does not split any conflicting code class: some
-          // involved state must differ in the latch value from a conflicting
-          // partner; cheap necessary test: S1 neither contains nor misses
-          // all involved states.
-          const DynBitset involved_in = conflicts.involved & plan->s1;
-          if (involved_in.none() ||
-              involved_in.count() == conflicts.involved.count())
-            continue;
-          ++result.candidates_scored;
-          fault::hit("csc.candidate");
-          guard_charge(guard, 1, "csc.candidate");
-          const InsertionPreview preview(sg, *plan);
-          const int pairs_after = conflicts_after_preview(
-              preview, conflicts.multi_classes, ni_next);
-          if (pairs_after >= conflicts.pairs) continue;
-          scored.push_back(Scored{ci, std::move(*plan), pairs_after,
-                                  preview.num_states()});
-          if (!best_at || better(scored.back(), scored[*best_at]))
-            best_at = scored.size() - 1;
-          if (scored.back().pairs == 0) return;  // best_at is this candidate
-        }
-      };
-      const InsertionVerifier verifier(sg);
-      while (true) {
-        if (!exhausted) {
-          try {
-            scan();
-          } catch (const GuardExhausted& e) {
-            exhausted = true;
-            result.stopped = e.kind();
-          }
-        }
-        if (!best_at) break;
-        Scored& w = scored[*best_at];
-        StateGraph next = insert_signal(sg, w.plan, name);
-        ++result.graphs_materialized;
-        const DynBitset disturbed = disturbed_signals(sg, w.plan);
-        if (verifier.verify(next, /*require_csc=*/false, &disturbed)) {
-          best = Best{std::move(next), w.pairs,
-                      CscStep{name, cands[w.ci].e1, cands[w.ci].e2,
-                              conflicts.pairs, w.pairs}};
-          break;
-        }
-        w.rejected = true;
-        // Recompute the tentative winner (earliest minimal key among the
-        // surviving scored candidates) and resume the scan: the rejection
-        // may re-open a truncated tail.
-        best_at.reset();
-        for (std::size_t i = 0; i < scored.size(); ++i)
-          if (!scored[i].rejected &&
-              (!best_at || better(scored[i], scored[*best_at])))
-            best_at = i;
-      }
-    } else {
-      // Eager reference engine: plan, materialize and score every surviving
-      // candidate (also the fallback for 64-signal graphs, where the lazy
-      // mask layout has no room for the new signal's events).
-      try {
-      for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-        if (ci == stop_if_best_at && best) break;
-        const Candidate& cand = cands[ci];
+    // Score every candidate from its plan's copy structure
+    // (InsertionPreview) and defer both graph construction and verification
+    // to the scan's tentative winner.  The committed latch is the earliest
+    // candidate minimizing (pairs_after, states) among the filter- and
+    // verify-passing ones, subject to two truncations: the scan stops once a
+    // passing candidate reaches zero pairs, and at the ranked-prefix
+    // boundary once any passing candidate exists.  The scan applies those
+    // truncations assuming unverified candidates pass; a tentative winner
+    // failing verification is marked rejected and the scan resumes — so only
+    // verification attempts (in the common case exactly one per iteration)
+    // materialize a graph.
+    struct Scored {
+      std::size_t ci;  ///< index into cands
+      InsertionPlan plan;
+      int pairs;
+      std::size_t states;
+      bool rejected = false;  ///< failed the deferred verification
+    };
+    std::vector<Scored> scored;
+    std::optional<std::size_t> best_at;  // tentative winner in `scored`
+    const auto better = [](const Scored& a, const Scored& b) {
+      return a.pairs < b.pairs || (a.pairs == b.pairs && a.states < b.states);
+    };
+    std::size_t pos = 0;  // next candidate to score
+    const auto scan = [&] {
+      while (pos < cands.size()) {
+        if (pos == stop_if_best_at && best_at) return;
+        const std::size_t ci = pos++;
         // set/reset seeds: the switching regions of the bounding events.
-        const DynBitset& set_states = region[event_id(cand.e1)];
-        const DynBitset& reset_states = region[event_id(cand.e2)];
-
-        auto plan =
-            opts.reference_planner
-                ? plan_state_latch_insertion(sg, set_states, reset_states)
-                : planner.plan_state_latch(set_states, reset_states);
+        auto plan = planner.plan_state_latch(region[event_id(cands[ci].e1)],
+                                             region[event_id(cands[ci].e2)]);
         if (!plan) continue;
+        // Useless if it does not split any conflicting code class: some
+        // involved state must differ in the latch value from a conflicting
+        // partner; cheap necessary test: S1 neither contains nor misses all
+        // involved states.
         const DynBitset involved_in = conflicts.involved & plan->s1;
         if (involved_in.none() ||
             involved_in.count() == conflicts.involved.count())
           continue;
-
         ++result.candidates_scored;
         fault::hit("csc.candidate");
         guard_charge(guard, 1, "csc.candidate");
-        InsertionCopies copies;
-        StateGraph next = insert_signal(sg, *plan, name, &copies);
-        ++result.graphs_materialized;
-        const int pairs_after = conflicts_after_insertion(
-            next, copies, conflicts.multi_classes, ni_next);
+        const InsertionPreview preview(sg, *plan);
+        const int pairs_after =
+            conflicts_after_preview(preview, conflicts.multi_classes, ni_next);
         if (pairs_after >= conflicts.pairs) continue;
-        const bool beats =
-            !best || pairs_after < best->pairs ||
-            (pairs_after == best->pairs &&
-             next.num_states() < best->sg.num_states());
-        if (!beats) continue;
-        // Deferred verification: only a candidate about to become the
-        // running best pays for the SI/SIP re-check — a rejected candidate
-        // cannot influence the chosen insertion either way.
-        if (!verify_insertion(sg, next, /*require_csc=*/false)) continue;
-
-        best = Best{std::move(next), pairs_after,
-                    CscStep{name, cand.e1, cand.e2, conflicts.pairs,
-                            pairs_after}};
-        if (best->pairs == 0) break;
+        scored.push_back(
+            Scored{ci, std::move(*plan), pairs_after, preview.num_states()});
+        if (!best_at || better(scored.back(), scored[*best_at]))
+          best_at = scored.size() - 1;
+        if (scored.back().pairs == 0) return;  // best_at is this candidate
       }
-      } catch (const GuardExhausted& e) {
-        exhausted = true;
-        result.stopped = e.kind();
+    };
+    const InsertionVerifier verifier(sg);
+    while (true) {
+      if (!exhausted) {
+        try {
+          scan();
+        } catch (const GuardExhausted& e) {
+          exhausted = true;
+          result.stopped = e.kind();
+        }
       }
+      if (!best_at) break;
+      Scored& w = scored[*best_at];
+      StateGraph next = insert_signal(sg, w.plan, name);
+      ++result.graphs_materialized;
+      const DynBitset disturbed = disturbed_signals(sg, w.plan);
+      if (verifier.verify(next, /*require_csc=*/false, &disturbed)) {
+        best = Best{std::move(next), CscStep{name, cands[w.ci].e1,
+                                             cands[w.ci].e2, conflicts.pairs,
+                                             w.pairs}};
+        break;
+      }
+      w.rejected = true;
+      // Recompute the tentative winner (earliest minimal key among the
+      // surviving scored candidates) and resume the scan: the rejection may
+      // re-open a truncated tail.
+      best_at.reset();
+      for (std::size_t i = 0; i < scored.size(); ++i)
+        if (!scored[i].rejected &&
+            (!best_at || better(scored[i], scored[*best_at])))
+          best_at = i;
     }
 
     if (!best) {

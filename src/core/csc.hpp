@@ -32,17 +32,9 @@ struct CscOptions {
   /// regions, no insertion needed) and run the expensive insert/verify round
   /// trip only for the best K, falling back to the remaining candidates only
   /// when no top-K candidate commits.  0 (the default) evaluates candidates
-  /// exhaustively in enumeration order, which is bit-identical to the
-  /// reference implementation; the ranked mode may commit a different —
-  /// equally valid — latch.
+  /// exhaustively in enumeration order; the ranked mode may commit a
+  /// different — equally valid — latch.
   std::size_t rank_top_k = 0;
-  /// Plan every candidate with a fresh one-shot planner (per-candidate
-  /// diamond enumeration, no cross-candidate memo) instead of the shared
-  /// per-iteration InsertionPlanner.  The results are bit-identical either
-  /// way — the shared planner only caches, it never reorders — so this
-  /// exists purely as the retained reference cost model for the equivalence
-  /// tests and the BM_ResolveCscIncremental benchmark.
-  bool reference_planner = false;
 };
 
 struct CscStep {
@@ -59,9 +51,9 @@ struct CscResult {
   std::vector<CscStep> steps;
   /// Search-work counters, summed over all iterations: candidates that
   /// passed the static filters and received a conflict/state score, and
-  /// successor graphs actually materialized via insert_signal.  The lazy
-  /// engine keeps graphs_materialized at (roughly) one per inserted signal;
-  /// the reference engine pays one per scored candidate.
+  /// successor graphs actually materialized via insert_signal.  Candidates
+  /// are scored from their InsertionPreview, so graphs_materialized stays at
+  /// one per inserted signal plus one per winner rejected by verification.
   long candidates_scored = 0;
   long graphs_materialized = 0;
   /// Guard exhaustion that ended the search early (kNone = ran to
@@ -95,7 +87,9 @@ CscAnalysis analyze_csc(const StateGraph& sg);
 /// (optional) bounds the search: one work unit per candidate scored; on
 /// exhaustion the best already-scored candidate of the current iteration is
 /// committed (graceful degradation) and the search stops with
-/// `stopped`/`degraded` recorded instead of throwing.
+/// `stopped`/`degraded` recorded instead of throwing.  A graph that still
+/// has conflicts at 64 signals fails typed: a state code has no room for
+/// another signal.
 CscResult resolve_csc(const StateGraph& sg, const CscOptions& opts = {},
                       const RunGuard* guard = nullptr);
 

@@ -337,26 +337,6 @@ std::optional<InsertionPlan> InsertionPlanner::plan_state_latch(
   return finish(std::move(plan), failure);
 }
 
-std::optional<InsertionPlan> plan_insertion(const StateGraph& sg,
-                                            const Cover& f,
-                                            InsertionFailure* failure) {
-  return InsertionPlanner(sg).plan(f, failure);
-}
-
-std::optional<InsertionPlan> plan_latch_insertion(const StateGraph& sg,
-                                                  const Cover& f_set,
-                                                  const Cover& f_reset,
-                                                  InsertionFailure* failure) {
-  return InsertionPlanner(sg).plan_latch(f_set, f_reset, failure);
-}
-
-std::optional<InsertionPlan> plan_state_latch_insertion(
-    const StateGraph& sg, const DynBitset& set_states,
-    const DynBitset& reset_states, InsertionFailure* failure) {
-  return InsertionPlanner(sg).plan_state_latch(set_states, reset_states,
-                                               failure);
-}
-
 StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
                          const std::string& name, InsertionCopies* copies) {
   StateGraph out;
@@ -543,11 +523,6 @@ PropertyResult InsertionVerifier::verify(const StateGraph& after,
       return PropertyResult::fail("SIP violated: " + r.why);
   }
   return PropertyResult::pass();
-}
-
-PropertyResult verify_insertion(const StateGraph& before,
-                                const StateGraph& after, bool require_csc) {
-  return InsertionVerifier(before).verify(after, require_csc);
 }
 
 }  // namespace sitm

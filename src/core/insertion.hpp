@@ -68,24 +68,38 @@ struct InsertionFailure {
 ///    — shared even between candidates with different seeds (and between
 ///    combinational and latch divisors) that induce the same bipartition.
 ///
-/// Every query returns exactly what the one-shot free functions below
-/// return, failure strings included; `tests/perf_equiv_test.cpp` pins the
-/// memoized answers against fresh one-shot plans.  The planner holds a
-/// reference to the SG — do not mutate or destroy the graph while using it.
+/// Memoized answers equal a fresh planner's, failure strings included;
+/// `tests/perf_equiv_test.cpp` pins them.  The planner holds a reference to
+/// the SG — do not mutate or destroy the graph while using it.  A caller
+/// planning one candidate may use a throwaway `InsertionPlanner(sg)`.
 class InsertionPlanner {
  public:
   explicit InsertionPlanner(const StateGraph& sg);
 
-  /// Combinational divisor `f` (S1 = states where f evaluates to 1).
+  /// The I-partition for the combinational divisor `f` (S1 = states where f
+  /// evaluates to 1), or nullopt with the reason in `failure` if no legal
+  /// speed-independence-preserving insertion exists.
   std::optional<InsertionPlan> plan(const Cover& f,
                                     InsertionFailure* failure = nullptr);
 
-  /// Cover-based SR-latch divisor (see `plan_latch_insertion`).
+  /// The I-partition for a sequential (latch) divisor: the new signal
+  /// behaves like an SR latch, set when `f_set` holds and reset when
+  /// `f_reset` holds; elsewhere it keeps its value.  S1 is obtained by
+  /// propagating this latch semantics over the SG; fails when set/reset
+  /// overlap on a reachable state or the propagated value is ambiguous.
+  /// This realizes the paper's "very general sequential decomposition"
+  /// (Section 5) — e.g. a 3-input C element decomposes as C(C(a,b), c) via
+  /// f_set = a*b, f_reset = a'*b'.
   std::optional<InsertionPlan> plan_latch(const Cover& f_set,
                                           const Cover& f_reset,
                                           InsertionFailure* failure = nullptr);
 
-  /// State-set latch divisor (see `plan_state_latch_insertion`).
+  /// State-set latch divisor: the new signal is forced to 1 on
+  /// `set_states`, to 0 on `reset_states`, and inherits its value elsewhere.
+  /// Unlike the cover-based divisors this can separate states sharing the
+  /// same binary code, which is what Complete State Coding resolution needs
+  /// (the insertion machinery is shared with decomposition, paper
+  /// Section 2.3).
   std::optional<InsertionPlan> plan_state_latch(
       const DynBitset& set_states, const DynBitset& reset_states,
       InsertionFailure* failure = nullptr);
@@ -133,40 +147,12 @@ class InsertionPlanner {
   std::size_t region_hits_ = 0, finish_hits_ = 0;
 };
 
-/// Compute the I-partition for the combinational divisor `f` (S1 = states
-/// where f evaluates to 1); returns the failure reason if no legal
-/// speed-independence-preserving insertion exists.  One-shot shell over a
-/// throwaway InsertionPlanner; callers planning many candidates against one
-/// SG should construct the planner once and reuse it.
-std::optional<InsertionPlan> plan_insertion(const StateGraph& sg,
-                                            const Cover& f,
-                                            InsertionFailure* failure = nullptr);
-
-/// Compute the I-partition for a sequential (latch) divisor: the new signal
-/// behaves like an SR latch, set when `f_set` holds and reset when `f_reset`
-/// holds; elsewhere it keeps its value.  S1 is obtained by propagating this
-/// latch semantics over the SG; fails when set/reset overlap on a reachable
-/// state or the propagated value is ambiguous.  This realizes the paper's
-/// "very general sequential decomposition" (Section 5) — e.g. a 3-input
-/// C element decomposes as C(C(a,b), c) via f_set = a*b, f_reset = a'*b'.
-std::optional<InsertionPlan> plan_latch_insertion(
-    const StateGraph& sg, const Cover& f_set, const Cover& f_reset,
-    InsertionFailure* failure = nullptr);
-
-/// State-set variant of the latch planner: the new signal is forced to 1 on
-/// `set_states`, to 0 on `reset_states`, and inherits its value elsewhere.
-/// Unlike the cover-based planners this can separate states sharing the same
-/// binary code, which is what Complete State Coding resolution needs (the
-/// insertion machinery is shared with decomposition, paper Section 2.3).
-std::optional<InsertionPlan> plan_state_latch_insertion(
-    const StateGraph& sg, const DynBitset& set_states,
-    const DynBitset& reset_states, InsertionFailure* failure = nullptr);
-
 /// Provenance of the inserted graph's states: for every pre-insertion state,
 /// the new-graph ids of its x=0 and x=1 copies (kNoState when the copy does
 /// not exist or was pruned as unreachable).  Each new state is exactly one
-/// old state's copy for exactly one x value, which is what lets CSC
-/// resolution recount conflicts class-locally instead of rescanning.
+/// old state's copy for exactly one x value.  InsertionPreview answers the
+/// same questions without materializing the graph; the copy map is the
+/// reference it is tested against.
 struct InsertionCopies {
   std::vector<StateId> x0, x1;
 };
@@ -174,7 +160,7 @@ struct InsertionCopies {
 /// Insert a new internal signal named `name` according to `plan`.
 /// The result is verified for consistency by construction; behavioural
 /// properties (speed-independence, CSC, SIP-ness) should be re-checked by
-/// the caller via `verify_insertion`.
+/// the caller via `InsertionVerifier`.
 StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
                          const std::string& name,
                          InsertionCopies* copies = nullptr);
@@ -236,23 +222,26 @@ class InsertionPreview {
 /// inserted graph only needs to revisit the disturbed signals.
 DynBitset disturbed_signals(const StateGraph& sg, const InsertionPlan& plan);
 
-/// Post-insertion verifier with the per-iteration work memoized: which
-/// signals of `before` are persistent is a property of that graph alone, so
-/// one resolve_csc / mapper iteration computes the baseline once and every
-/// candidate's SIP check reuses it instead of re-deriving it per
-/// `verify_insertion` call.  The baseline is computed eagerly in the
-/// constructor and `verify` touches no mutable state, so one verifier can
-/// serve concurrent candidate checks (the mapper verifies inside
-/// parallel_for workers).  Holds a reference to `before`.
+/// Full post-insertion check: the new SG must be deterministic, commutative,
+/// output-persistent (including x), optionally satisfy CSC, and every signal
+/// persistent in the old SG must remain persistent (the SIP condition).
+///
+/// Which signals of `before` are persistent is a property of that graph
+/// alone, so one resolve_csc / mapper iteration computes the baseline once
+/// and every candidate's SIP check reuses it.  The baseline is computed
+/// eagerly in the constructor and `verify` touches no mutable state, so one
+/// verifier can serve concurrent candidate checks (the mapper verifies
+/// inside parallel_for workers).  Holds a reference to `before`.
 class InsertionVerifier {
  public:
   explicit InsertionVerifier(const StateGraph& before);
 
-  /// Exactly `verify_insertion(before, after, require_csc)`, with the
-  /// baseline reused.  When `disturbed` is given (see `disturbed_signals`)
-  /// the SIP re-checks skip baseline-persistent signals outside it; the
-  /// verdict and failure message are unchanged — the skipped checks cannot
-  /// fail.
+  /// Check `after` against `before`.  Pass `require_csc = false` while
+  /// resolving CSC conflicts (the input SG itself violates CSC and
+  /// intermediate steps may still).  When `disturbed` is given (see
+  /// `disturbed_signals`) the SIP re-checks skip baseline-persistent signals
+  /// outside it; the verdict and failure message are unchanged — the skipped
+  /// checks cannot fail.
   PropertyResult verify(const StateGraph& after, bool require_csc = true,
                         const DynBitset* disturbed = nullptr) const;
 
@@ -260,16 +249,5 @@ class InsertionVerifier {
   const StateGraph& before_;
   std::vector<char> persistent_;  ///< per-signal: persistent in `before`?
 };
-
-/// Full post-insertion check: the new SG must be deterministic, commutative,
-/// output-persistent (including x), satisfy CSC, and every signal persistent
-/// in the old SG must remain persistent (the SIP condition).  Pass
-/// `require_csc = false` while resolving CSC conflicts (the input SG itself
-/// violates CSC and intermediate steps may still).  One-shot shell over a
-/// throwaway InsertionVerifier; callers checking many candidates against one
-/// `before` graph should construct the verifier once and reuse it.
-PropertyResult verify_insertion(const StateGraph& before,
-                                const StateGraph& after,
-                                bool require_csc = true);
 
 }  // namespace sitm

@@ -299,7 +299,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // With prune_pre_checks the loop additionally stops at the first
       // round boundary where a committable running best exists: the pruned
       // candidates carry estimates no better than what already won, and
-      // never pay for insert_signal/verify_insertion.
+      // never pay for insert_signal or InsertionVerifier.
       //
       // Resynthesis is bounded: a candidate is synthesized signal by signal
       // in bound_order, and the cost of the signals done so far plus the

@@ -400,10 +400,9 @@ void Flow::stage_csc(StageReport& sr) {
                 std::to_string(step.conflicts_after) + " conflicts)");
   sr.metric("signals_inserted", resolved.signals_inserted);
   sr.metric("states_after", static_cast<double>(resolved.sg->num_states()));
-  // Search-work counters of the candidate engine: with the lazy scorer
-  // graphs_materialized stays near signals_inserted; a large ratio to
-  // candidates_scored signals the reference engine (or heavy verify
-  // rejections) and explains a slow csc stage.
+  // Search-work counters of the candidate scan: graphs_materialized stays
+  // near signals_inserted unless verification rejects tentative winners,
+  // and candidates_scored sizes the scan behind a slow csc stage.
   sr.metric("candidates_scored",
             static_cast<double>(resolved.candidates_scored));
   sr.metric("graphs_materialized",

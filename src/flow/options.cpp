@@ -171,7 +171,6 @@ constexpr OptionRow kTable[] = {
     {SITM_FIELD(csc.max_insertions), .key = "csc_max_insertions", .min = 1},
     {SITM_FIELD(csc.max_candidates)},
     {SITM_FIELD(csc.rank_top_k), .key = "csc_top_k", .flags = {"--csc-top-k"}},
-    {SITM_FIELD(csc.reference_planner)},
     // map stage (nested synth options included: the mapper resynthesizes).
     {SITM_FIELD(mapper.library.max_literals), .key = "max_literals",
      .flags = {"-i"}, .min = 1},

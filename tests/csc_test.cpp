@@ -5,6 +5,7 @@
 #include "benchlib/generators.hpp"
 #include "core/csc.hpp"
 #include "core/mapper.hpp"
+#include "flow/flow.hpp"
 #include "netlist/si_verify.hpp"
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
@@ -92,6 +93,32 @@ TEST(Csc, InsertionLimitRespected) {
   const CscResult result = resolve_csc(sg, opts);
   EXPECT_FALSE(result.resolved);
   EXPECT_FALSE(result.failure.empty());
+}
+
+TEST(Csc, SixtyFourSignalGraphFailsTyped) {
+  // 32 ring segments are 64 signals, the width of a state code: there is no
+  // room for a state signal, so resolution must fail typed, not throw.
+  const StateGraph sg = bench::make_csc_ring(32).to_state_graph();
+  ASSERT_EQ(sg.num_signals(), 64);
+  ASSERT_GT(count_csc_conflicts(sg), 0);
+  CscResult result;
+  ASSERT_NO_THROW(result = resolve_csc(sg));
+  EXPECT_FALSE(result.resolved);
+  EXPECT_EQ(result.failure,
+            "no room for a state signal: the graph has 64 signals");
+  EXPECT_EQ(result.signals_inserted, 0);
+  EXPECT_EQ(result.candidates_scored, 0);
+
+  // Through the flow the same spec ends at the csc stage as a spec failure.
+  Flow flow;
+  const FlowReport report = flow.run_state_graph(sg, "ring32");
+  EXPECT_FALSE(report.ok);
+  ASSERT_TRUE(report.failed_stage.has_value());
+  EXPECT_EQ(*report.failed_stage, Stage::kCsc);
+  EXPECT_EQ(report.stage(Stage::kCsc).failure_kind, FailureKind::kSpec);
+  EXPECT_NE(report.failure.find("no room for a state signal"),
+            std::string::npos)
+      << report.failure;
 }
 
 TEST(Csc, RejectsNonSpeedIndependentInput) {

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "boolf/exact.hpp"
+#include "support/exact.hpp"
 #include "boolf/minimize.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

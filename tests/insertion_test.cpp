@@ -39,30 +39,30 @@ TEST_F(HazardInsertion, DivisorAdIsIllegal) {
   // set intersects a state diamond illegally / delays input events).
   const Cover f = cube_cover(sg.num_signals(), {{a, false}, {d, true}});
   InsertionFailure why;
-  const auto plan = plan_insertion(sg, f, &why);
+  const auto plan = InsertionPlanner(sg).plan(f, &why);
   EXPECT_FALSE(plan.has_value());
   EXPECT_FALSE(why.why.empty());
 }
 
 TEST_F(HazardInsertion, DivisorAcIsLegal) {
   const Cover f = cube_cover(sg.num_signals(), {{a, false}, {c, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "s");
-  EXPECT_TRUE(verify_insertion(sg, next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
 }
 
 TEST_F(HazardInsertion, DivisorDcIsLegal) {
   const Cover f = cube_cover(sg.num_signals(), {{d, true}, {c, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "s");
-  EXPECT_TRUE(verify_insertion(sg, next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
 }
 
 TEST_F(HazardInsertion, InsertedSignalBehavesAsDelayedDivisor) {
   const Cover f = cube_cover(sg.num_signals(), {{d, true}, {c, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "s");
   const int s = next.find_signal("s");
@@ -81,7 +81,7 @@ TEST_F(HazardInsertion, InsertedSignalBehavesAsDelayedDivisor) {
 
 TEST_F(HazardInsertion, ErRiseContainsInputBorder) {
   const Cover f = cube_cover(sg.num_signals(), {{a, false}, {c, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   // IB(f+): every state where f flips 0->1 must carry the pending rise.
   for (StateId u = 0; u < static_cast<StateId>(sg.num_states()); ++u) {
@@ -99,8 +99,8 @@ TEST_F(HazardInsertion, ErRiseContainsInputBorder) {
 TEST(Insertion, ConstantDivisorRejected) {
   const StateGraph sg = bench::make_hazard().to_state_graph();
   InsertionFailure why;
-  EXPECT_FALSE(plan_insertion(sg, Cover::one(sg.num_signals()), &why));
-  EXPECT_FALSE(plan_insertion(sg, Cover::zero(sg.num_signals()), &why));
+  EXPECT_FALSE(InsertionPlanner(sg).plan(Cover::one(sg.num_signals()), &why));
+  EXPECT_FALSE(InsertionPlanner(sg).plan(Cover::zero(sg.num_signals()), &why));
 }
 
 TEST(Insertion, StateCountGrowsByRegions) {
@@ -109,12 +109,12 @@ TEST(Insertion, StateCountGrowsByRegions) {
   const int g1 = sg.find_signal("g1");
   const Cover f =
       cube_cover(sg.num_signals(), {{g0, true}, {g1, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "y");
   EXPECT_EQ(next.num_states(),
             sg.num_states() + plan->er_rise.count() + plan->er_fall.count());
-  EXPECT_TRUE(verify_insertion(sg, next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
 }
 
 TEST(Insertion, InsertionPreservesProjection) {
@@ -124,10 +124,10 @@ TEST(Insertion, InsertionPreservesProjection) {
   const int o0 = sg.find_signal("o0");
   const int o1 = sg.find_signal("o1");
   const Cover f = cube_cover(sg.num_signals(), {{o0, true}, {o1, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "y");
-  ASSERT_TRUE(verify_insertion(sg, next));
+  ASSERT_TRUE(InsertionVerifier(sg).verify(next));
 
   const StateCode mask = (StateCode{1} << sg.num_signals()) - 1;
   // Count arcs per (projected code, event) in both graphs; sets must match.
@@ -161,7 +161,7 @@ TEST(Insertion, VerifyCatchesBrokenGraph) {
   // add a competing arc from s00 that disables p+ (output choice).
   // q+ from s00 leads to s10 where p+ is not enabled.
   after.add_arc(s00, Event{q, true}, s10);
-  EXPECT_FALSE(verify_insertion(before, after));
+  EXPECT_FALSE(InsertionVerifier(before).verify(after));
 }
 
 TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
@@ -188,8 +188,8 @@ TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
   reset_states.set(s01);
 
   InsertionFailure why;
-  const auto plan = plan_state_latch_insertion(sg, set_states, reset_states,
-                                               &why);
+  const auto plan =
+      InsertionPlanner(sg).plan_state_latch(set_states, reset_states, &why);
   ASSERT_TRUE(plan.has_value()) << why.why;
   EXPECT_TRUE(plan->initial_value);
   EXPECT_TRUE(plan->s1.test(s10));
@@ -223,7 +223,7 @@ TEST(StateLatchInsertion, TrulyAmbiguousValueStillRejected) {
 
   InsertionFailure why;
   EXPECT_FALSE(
-      plan_state_latch_insertion(sg, set_states, reset_states, &why));
+      InsertionPlanner(sg).plan_state_latch(set_states, reset_states, &why));
   EXPECT_EQ(why.why, "latch value ambiguous (path-dependent)");
 }
 

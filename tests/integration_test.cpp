@@ -126,11 +126,11 @@ TEST(Integration, DecompositionStepsAreSoundInSequence) {
   for (const auto& step : result.steps) {
     const auto plan =
         step.latch
-            ? plan_latch_insertion(sg, step.divisor, step.divisor_reset)
-            : plan_insertion(sg, step.divisor);
+            ? InsertionPlanner(sg).plan_latch(step.divisor, step.divisor_reset)
+            : InsertionPlanner(sg).plan(step.divisor);
     ASSERT_TRUE(plan.has_value());
     StateGraph next = insert_signal(sg, *plan, step.new_signal);
-    ASSERT_TRUE(verify_insertion(sg, next));
+    ASSERT_TRUE(InsertionVerifier(sg).verify(next));
     EXPECT_EQ(next.num_states(), step.states_after);
     sg = std::move(next);
   }

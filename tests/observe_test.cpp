@@ -85,10 +85,10 @@ TEST(Observe, InsertionPreservesObservableBehaviour) {
   const int d = sg.find_signal("d");
   const Cover f(sg.num_signals(),
                 {Cube::literal(d, true).with_literal(c, true)});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "u");
-  ASSERT_TRUE(verify_insertion(sg, next));
+  ASSERT_TRUE(InsertionVerifier(sg).verify(next));
   EXPECT_TRUE(observationally_equivalent(sg, next));
 }
 

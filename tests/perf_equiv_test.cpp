@@ -1,10 +1,14 @@
-// Equivalence tests for the hot-path data structures: the flat-hash
-// reachability store, the word-mask token game and the cached CSC conflict
-// detection must produce results identical to straightforward reference
-// implementations (the containers and rescans they replaced).
+// Equivalence tests for the hot paths: the flat-hash reachability store, the
+// word-mask token game, the cached CSC conflict detection, the lazy CSC
+// engine, the shared insertion planner and the heap/bit-sliced minimizer
+// must produce results identical to straightforward reference
+// implementations.  The references (the containers, rescans and eager loops
+// the hot paths replaced) live here as test-local oracles, not in libsitm.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -292,11 +296,13 @@ TEST(PerfEquiv, WideSignalMasksDoNotAlias) {
   EXPECT_EQ(count_csc_conflicts(sg), 1);
 }
 
-// ----- reference resolve_csc: exhaustive order, full per-candidate rescan --
+// ----- reference resolve_csc: eager scoring, full per-candidate rescan -----
 
 struct RefConflicts {
   int pairs = 0;
   DynBitset involved;
+  /// The conflicting state pairs themselves (the ranked mode scores them).
+  std::vector<std::pair<std::size_t, std::size_t>> pair_list;
 };
 
 /// 128-bit output-event masks (2 bits per signal) via ordered-map grouping —
@@ -313,7 +319,7 @@ RefConflicts ref_conflicts128(const StateGraph& sg) {
     }
     return m;
   };
-  RefConflicts out{0, sg.empty_set()};
+  RefConflicts out{0, sg.empty_set(), {}};
   std::map<StateCode, std::vector<StateId>> by_code;
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s)
     by_code[sg.code(s)].push_back(s);
@@ -324,6 +330,8 @@ RefConflicts ref_conflicts128(const StateGraph& sg) {
           ++out.pairs;
           out.involved.set(static_cast<std::size_t>(states[i]));
           out.involved.set(static_cast<std::size_t>(states[j]));
+          out.pair_list.emplace_back(static_cast<std::size_t>(states[i]),
+                                     static_cast<std::size_t>(states[j]));
         }
       }
     }
@@ -331,13 +339,13 @@ RefConflicts ref_conflicts128(const StateGraph& sg) {
   return out;
 }
 
-/// The pre-optimization resolve_csc, verbatim in structure: every candidate
-/// pays the full insert + verify + whole-graph conflict recount, in
-/// enumeration order.  The optimized default path must match it result for
-/// result (steps, counts, final graph).
+/// The eager resolve_csc: every filter-passing candidate is planned by a
+/// fresh planner, materialized, verified and recounted over the whole
+/// graph, in (optionally ranked) candidate order.  resolve_csc's lazy scan
+/// must match it result for result (steps, counts, final graph) and score
+/// the same candidates.  Guards are not modelled.
 CscResult reference_resolve_csc(const StateGraph& input,
-                                std::size_t max_candidates = 256,
-                                int max_insertions = 12) {
+                                const CscOptions& opts = {}) {
   CscResult result;
   result.sg = std::make_shared<StateGraph>(input);
   result.sg->prune_unreachable();
@@ -350,7 +358,7 @@ CscResult reference_resolve_csc(const StateGraph& input,
       result.resolved = true;
       return result;
     }
-    if (result.signals_inserted >= max_insertions) {
+    if (result.signals_inserted >= opts.max_insertions) {
       result.failure = "insertion limit reached";
       return result;
     }
@@ -372,48 +380,71 @@ CscResult reference_resolve_csc(const StateGraph& input,
         if (occurs[event_id(Event{sig, rising})])
           events.push_back(Event{sig, rising});
 
+    std::vector<std::pair<Event, Event>> cands;
+    for (const Event& e1 : events)
+      for (const Event& e2 : events)
+        if (e1 != e2 && cands.size() < opts.max_candidates)
+          cands.emplace_back(e1, e2);
+
+    // Ranked mode: order by the number of conflicting pairs the seeds split
+    // (stable, so ties keep enumeration order), and stop after the top K
+    // once some candidate has committed.
+    std::size_t stop_at = cands.size();
+    if (opts.rank_top_k > 0 && cands.size() > opts.rank_top_k) {
+      const auto score = [&](const std::pair<Event, Event>& c) {
+        const DynBitset& sr1 = region[event_id(c.first)];
+        const DynBitset& sr2 = region[event_id(c.second)];
+        long n = 0;
+        for (const auto& [x, y] : conflicts.pair_list)
+          if ((sr1.test(x) && sr2.test(y)) || (sr1.test(y) && sr2.test(x)))
+            ++n;
+        return n;
+      };
+      std::stable_sort(cands.begin(), cands.end(),
+                       [&](const auto& a, const auto& b) {
+                         return score(a) > score(b);
+                       });
+      stop_at = opts.rank_top_k;
+    }
+
     struct Best {
       StateGraph sg;
       int pairs = 0;
       CscStep step;
     };
     std::optional<Best> best;
-    std::size_t examined = 0;
+    std::string name;
+    for (int c = name_counter;; ++c) {
+      name = "csc" + std::to_string(c);
+      if (sg.find_signal(name) < 0) break;
+    }
 
-    for (const Event& e1 : events) {
-      for (const Event& e2 : events) {
-        if (e1 == e2) continue;
-        if (examined >= max_candidates) break;
-        ++examined;
+    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+      if (ci == stop_at && best) break;
+      const auto& [e1, e2] = cands[ci];
+      auto plan = InsertionPlanner(sg).plan_state_latch(region[event_id(e1)],
+                                                        region[event_id(e2)]);
+      if (!plan) continue;
+      const DynBitset involved_in = conflicts.involved & plan->s1;
+      if (involved_in.none() ||
+          involved_in.count() == conflicts.involved.count())
+        continue;
 
-        auto plan = plan_state_latch_insertion(sg, region[event_id(e1)],
-                                               region[event_id(e2)]);
-        if (!plan) continue;
-        const DynBitset involved_in = conflicts.involved & plan->s1;
-        if (involved_in.none() ||
-            involved_in.count() == conflicts.involved.count())
-          continue;
+      ++result.candidates_scored;
+      StateGraph next = insert_signal(sg, *plan, name);
+      ++result.graphs_materialized;
+      if (!InsertionVerifier(sg).verify(next, /*require_csc=*/false)) continue;
+      const int pairs_after = ref_conflicts128(next).pairs;
+      if (pairs_after >= conflicts.pairs) continue;
 
-        std::string name;
-        for (int c = name_counter;; ++c) {
-          name = "csc" + std::to_string(c);
-          if (sg.find_signal(name) < 0) break;
-        }
-        StateGraph next = insert_signal(sg, *plan, name);
-        if (!verify_insertion(sg, next, /*require_csc=*/false)) continue;
-        const int pairs_after = ref_conflicts128(next).pairs;
-        if (pairs_after >= conflicts.pairs) continue;
-
-        Best candidate{std::move(next), pairs_after,
-                       CscStep{name, e1, e2, conflicts.pairs, pairs_after}};
-        if (!best || candidate.pairs < best->pairs ||
-            (candidate.pairs == best->pairs &&
-             candidate.sg.num_states() < best->sg.num_states())) {
-          best = std::move(candidate);
-        }
-        if (best && best->pairs == 0) break;
+      Best candidate{std::move(next), pairs_after,
+                     CscStep{name, e1, e2, conflicts.pairs, pairs_after}};
+      if (!best || candidate.pairs < best->pairs ||
+          (candidate.pairs == best->pairs &&
+           candidate.sg.num_states() < best->sg.num_states())) {
+        best = std::move(candidate);
       }
-      if ((best && best->pairs == 0) || examined >= max_candidates) break;
+      if (best->pairs == 0) break;
     }
 
     if (!best) {
@@ -483,6 +514,124 @@ TEST(PerfEquiv, RankedResolveCscStillResolves) {
   }
 }
 
+// ----- minimizer references: row-major expansion, rescan-all selection ---
+
+/// The greedy selection irredundant's heap replaced: essential cubes first,
+/// then rescan every cube per pick for the biggest marginal coverage (ties:
+/// fewer literals, then the lowest index, which the scan keeps).
+std::vector<Cube> irredundant_reference(const std::vector<Cube>& cubes,
+                                        const std::vector<std::uint64_t>& on) {
+  std::vector<std::vector<int>> coverage(cubes.size());
+  std::vector<int> cover_count(on.size(), 0);
+  std::vector<int> first_cover(on.size(), -1);
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    for (std::size_t m = 0; m < on.size(); ++m) {
+      if (cubes[i].contains_code(on[m])) {
+        coverage[i].push_back(static_cast<int>(m));
+        if (cover_count[m]++ == 0) first_cover[m] = static_cast<int>(i);
+      }
+    }
+  }
+
+  std::vector<char> selected(cubes.size(), 0);
+  std::vector<char> covered(on.size(), 0);
+  std::size_t num_covered = 0;
+  auto select = [&](std::size_t i) {
+    if (selected[i]) return;
+    selected[i] = 1;
+    for (int m : coverage[i]) {
+      if (!covered[m]) {
+        covered[m] = 1;
+        ++num_covered;
+      }
+    }
+  };
+
+  for (std::size_t m = 0; m < on.size(); ++m)
+    if (cover_count[m] == 1) select(static_cast<std::size_t>(first_cover[m]));
+
+  while (num_covered < on.size()) {
+    std::size_t best = cubes.size();
+    int best_gain = -1, best_lits = 65;
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      if (selected[i]) continue;
+      int gain = 0;
+      for (int m : coverage[i])
+        if (!covered[m]) ++gain;
+      const int lits = cubes[i].num_literals();
+      if (gain > best_gain || (gain == best_gain && lits < best_lits)) {
+        best_gain = gain;
+        best_lits = lits;
+        best = i;
+      }
+    }
+    if (best == cubes.size() || best_gain <= 0)
+      throw Error("irredundant: on-set not coverable by candidate cubes");
+    select(best);
+  }
+
+  std::vector<Cube> out;
+  for (std::size_t i = 0; i < cubes.size(); ++i)
+    if (selected[i]) out.push_back(cubes[i]);
+  return out;
+}
+
+/// minimize_onoff on the reference paths throughout: row-major expansion
+/// against the full off-set (whatever its size) and the rescan-all
+/// selection.  Same variable order and refinement passes.
+Cover reference_minimize_onoff(const std::vector<std::uint64_t>& on_in,
+                               const std::vector<std::uint64_t>& off_in,
+                               int num_vars, int passes) {
+  const std::uint64_t mask =
+      num_vars >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << num_vars) - 1);
+  std::set<std::uint64_t> on_set, off_set;
+  for (auto c : on_in) on_set.insert(c & mask);
+  for (auto c : off_in) off_set.insert(c & mask);
+  const std::vector<std::uint64_t> on(on_set.begin(), on_set.end());
+  const std::vector<std::uint64_t> off(off_set.begin(), off_set.end());
+  if (on.empty()) return Cover::zero(num_vars);
+  if (off.empty()) return Cover::one(num_vars);
+
+  std::vector<double> info(static_cast<std::size_t>(num_vars));
+  for (int v = 0; v < num_vars; ++v) {
+    double pon = 0, poff = 0;
+    for (auto c : on) pon += static_cast<double>((c >> v) & 1);
+    for (auto c : off) poff += static_cast<double>((c >> v) & 1);
+    info[v] = std::abs(pon / on.size() - poff / off.size());
+  }
+  std::vector<int> order(static_cast<std::size_t>(num_vars));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return info[a] < info[b]; });
+
+  std::vector<Cube> primes;
+  for (auto code : on) {
+    const Cube c = expand_minterm(code, off, num_vars, order);
+    if (std::find(primes.begin(), primes.end(), c) == primes.end())
+      primes.push_back(c);
+  }
+  std::vector<Cube> chosen = irredundant_reference(primes, on);
+  auto lits = [](const std::vector<Cube>& v) {
+    int n = 0;
+    for (const auto& c : v) n += c.num_literals();
+    return n;
+  };
+  for (int pass = 1; pass < passes; ++pass) {
+    const std::vector<int> reversed(order.rbegin(), order.rend());
+    std::vector<Cube> alt = primes;
+    for (auto code : on) {
+      const Cube c = expand_minterm(code, off, num_vars, reversed);
+      if (std::find(alt.begin(), alt.end(), c) == alt.end()) alt.push_back(c);
+    }
+    std::vector<Cube> alt_chosen = irredundant_reference(alt, on);
+    if (lits(alt_chosen) < lits(chosen)) chosen = std::move(alt_chosen);
+  }
+  Cover out(num_vars, std::move(chosen));
+  out.make_minimal_wrt_containment();
+  out.sort();
+  return out;
+}
+
 // ----- bit-sliced minimizer vs retained row-major reference ----------------
 
 TEST(PerfEquiv, BitSlicedExpandMatchesReferenceRandomized) {
@@ -546,13 +695,11 @@ TEST(PerfEquiv, BitSlicedExpandMatchesReferenceRandomized) {
       EXPECT_EQ(expand_minterm(off[0], off, num_vars, order),
                 Cube::minterm(off[0], num_vars));
 
-      // Cover level: both engines, one and two passes, literal-for-literal.
+      // Cover level: one and two passes, literal-for-literal against the
+      // reference paths.
       for (int passes : {1, 2}) {
-        MinimizeOptions fast, ref;
-        fast.passes = ref.passes = passes;
-        ref.reference_engine = true;
-        const Cover a = minimize_onoff(on, off, num_vars, fast);
-        const Cover b = minimize_onoff(on, off, num_vars, ref);
+        const Cover a = minimize_onoff(on, off, num_vars, {passes});
+        const Cover b = reference_minimize_onoff(on, off, num_vars, passes);
         EXPECT_EQ(a.cubes(), b.cubes())
             << "vars=" << num_vars << " passes=" << passes;
         for (const auto code : on) EXPECT_TRUE(a.eval(code));
@@ -562,7 +709,7 @@ TEST(PerfEquiv, BitSlicedExpandMatchesReferenceRandomized) {
   }
 }
 
-// ----- priority-heap irredundant vs retained rescan-all reference ----------
+// ----- priority-heap irredundant vs the rescan-all reference ---------------
 
 TEST(PerfEquiv, IrredundantHeapMatchesReferenceRandomized) {
   Rng rng(20260729);
@@ -600,8 +747,8 @@ TEST(PerfEquiv, IrredundantHeapMatchesReferenceRandomized) {
       }
       const std::vector<std::uint64_t> on(on_set.begin(), on_set.end());
 
-      const std::vector<Cube> heap_sel = irredundant(cubes, on, false);
-      const std::vector<Cube> ref_sel = irredundant(cubes, on, true);
+      const std::vector<Cube> heap_sel = irredundant(cubes, on);
+      const std::vector<Cube> ref_sel = irredundant_reference(cubes, on);
       // Identical selection implies identical cover cost; check both
       // anyway so a future tie-break change fails with a useful message.
       EXPECT_EQ(heap_sel, ref_sel) << "vars=" << num_vars;
@@ -618,16 +765,16 @@ TEST(PerfEquiv, IrredundantHeapMatchesReferenceRandomized) {
 }
 
 TEST(PerfEquiv, IrredundantBothEnginesRejectUncoverableOnSet) {
-  // Minterm 0b11 is covered by no candidate: both engines must throw the
-  // same way instead of looping or under-covering.
+  // Minterm 0b11 is covered by no candidate: the heap engine and the
+  // reference must both throw instead of looping or under-covering.
   const std::vector<Cube> cubes{Cube::literal(0, false),
                                 Cube::literal(1, false)};
   const std::vector<std::uint64_t> on{0b00, 0b11};
-  EXPECT_THROW(irredundant(cubes, on, false), Error);
-  EXPECT_THROW(irredundant(cubes, on, true), Error);
+  EXPECT_THROW(irredundant(cubes, on), Error);
+  EXPECT_THROW(irredundant_reference(cubes, on), Error);
 }
 
-// ----- InsertionPlanner vs the retained one-shot reference -----------------
+// ----- one shared InsertionPlanner vs a fresh planner per query ------------
 
 void expect_plan_equal(const std::optional<InsertionPlan>& a,
                        const std::optional<InsertionPlan>& b,
@@ -646,7 +793,7 @@ void expect_plan_equal(const std::optional<InsertionPlan>& a,
 TEST(PerfEquiv, PlannerStateLatchMatchesOneShot) {
   // One shared planner answering every (set, reset) switching-region pair —
   // memo hits included (each query is issued twice) — must return exactly
-  // what a fresh one-shot plan returns, failure strings included.
+  // what a fresh planner returns, failure strings included.
   std::vector<StateGraph> graphs;
   for (int segments : {2, 3, 4})
     graphs.push_back(bench::make_csc_ring(segments).to_state_graph());
@@ -672,8 +819,8 @@ TEST(PerfEquiv, PlannerStateLatchMatchesOneShot) {
         InsertionFailure shared_why, one_shot_why;
         const auto shared =
             planner.plan_state_latch(region[e1], region[e2], &shared_why);
-        const auto one_shot = plan_state_latch_insertion(
-            sg, region[e1], region[e2], &one_shot_why);
+        const auto one_shot = InsertionPlanner(sg).plan_state_latch(
+            region[e1], region[e2], &one_shot_why);
         expect_plan_equal(shared, one_shot, ctx);
         if (!shared) EXPECT_EQ(shared_why.why, one_shot_why.why) << ctx;
         // Second query hits the memo; the answer must not drift.
@@ -704,8 +851,8 @@ TEST(PerfEquiv, PlannerStateLatchMatchesOneShotOnCorpus) {
         InsertionFailure shared_why, one_shot_why;
         const auto shared =
             planner.plan_state_latch(region[e1], region[e2], &shared_why);
-        const auto one_shot = plan_state_latch_insertion(
-            sg, region[e1], region[e2], &one_shot_why);
+        const auto one_shot = InsertionPlanner(sg).plan_state_latch(
+            region[e1], region[e2], &one_shot_why);
         expect_plan_equal(shared, one_shot,
                           entry.name + " " + std::to_string(e1) + "/" +
                               std::to_string(e2));
@@ -743,13 +890,13 @@ TEST(PerfEquiv, PlannerCoverMatchesOneShotRandomized) {
 
       InsertionFailure shared_why, one_shot_why;
       const auto comb = planner.plan(f, &shared_why);
-      const auto comb_ref = plan_insertion(sg, f, &one_shot_why);
+      const auto comb_ref = InsertionPlanner(sg).plan(f, &one_shot_why);
       expect_plan_equal(comb, comb_ref, "combinational");
       if (!comb) EXPECT_EQ(shared_why.why, one_shot_why.why);
 
       const auto latch = planner.plan_latch(f, f_reset, &shared_why);
       const auto latch_ref =
-          plan_latch_insertion(sg, f, f_reset, &one_shot_why);
+          InsertionPlanner(sg).plan_latch(f, f_reset, &one_shot_why);
       expect_plan_equal(latch, latch_ref, "latch");
       if (!latch) EXPECT_EQ(shared_why.why, one_shot_why.why);
     }
@@ -757,9 +904,10 @@ TEST(PerfEquiv, PlannerCoverMatchesOneShotRandomized) {
 }
 
 TEST(PerfEquiv, ResolveCscSharedPlannerBitIdentical) {
-  // The shared-planner resolve_csc must match the retained one-shot
-  // planning path result for result (the memo only caches, it never
-  // reorders candidates).
+  // resolve_csc's one shared planner per iteration must match the eager
+  // reference, which plans every candidate with a fresh planner, result for
+  // result and candidate for candidate (the memo only caches, it never
+  // reorders candidates) — in exhaustive and in ranked order.
   std::vector<StateGraph> graphs;
   for (int segments : {2, 3, 4})
     graphs.push_back(bench::make_csc_ring(segments).to_state_graph());
@@ -767,9 +915,14 @@ TEST(PerfEquiv, ResolveCscSharedPlannerBitIdentical) {
   graphs.push_back(bench::make_csc_diamond_ring(3, 3).to_state_graph());
   graphs.push_back(bench::make_parallelizer(4).to_state_graph());
   for (const StateGraph& sg : graphs) {
-    CscOptions reference;
-    reference.reference_planner = true;
-    expect_csc_result_identical(resolve_csc(sg), resolve_csc(sg, reference));
+    for (const std::size_t top_k : {0, 8}) {
+      CscOptions opts;
+      opts.rank_top_k = top_k;
+      const CscResult shared = resolve_csc(sg, opts);
+      const CscResult fresh = reference_resolve_csc(sg, opts);
+      expect_csc_result_identical(shared, fresh);
+      EXPECT_EQ(shared.candidates_scored, fresh.candidates_scored);
+    }
   }
 }
 
@@ -828,10 +981,11 @@ TEST(PerfEquiv, InsertionPreviewMatchesMaterializedGraph) {
 }
 
 TEST(PerfEquiv, InsertionVerifierMatchesFreeVerify) {
-  // The memoized-baseline verifier — with and without the disturbed-signal
-  // restriction — must agree with verify_insertion verdict for verdict and
-  // message for message: a baseline-persistent signal outside the disturbed
-  // set can never fail the after-check, so skipping it is unobservable.
+  // One verifier reused across candidates — with and without the
+  // disturbed-signal restriction — must agree with a fresh verifier per
+  // check, verdict for verdict and message for message: a
+  // baseline-persistent signal outside the disturbed set can never fail the
+  // after-check, so skipping it is unobservable.
   for (const StateGraph& sg : insertion_test_graphs()) {
     const std::vector<DynBitset> region = all_switching_regions(sg);
     std::vector<const DynBitset*> occupied;
@@ -851,7 +1005,8 @@ TEST(PerfEquiv, InsertionVerifierMatchesFreeVerify) {
         const StateGraph next = insert_signal(sg, *plan, "zz0");
         const DynBitset disturbed = disturbed_signals(sg, *plan);
         for (const bool require_csc : {false, true}) {
-          const PropertyResult free_r = verify_insertion(sg, next, require_csc);
+          const PropertyResult free_r =
+              InsertionVerifier(sg).verify(next, require_csc);
           const PropertyResult memo_r = verifier.verify(next, require_csc);
           const PropertyResult dist_r =
               verifier.verify(next, require_csc, &disturbed);
@@ -869,8 +1024,9 @@ TEST(PerfEquiv, InsertionVerifierMatchesFreeVerify) {
 TEST(PerfEquiv, ResolveCscLazyMatchesReferenceRandomized) {
   // Randomized option sweeps over the conflicted families: the lazy engine
   // (copy-map scoring, winner-only materialization, deferred verification)
-  // must be bit-identical to the retained eager reference engine under
-  // every max_candidates truncation and ranked (rank_top_k) prefix.
+  // must be bit-identical to the eager reference, whose verification is
+  // *not* deferred, under every max_candidates truncation and ranked
+  // (rank_top_k) prefix.
   Rng rng(20260808);
   for (int round = 0; round < 12; ++round) {
     const StateGraph sg =
@@ -888,27 +1044,16 @@ TEST(PerfEquiv, ResolveCscLazyMatchesReferenceRandomized) {
     const std::size_t topk_choices[] = {0, 0, 4, 8};
     opts.rank_top_k = topk_choices[rng.below(4)];
 
-    CscOptions ref = opts;
-    ref.reference_planner = true;
     const CscResult lazy = resolve_csc(sg, opts);
-    const CscResult eager = resolve_csc(sg, ref);
+    const CscResult eager = reference_resolve_csc(sg, opts);
     expect_csc_result_identical(lazy, eager);
 
-    // Work accounting: both engines score the same filter-passing
-    // candidates, but only the lazy engine skips materialization for
-    // non-winners.
+    // Work accounting: both score the same filter-passing candidates, but
+    // only the lazy engine skips materialization for non-winners.
     EXPECT_EQ(lazy.candidates_scored, eager.candidates_scored);
     EXPECT_EQ(eager.graphs_materialized, eager.candidates_scored);
     EXPECT_LE(lazy.graphs_materialized, eager.graphs_materialized);
     EXPECT_GE(lazy.graphs_materialized, lazy.signals_inserted);
-
-    // The exhaustive order is additionally pinned against the verbatim
-    // pre-optimization loop, whose verification is *not* deferred — the
-    // deferred-verify path must be unobservable in the result.
-    if (opts.rank_top_k == 0) {
-      expect_csc_result_identical(
-          lazy, reference_resolve_csc(sg, opts.max_candidates));
-    }
   }
 }
 

@@ -52,7 +52,7 @@ TEST_F(HazardProgress, EstimateForLegalDivisors) {
             : cube_cover(sg.num_signals(), {{d, true}, {c, true}});
     const Division div = algebraic_division(target->set.cover, f);
     ASSERT_FALSE(div.quotient.empty());
-    const auto plan = plan_insertion(sg, f);
+    const auto plan = InsertionPlanner(sg).plan(f);
     ASSERT_TRUE(plan.has_value());
     const ProgressEstimate est =
         estimate_progress(sg, syntheses, zones(), target->set, div.quotient,
@@ -66,7 +66,7 @@ TEST_F(HazardProgress, NewTriggersAreCounted) {
   // paper discusses exactly this case in Section 3.4).
   const Cover f = cube_cover(sg.num_signals(), {{d, true}, {c, true}});
   const Division div = algebraic_division(target->set.cover, f);
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const ProgressEstimate est =
       estimate_progress(sg, syntheses, zones(), target->set, div.quotient,
@@ -76,7 +76,7 @@ TEST_F(HazardProgress, NewTriggersAreCounted) {
 
 TEST_F(HazardProgress, Property32DisjointnessConditions) {
   const Cover f = cube_cover(sg.num_signals(), {{a, false}, {c, true}});
-  const auto plan = plan_insertion(sg, f);
+  const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   // Property 3.2 for the target cover itself must hold trivially when the
   // trigger ER is disjoint from its switching region.
@@ -119,8 +119,8 @@ TEST(Progress, Property31HoldsForCleanSubstitution) {
   const Division div = algebraic_division(target->set.cover, f);
   ASSERT_EQ(div.quotient.num_literals(), 1);  // g2
 
-  const auto plan = plan_latch_insertion(
-      sg, f, cube_cover(sg.num_signals(), {{g0, false}, {g1, false}}));
+  const auto plan = InsertionPlanner(sg).plan_latch(
+      f, cube_cover(sg.num_signals(), {{g0, false}, {g1, false}}));
   ASSERT_TRUE(plan.has_value());
   // The latch's 1-block covers all of ER(d+) (the grants are high there);
   // in the pre-copy the rise is still pending — after insertion d+ waits
@@ -153,9 +153,10 @@ TEST(Progress, EstimateRanksLatchAboveHarmfulDivisor) {
   const Cover f = cube_cover(sg.num_signals(), {{g0, true}, {g1, true}});
   const Division div = algebraic_division(target->set.cover, f);
 
-  const auto comb = plan_insertion(sg, f);
-  const auto latch = plan_latch_insertion(
-      sg, f, cube_cover(sg.num_signals(), {{g0, false}, {g1, false}}));
+  InsertionPlanner planner(sg);
+  const auto comb = planner.plan(f);
+  const auto latch = planner.plan_latch(
+      f, cube_cover(sg.num_signals(), {{g0, false}, {g1, false}}));
   ASSERT_TRUE(comb.has_value());
   ASSERT_TRUE(latch.has_value());
   const TargetZones zones = target_zones(sg, target->set, target->reset);

@@ -83,7 +83,7 @@ TEST_P(FamilySweep, InsertionInvariants) {
   for (const auto& synth : syntheses) {
     for (const EventCover* ec : {&synth.set, &synth.reset}) {
       for (const Cover& f : generate_divisors(ec->cover)) {
-        const auto plan = plan_insertion(sg, f);
+        const auto plan = InsertionPlanner(sg).plan(f);
         if (!plan) continue;
         ++planned;
         // Structural invariants of a valid plan.
@@ -92,7 +92,7 @@ TEST_P(FamilySweep, InsertionInvariants) {
         EXPECT_TRUE(plan->er_rise.disjoint(plan->er_fall));
         // Insertion preserves all behavioural properties.
         const StateGraph next = insert_signal(sg, *plan, "prop");
-        const auto check = verify_insertion(sg, next);
+        const auto check = InsertionVerifier(sg).verify(next);
         EXPECT_TRUE(check.ok) << check.why;
         if (planned >= 8) return;  // bound runtime per instance
       }
@@ -132,11 +132,11 @@ TEST(RandomDivisors, PlannedInsertionsAlwaysVerify) {
     }
     ++tried;
     const Cover f(sg.num_signals(), {c});
-    const auto plan = plan_insertion(sg, f);
+    const auto plan = InsertionPlanner(sg).plan(f);
     if (!plan) continue;
     ++valid;
     const StateGraph next = insert_signal(sg, *plan, "rnd");
-    const auto check = verify_insertion(sg, next);
+    const auto check = InsertionVerifier(sg).verify(next);
     EXPECT_TRUE(check.ok) << "divisor failed: " << check.why;
   }
   // The generator families admit at least some random legal insertions.

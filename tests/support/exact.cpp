@@ -1,4 +1,4 @@
-#include "boolf/exact.hpp"
+#include "support/exact.hpp"
 
 #include <algorithm>
 #include <set>

@@ -4,9 +4,9 @@
 // off-set, then a minimum-literal cover is found by branch-and-bound set
 // covering with essential-prime propagation.
 //
-// Exponential in the worst case — intended as the quality reference the
-// tests hold the heuristic minimizer (minimize_onoff) against, and for
-// squeezing the final covers of small benchmark gates.
+// Exponential in the worst case: the quality referee the tests hold the
+// heuristic minimizer (minimize_onoff) against.  It lives in the test
+// support library, not in libsitm, because nothing in the flow calls it.
 
 #include <cstdint>
 #include <vector>
