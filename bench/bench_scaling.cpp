@@ -104,9 +104,8 @@ void BM_FlowMapVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowMapVerify)->DenseRange(2, 6, 2)->Unit(benchmark::kMillisecond);
 
-// The output-side gate in isolation: nlint + the BDD equivalence proof over
-// an already-synthesized netlist, as a function of specification size.
-// Arg 1 toggles variable sifting on the reachable-set BDD.
+// The output-side gate in isolation: nlint + the equivalence proof over an
+// already-synthesized netlist, as a function of specification size.
 void BM_CheckEquivalence(benchmark::State& state) {
   FlowOptions synth_opts;
   synth_opts.mapper.library.max_literals = 2;
@@ -121,23 +120,17 @@ void BM_CheckEquivalence(benchmark::State& state) {
     return;
   }
   const Netlist& netlist = *flow.context().netlist;
-  CheckOptions opts;
-  opts.reorder = state.range(1) != 0;
-  std::size_t bdd = 0;
+  std::size_t reach = 0;
   for (auto _ : state) {
     const NlintReport nlint = nlint_netlist(netlist);
-    const EquivReport equiv = check_equivalence(netlist, opts);
-    bdd = equiv.reach_bdd_size;
+    const EquivReport equiv = check_equivalence(netlist);
+    reach = equiv.reach_states;
     benchmark::DoNotOptimize(nlint);
     benchmark::DoNotOptimize(equiv);
   }
-  state.counters["reach_bdd"] = static_cast<double>(bdd);
+  state.counters["reach_states"] = static_cast<double>(reach);
 }
-BENCHMARK(BM_CheckEquivalence)
-    ->Args({4, 0})
-    ->Args({6, 0})
-    ->Args({6, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckEquivalence)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_MapParallelizer(benchmark::State& state) {
   const StateGraph sg =
@@ -380,28 +373,6 @@ BENCHMARK(BM_ResolveCscIncremental)
     ->Args({5, 4})
     ->Args({4, 5})
     ->Unit(benchmark::kMillisecond);
-
-// The mapper with the pre-check prune (arg 0 = pruned, 1 = exhaustive):
-// once a committable winner exists, later-ranked candidates skip the
-// insert/verify/resynthesize round trip entirely.  Compare the `resyn`
-// counters for the work saved and /0 vs /1 real_time for the payoff.
-void BM_MapPruned(benchmark::State& state) {
-  const StateGraph sg = bench::make_parallelizer(6).to_state_graph();
-  MapperOptions opts;
-  opts.library.max_literals = 2;
-  opts.prune_pre_checks = state.range(0) == 0;
-  int inserted = 0;
-  long resyn = 0;
-  for (auto _ : state) {
-    const MapResult r = technology_map(sg, opts);
-    inserted = r.signals_inserted;
-    resyn = r.resyntheses;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["inserted"] = inserted;
-  state.counters["resyn"] = static_cast<double>(resyn);
-}
-BENCHMARK(BM_MapPruned)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // CSC resolution on the conflicted ring family.  Default options: exhaustive
 // candidate order (class-local conflict recount, deferred verification).

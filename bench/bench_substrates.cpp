@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrates: two-level minimizer, cover algebra,
 // kernel extraction, region computation, SI verification (generator
-// netlists, and the mapped csc_rings netlists).  The BDD layer is
+// netlists, and the mapped csc_rings netlists).  The equivalence check is
 // measured where the flow uses it, by BM_CheckEquivalence (bench_scaling).
 
 #include <benchmark/benchmark.h>

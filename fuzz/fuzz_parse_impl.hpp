@@ -13,7 +13,7 @@
 //   mode 3  full front half of the flow (parse -> lint gate ->
 //           reachability) under a tight deterministic RunGuard
 //   mode 4  full synthesis flow with the output-side check stage on
-//           (parse -> ... -> map -> nlint + BDD equivalence) under a
+//           (parse -> ... -> map -> nlint + equivalence) under a
 //           tight deterministic RunGuard
 // The digits '0'..'4' map onto modes 0..4, so checked-in corpus entries
 // can spell their mode readably in the first byte.
@@ -71,7 +71,7 @@ inline int fuzz_one(const std::uint8_t* data, std::size_t size) {
       }
       case 4: {
         // The whole pipeline plus the output-side gate: whatever netlist
-        // synthesis produces from a hostile spec, nlint and the BDD
+        // synthesis produces from a hostile spec, nlint and the
         // equivalence checker must digest it without escaping the taxonomy.
         FlowOptions opts;
         opts.lint = true;

@@ -15,8 +15,8 @@ The floor file pins the minimum acceptable aggregate line coverage of
 src/ (one number, conservatively below the measured value so unrelated
 refactors don't flap the gate).  An optional "per_path_min" object maps
 directory prefixes (e.g. "src/netlist/") to their own minimums, so
-subsystems with a deliberate testing bar — the output-side checker, the
-BDD layer — can't erode quietly while the aggregate stays green.  CI
+subsystems with a deliberate testing bar — the output-side checker —
+can't erode quietly while the aggregate stays green.  CI
 fails when any measurement < its floor; --update-floor rewrites the
 aggregate (and refreshes any existing per-path entries) from the current
 measurement minus a small margin.

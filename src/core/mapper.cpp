@@ -296,10 +296,6 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // (metrics, states) key, earliest candidate on ties — are both
       // determined in candidate order, so the mapped result and the search
       // counters are bit-identical to the serial loop at every thread count.
-      // With prune_pre_checks the loop additionally stops at the first
-      // round boundary where a committable running best exists: the pruned
-      // candidates carry estimates no better than what already won, and
-      // never pay for insert_signal or InsertionVerifier.
       //
       // Resynthesis is bounded: a candidate is synthesized signal by signal
       // in bound_order, and the cost of the signals done so far plus the
@@ -327,17 +323,11 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
                       sg.num_signals());
       const int eval_threads =
           resolve_worker_threads(opts.threads, candidates.size());
-      // Round width.  When pruning, the stop decision happens only on round
-      // boundaries, so the width must not depend on the worker count — a
-      // fixed 8 keeps the pruned result bit-identical at every thread
-      // count.  Without pruning the width is unobservable (the evaluated
-      // set is the first `cap` verifying candidates regardless), so one
-      // chunk per worker over-checks at most one chunk past the serial
-      // stop, exactly like the historical pre-check loop.
+      // Round width: one candidate per worker.  The evaluated set is the
+      // first `cap` verifying candidates whatever the width, so a round
+      // over-checks at most one chunk past the serial stop.
       const std::size_t round_width =
-          opts.prune_pre_checks
-              ? std::size_t{8}
-              : static_cast<std::size_t>(std::max(eval_threads, 1));
+          static_cast<std::size_t>(std::max(eval_threads, 1));
 
       std::vector<Evaluated> evaluated;
       std::optional<std::size_t> best_idx;  // committable running best
@@ -352,7 +342,6 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         std::vector<std::optional<StateGraph>> verified;
         std::size_t pos = 0;
         while (pos < candidates.size() && evaluated.size() < cap) {
-          if (opts.prune_pre_checks && best_idx) break;
           const std::size_t chunk =
               std::min(candidates.size() - pos, round_width);
           guard_charge(guard, chunk, "map.candidates");

@@ -77,18 +77,6 @@ struct MapperOptions {
   /// are bit-identical at every thread count.  1 = serial, 0 = one thread
   /// per hardware core.
   int threads = 1;
-  /// Prune the insert/verify pre-check: candidates are evaluated in
-  /// fixed-size rounds (thread-count independent), and once a fully
-  /// resynthesized candidate already beats the pre-insertion metrics (a
-  /// committable running best exists), the remaining candidates — ranked no
-  /// better by the Property 3.1/3.2 estimates — are never inserted,
-  /// verified or resynthesized.  Like CscOptions::rank_top_k this trades
-  /// the exhaustive winner for the best of the leading rounds: the mapper
-  /// may commit a different, equally progress-making decomposition, but the
-  /// result is still bit-identical across thread counts for fixed options.
-  /// false (the default) evaluates every ranked candidate, bit-identical to
-  /// the historical loop.
-  bool prune_pre_checks = false;
 };
 
 /// Global cost of a synthesis state: number of gates exceeding the library,

@@ -514,15 +514,6 @@ void Flow::stage_check(StageReport& sr) {
   sr.metric("gates_checked", ctx_.equiv->gates_checked);
   sr.metric("gates_proven", ctx_.equiv->gates_proven);
   sr.metric("reach_states", static_cast<double>(ctx_.equiv->reach_states));
-  sr.metric("reach_bdd_size",
-            static_cast<double>(ctx_.equiv->reach_bdd_size));
-  sr.metric("bdd_nodes", static_cast<double>(ctx_.equiv->bdd_nodes));
-  if (ctx_.equiv->reordered) {
-    sr.metric("reorder_size_before",
-              static_cast<double>(ctx_.equiv->reorder_size_before));
-    sr.metric("reorder_size_after",
-              static_cast<double>(ctx_.equiv->reorder_size_after));
-  }
   if (!ctx_.equiv->ok) {
     std::string failure = ctx_.equiv->first_failure();
     if (ctx_.equiv->failures.size() > 1)

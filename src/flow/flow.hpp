@@ -30,9 +30,10 @@
 //   decomp        non-SI tech_decomp2 area baseline of that netlist
 //   map           technology mapping onto the gate library (replaces the SG
 //                 and netlist with the decomposed versions)
-//   check         static netlist analysis (netlist/nlint.hpp) plus the BDD
+//   check         static netlist analysis (netlist/nlint.hpp) plus the
 //                 equivalence proof of every gate against its excitation
-//                 function (netlist/equiv.hpp); off by default here, on by
+//                 function over the reachable states (netlist/equiv.hpp);
+//                 off by default here, on by
 //                 default in serve/batch as the fast static reject before
 //                 the token-game verifier
 //   verify        gate-level speed-independence check of the final netlist
@@ -132,11 +133,11 @@ struct FlowOptions {
   /// warnings travel on the stage report.  Purely structural, O(net size).
   bool lint = false;
   /// Run the `check` stage: netlist static analysis (nlint) followed by the
-  /// BDD equivalence proof of every gate against its excitation function.
+  /// equivalence proof of every gate against its excitation function.
   /// Off by default here (a raw `Flow` stays as lean as before); the serve
   /// and batch front-ends turn it on as their output-side gate.
   bool check = false;
-  /// Options of the check stage (nlint limits, BDD variable reordering).
+  /// Options of the check stage (nlint limits).
   CheckOptions check_opts;
 
   // ---- resource governance -------------------------------------------

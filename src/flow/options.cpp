@@ -184,8 +184,6 @@ constexpr OptionRow kTable[] = {
     {SITM_FIELD(mapper.max_full_evals)},
     {SITM_FIELD(mapper.threads), .key = "map_threads",
      .flags = {"--map-threads"}},
-    {SITM_FIELD(mapper.prune_pre_checks), .key = "map_prune",
-     .flags = {"--map-prune"}},
     // Gates: each decides whether a run fails, and its knobs change the
     // stage's metrics and warnings.
     {SITM_FIELD(verify_max_states)},
@@ -193,8 +191,6 @@ constexpr OptionRow kTable[] = {
     {SITM_FIELD(check), .key = "check", .flags = {"--check", "--no-check"}},
     {SITM_FIELD(check_opts.nlint.max_gc_fanin), .key = "max_gc_fanin",
      .flags = {"--max-fanin"}},
-    {SITM_FIELD(check_opts.reorder), .key = "check_reorder",
-     .flags = {"--check-reorder"}},
     // Deterministic resource limits change which outcome a run settles on.
     {SITM_FIELD(max_states), .key = "max_states", .flags = {"--max-states"}},
     {SITM_FIELD(work_budget), .key = "work_budget", .flags = {"--work-budget"}},

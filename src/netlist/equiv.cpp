@@ -1,11 +1,8 @@
 #include "netlist/equiv.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
-#include "bdd/bdd.hpp"
-#include "bdd/reorder.hpp"
 #include "sg/regions.hpp"
 #include "util/fault.hpp"
 
@@ -13,109 +10,37 @@ namespace sitm {
 
 namespace {
 
-/// Outer rounds of the sifting search when CheckOptions::reorder is set.
-constexpr int kReorderRounds = 2;
-
-/// The distinct codes of the states in `set`, ascending.
-std::vector<std::uint64_t> distinct_codes(const StateGraph& sg,
-                                          const DynBitset& set) {
+/// Number of distinct codes of the states in `set`.
+std::size_t count_distinct_codes(const StateGraph& sg, const DynBitset& set) {
   std::vector<std::uint64_t> codes;
   codes.reserve(set.count());
   set.for_each(
       [&](std::size_t s) { codes.push_back(sg.code(static_cast<StateId>(s))); });
   std::sort(codes.begin(), codes.end());
-  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-  return codes;
+  return static_cast<std::size_t>(
+      std::unique(codes.begin(), codes.end()) - codes.begin());
 }
 
-/// BDD encoding of SG state codes and SOP covers under a (possibly sifted)
-/// variable order: signal v lives at BDD variable level[v].  Conjunctions
-/// are built from the deepest level upward so every intermediate AND is a
-/// single node creation.
-class Encoder {
- public:
-  Encoder(BddManager& mgr, std::vector<int> level, const RunGuard* guard)
-      : mgr_(mgr), level_(std::move(level)), guard_(guard) {
-    by_depth_.resize(level_.size());
-    std::iota(by_depth_.begin(), by_depth_.end(), 0);
-    std::sort(by_depth_.begin(), by_depth_.end(),
-              [&](int a, int b) { return level_[a] > level_[b]; });
-  }
-
-  int level_of(int var) const { return level_[static_cast<std::size_t>(var)]; }
-
-  BddRef minterm(std::uint64_t code) {
-    BddRef t = BddManager::kTrue;
-    for (const int v : by_depth_)
-      t = mgr_.bdd_and(mgr_.literal(level_of(v), (code >> v) & 1u), t);
-    return t;
-  }
-
-  /// OR of the minterms of every distinct code of `states`.
-  BddRef states(const StateGraph& sg, const DynBitset& set) {
-    BddRef r = BddManager::kFalse;
-    for (const std::uint64_t code : distinct_codes(sg, set)) {
-      guard_charge(guard_, 1, "check.state");
-      r = mgr_.bdd_or(r, minterm(code));
-    }
-    return r;
-  }
-
-  BddRef cover(const Cover& c) {
-    BddRef f = BddManager::kFalse;
-    for (const Cube& cube : c.cubes()) {
-      guard_charge(guard_, 1, "check.gate");
-      BddRef t = BddManager::kTrue;
-      for (const int v : by_depth_)
-        if (cube.has_literal(v))
-          t = mgr_.bdd_and(mgr_.literal(level_of(v), cube.polarity(v)), t);
-      f = mgr_.bdd_or(f, t);
-    }
-    return f;
-  }
-
-  /// Map a satisfying assignment over BDD variables back to a state code.
-  std::uint64_t decode(std::uint64_t assignment) const {
-    std::uint64_t code = 0;
-    for (std::size_t v = 0; v < level_.size(); ++v)
-      code |= ((assignment >> level_[v]) & 1u) << v;
-    return code;
-  }
-
- private:
-  BddManager& mgr_;
-  std::vector<int> level_;        ///< signal -> BDD variable
-  std::vector<int> by_depth_;     ///< signals, deepest BDD level first
-  const RunGuard* guard_;
-};
-
-/// First state of `among` carrying `code` (the witness a human replays).
-StateId state_with_code(const StateGraph& sg, const DynBitset& among,
-                        std::uint64_t code) {
-  StateId found = kNoState;
-  among.for_each([&](std::size_t s) {
-    if (found == kNoState && sg.code(static_cast<StateId>(s)) == code)
-      found = static_cast<StateId>(s);
-  });
-  return found;
+/// The lowest state of `set` where table bit `bit` reads `wrong`, or
+/// kNoState.
+StateId first_reading(const DynBitset& set, const GateTable& table,
+                      std::size_t bit, bool wrong) {
+  for (std::size_t u = set.first(); u != DynBitset::npos; u = set.next(u))
+    if (table.test(static_cast<StateId>(u), bit) == wrong)
+      return static_cast<StateId>(u);
+  return kNoState;
 }
 
 struct NetworkSpec {
   const char* network;  ///< "complete" | "set" | "reset"
   const Cover* cover;
+  std::size_t bit;  ///< the network's bit in the GateTable
   DynBitset on;   ///< states where the network must be 1
   DynBitset off;  ///< states where the network must be 0
   std::vector<Region> regions;  ///< sequential only: zones for condition 3
 };
 
 }  // namespace
-
-BddRef encode_states(BddManager& mgr, const StateGraph& sg,
-                     const DynBitset& set, const RunGuard* guard) {
-  std::vector<int> level(static_cast<std::size_t>(sg.num_signals()));
-  std::iota(level.begin(), level.end(), 0);
-  return Encoder(mgr, std::move(level), guard).states(sg, set);
-}
 
 std::string EquivReport::first_failure() const {
   if (failures.empty()) return {};
@@ -128,13 +53,6 @@ Json EquivReport::to_json() const {
   j.set("gates_checked", gates_checked);
   j.set("gates_proven", gates_proven);
   j.set("reach_states", static_cast<double>(reach_states));
-  j.set("reach_bdd_size", static_cast<double>(reach_bdd_size));
-  j.set("bdd_nodes", static_cast<double>(bdd_nodes));
-  j.set("reordered", reordered);
-  if (reordered) {
-    j.set("reorder_size_before", static_cast<double>(reorder_size_before));
-    j.set("reorder_size_after", static_cast<double>(reorder_size_after));
-  }
   Json fs = Json::array();
   for (const GateVerdict& f : failures) {
     Json fj = Json::object();
@@ -151,33 +69,18 @@ Json EquivReport::to_json() const {
   return j;
 }
 
-EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
+EquivReport check_equivalence(const Netlist& netlist, const CheckOptions&,
                               const RunGuard* guard) {
   const StateGraph& sg = netlist.sg();
   const int n = sg.num_signals();
   EquivReport rep;
-  BddManager mgr(n);
   const DynBitset reachable = sg.reachable();
-
-  BddRef reach = encode_states(mgr, sg, reachable, guard);
-  std::vector<int> level(static_cast<std::size_t>(n));
-  std::iota(level.begin(), level.end(), 0);
-  rep.reach_states = distinct_codes(sg, reachable).size();
-
-  if (opts.reorder && n > 1) {
-    const SiftResult sift =
-        sift_order(mgr, reach, kReorderRounds);
-    rep.reordered = true;
-    rep.reorder_size_before = sift.size_before;
-    rep.reorder_size_after = sift.size_after;
-    reach = permute(mgr, reach, sift.perm);
-    level = sift.perm;
-  }
-  rep.reach_bdd_size = mgr.dag_size(reach);
-  Encoder enc(mgr, level, guard);
+  rep.reach_states = count_distinct_codes(sg, reachable);
+  guard_charge(guard, rep.reach_states, "check.state");
+  const GateTable table(netlist);
 
   auto fail = [&](const SignalImpl& impl, const char* network,
-                  std::string why, std::uint64_t code, StateId state) {
+                  std::string why, StateId state) {
     GateVerdict v;
     v.signal = impl.signal;
     v.name = impl.signal >= 0 && impl.signal < n
@@ -186,7 +89,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
     v.network = network;
     v.proven = false;
     v.why = std::move(why);
-    v.counterexample_code = code;
+    if (state != kNoState) v.counterexample_code = sg.code(state);
     v.counterexample_state = state;
     rep.failures.push_back(std::move(v));
     rep.ok = false;
@@ -195,7 +98,9 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
   const std::uint64_t declared =
       n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 
-  for (const SignalImpl& impl : netlist.impls()) {
+  const std::vector<SignalImpl>& impls = netlist.impls();
+  for (std::size_t i = 0; i < impls.size(); ++i) {
+    const SignalImpl& impl = impls[i];
     fault::hit("check.gate");
     guard_check(guard, "check.gate");
     if (impl.signal < 0 || impl.signal >= n ||
@@ -204,7 +109,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
       fail(impl, impl.combinational ? "complete" : "set",
            "implementation of signal index " + std::to_string(impl.signal) +
                " is structurally invalid (see nlint)",
-           0, kNoState);
+           kNoState);
       continue;
     }
     const std::string& name = sg.signal(impl.signal).name;
@@ -216,6 +121,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
       NetworkSpec s;
       s.network = "complete";
       s.cover = &impl.set;
+      s.bit = 2 * i;
       s.on = sg.empty_set();
       reachable.for_each([&](std::size_t u) {
         if (next_value(sg, static_cast<StateId>(u), impl.signal))
@@ -229,6 +135,7 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
         NetworkSpec s;
         s.network = rising ? "set" : "reset";
         s.cover = rising ? &impl.set : &impl.reset;
+        s.bit = 2 * i + (rising ? 0 : 1);
         s.regions = excitation_regions(sg, Event{impl.signal, rising});
         s.on = union_er(sg, s.regions);
         const DynBitset dc = union_qr(sg, s.regions);
@@ -239,38 +146,30 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
 
     for (const NetworkSpec& s : specs) {
       rep.gates_checked += 1;
-      const BddRef gate = enc.cover(*s.cover);
-      const BddRef on_b = enc.states(sg, s.on);
-      const BddRef off_b = enc.states(sg, s.off);
+      guard_charge(guard, s.cover->size(), "check.gate");
+      guard_charge(guard, s.on.count() + s.off.count(), "check.state");
       bool proven = true;
 
       // Condition 1: the network covers its whole on-space.
-      if (const BddRef miss = mgr.bdd_and(on_b, mgr.bdd_not(gate));
-          miss != BddManager::kFalse) {
-        std::uint64_t assignment = 0;
-        mgr.pick_one(miss, &assignment);
-        const std::uint64_t code = enc.decode(assignment);
-        const StateId witness = state_with_code(sg, s.on, code);
+      if (const StateId q = first_reading(s.on, table, s.bit, false);
+          q != kNoState) {
         fail(impl, s.network,
-             std::string(s.network) + " network of '" + name + "' is 0 in " +
-                 (witness != kNoState ? "state " + sg.code_string(witness)
-                                      : "a state") +
+             std::string(s.network) + " network of '" + name +
+                 "' is 0 in state " + sg.code_string(q) +
                  " where the specification requires 1",
-             code, witness);
+             q);
         proven = false;
       }
-      // Condition 2: the network is 0 on the must-off space (built from the
-      // explicit off-state codes; a code shared with a quiescent state is
-      // hard-off, exactly as minimize_onoff treats it).
-      if (const BddRef fight = mgr.bdd_and(gate, off_b);
-          proven && fight != BddManager::kFalse) {
-        std::uint64_t assignment = 0;
-        mgr.pick_one(fight, &assignment);
-        const std::uint64_t code = enc.decode(assignment);
+      // Condition 2: the network is 0 on the must-off space (the explicit
+      // off-states; a code shared with a quiescent state is hard-off,
+      // exactly as minimize_onoff treats it).
+      if (const StateId q =
+              proven ? first_reading(s.off, table, s.bit, true) : kNoState;
+          q != kNoState) {
         fail(impl, s.network,
              std::string(s.network) + " network of '" + name +
                  "' is 1 in an off state where the specification requires 0",
-             code, state_with_code(sg, s.off, code));
+             q);
         proven = false;
       }
       // Condition 3 (sequential only): no 0->1 rise within an ER∪QR zone —
@@ -282,16 +181,16 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
           zone.for_each([&](std::size_t u) {
             if (!proven) return;
             guard_charge(guard, 1, "check.state");
-            if (s.cover->eval(sg.code(static_cast<StateId>(u)))) return;
+            if (table.test(static_cast<StateId>(u), s.bit)) return;
             for (const auto& edge : sg.succs(static_cast<StateId>(u))) {
               if (!zone.test(edge.target)) continue;
-              if (!s.cover->eval(sg.code(edge.target))) continue;
+              if (!table.test(edge.target, s.bit)) continue;
               fail(impl, s.network,
                    std::string(s.network) + " network of '" + name +
                        "' rises 0->1 inside an ER∪QR zone (state " +
                        sg.code_string(edge.target) +
                        "): non-monotonous cover",
-                   sg.code(edge.target), edge.target);
+                   edge.target);
               proven = false;
               return;
             }
@@ -301,8 +200,6 @@ EquivReport check_equivalence(const Netlist& netlist, const CheckOptions& opts,
       if (proven) rep.gates_proven += 1;
     }
   }
-
-  rep.bdd_nodes = mgr.num_nodes();
   return rep;
 }
 

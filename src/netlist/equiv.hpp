@@ -1,40 +1,36 @@
 #pragma once
-// BDD-based formal equivalence of synthesized netlists against the SG.
+// Formal equivalence of synthesized netlists against the SG, decided over
+// the explicit reachable states.
 //
 // The paper's correctness claim for the standard-C architecture is local
 // and per-gate: over the *reachable* states, each combinational gate equals
 // the signal's next-state function, and each set/reset network is 1 on the
 // corresponding excitation region, 0 on the must-off space, and free of
 // 0->1 rises inside its ER∪QR zones (the monotonous cover conditions of
-// Section 3).  `check_equivalence` proves exactly that statement with the
-// ROBDD package:
+// Section 3; Kondratyev et al., DAC 1994).  `check_equivalence` decides
+// exactly that statement.  The reachable set is an explicit list of SG
+// states, so reading every network at every reachable state is exhaustive:
 //
-//   reach := OR of the reachable state-code minterms
-//   prove  reach ⇒ (gate ≡ spec)   per gate, per network
+//   table := GateTable(netlist)   every network at every state, once
+//   1. every on-state reads 1     (ER of the edge; next_value for a gate)
+//   2. every off-state reads 0
+//   3. no arc inside an ER∪QR zone goes from a 0-state to a 1-state
 //
-// The reachable set is built from the explicit SG codes over the signal
-// variables the gates speak, inserted state signals included; its encoder
-// (`encode_states` below, sifted-order covers in equiv.cpp) is the library's
-// only SG-code -> BDD encoding.  Don't-cares
-// are handled by restriction to `reach`; the off-space of a sequential
-// network is built from the explicit off-state codes (NOT as a
+// A network is a function of the state code, so this covers every
+// reachable code.  Don't-cares are the states in neither set.  The
+// off-space of a sequential network is the explicit off-states (NOT a
 // complement), mirroring `minimize_onoff`'s treatment of a code shared by a
-// quiescent and an off state as hard-off.
+// quiescent and an off state as hard-off.  The check shares only
+// `Cover::eval` with synthesis.
 //
-// On mismatch the checker extracts a satisfying assignment of the
-// violation BDD (`pick_one`) and maps it back to a concrete reachable
-// StateId — the counterexample a human can replay on the SG.
-//
-// `CheckOptions::reorder` routes every BDD through the sifted variable
-// order of `src/bdd/reorder.*` (the reachable set is sifted once, covers
-// and minterms are then encoded directly in the permuted order); verdicts
-// are order-independent by construction and pinned so by tests.
+// On mismatch the counterexample is the lowest-id violating state with its
+// code (for condition 3, the target of the first rising arc of the scan):
+// a concrete reachable StateId a human can replay on the SG.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/nlint.hpp"
 #include "util/json.hpp"
@@ -44,9 +40,6 @@ namespace sitm {
 
 struct CheckOptions {
   NlintOptions nlint;
-  /// Sift the BDD variable order on the reachable-set BDD before encoding
-  /// the per-gate proofs (src/bdd/reorder.hpp).
-  bool reorder = false;
 };
 
 /// Verdict for one SOP network (a combinational gate, or one side of a gC).
@@ -69,11 +62,8 @@ struct EquivReport {
   int gates_proven = 0;
   std::vector<GateVerdict> failures;
   std::size_t reach_states = 0;    ///< distinct reachable state codes
-  std::size_t reach_bdd_size = 0;  ///< DAG size of the reachable-set BDD
-  std::size_t bdd_nodes = 0;       ///< manager node count after the proof
-  bool reordered = false;
-  std::size_t reorder_size_before = 0;
-  std::size_t reorder_size_after = 0;
+  /// Always 0 (the proof builds no BDD); perfbench/src/flows.cpp reads it.
+  std::size_t bdd_nodes = 0;
 
   /// Message of the first failed verdict, prefixed "equiv: "; empty if ok.
   std::string first_failure() const;
@@ -81,17 +71,10 @@ struct EquivReport {
   Json to_json() const;
 };
 
-/// The SG-code -> BDD encoding the proof runs on: the OR of the minterms of
-/// every distinct code of the states in `set`, signal v at BDD variable v.
-/// Charges `guard` per encoded code at the "check.state" site.  Throws
-/// Error when `mgr` has fewer variables than `sg` has signals.
-BddRef encode_states(BddManager& mgr, const StateGraph& sg,
-                     const DynBitset& set, const RunGuard* guard = nullptr);
-
 /// Prove every gate of `netlist` equivalent to its excitation/next-state
 /// specification over the reachable states.  Charges `guard` (nullptr =
-/// unbounded) per encoded state and per gate at the "check.state" /
-/// "check.gate" sites.
+/// unbounded) per reachable code, per on/off/zone state read and per cube at
+/// the "check.state" / "check.gate" sites.
 EquivReport check_equivalence(const Netlist& netlist,
                               const CheckOptions& opts = {},
                               const RunGuard* guard = nullptr);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/bitwords.hpp"
+
 namespace sitm {
 
 int gate_complexity(const Cover& sop, const std::optional<Cover>& complement) {
@@ -12,6 +14,24 @@ int gate_complexity(const Cover& sop, const std::optional<Cover>& complement) {
   // Constant gates have complexity 0 either way.
   if (sop.empty() || comp.empty()) return 0;
   return std::min(direct, inverted);
+}
+
+GateTable::GateTable(const Netlist& netlist)
+    : stride_(std::max<std::size_t>(
+          1, bitwords::words_for(2 * netlist.impls().size()))) {
+  const StateGraph& sg = netlist.sg();
+  const auto& impls = netlist.impls();
+  words_.assign(sg.num_states() * stride_, 0);
+  for (StateId q = 0; q < static_cast<StateId>(sg.num_states()); ++q) {
+    std::uint64_t* row = words_.data() + static_cast<std::size_t>(q) * stride_;
+    const StateCode code = sg.code(q);
+    for (std::size_t i = 0; i < impls.size(); ++i) {
+      const std::uint64_t even = std::uint64_t{1} << (2 * i % 64);
+      if (impls[i].set.eval(code)) row[i / 32] |= even;
+      if (!impls[i].combinational && impls[i].reset.eval(code))
+        row[i / 32] |= even << 1;
+    }
+  }
 }
 
 const SignalImpl* Netlist::impl_of(int signal) const {

@@ -11,6 +11,8 @@
 // of a gate is the paper's literal measure: the minimum of the literal
 // counts of the SOP of the function and of its complement.
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,6 +84,29 @@ class Netlist {
  private:
   const StateGraph* sg_;
   std::vector<SignalImpl> impls_;
+};
+
+/// Every gate network of a netlist evaluated at every SG state, as words:
+/// bit 2i is impl i's set (or complete) cover at the state's code, bit 2i+1
+/// its reset cover (0 for a combinational impl).  Each state's row spans
+/// as many words as its impls need, so any number of impls fits.  The
+/// check stage and the SI verifier both read it, so each cover is
+/// evaluated once per state.
+class GateTable {
+ public:
+  explicit GateTable(const Netlist& netlist);
+
+  /// The first word of state q's bits.
+  const std::uint64_t* row(StateId q) const {
+    return words_.data() + static_cast<std::size_t>(q) * stride_;
+  }
+  bool test(StateId q, std::size_t bit) const {
+    return (row(q)[bit / 64] >> (bit % 64)) & 1u;
+  }
+
+ private:
+  std::size_t stride_;  ///< words per state
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace sitm

@@ -4,11 +4,11 @@
 //
 // Where the STG linter rejects malformed *specifications* before state-graph
 // construction, nlint rejects malformed *implementations* before the (much
-// more expensive) BDD equivalence proof and token-game SI verification run.
+// more expensive) equivalence proof and token-game SI verification run.
 // All rules are structural: linear scans over the SignalImpl list, the state
 // graph and (optionally) the tech-decomposed 2-input network, no symbolic
 // reasoning.  The exact reachable-space statements (gate ≡ excitation
-// function) belong to the BDD checker in netlist/equiv.hpp.
+// function) belong to the equivalence checker in netlist/equiv.hpp.
 
 #include <string>
 #include <vector>

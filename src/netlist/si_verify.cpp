@@ -107,18 +107,15 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
   }
 
   // Gates read only the spec code, so every cover is evaluated once per
-  // spec state here instead of once per element and composite state.
+  // spec state (the shared GateTable) instead of once per element and
+  // composite state.  At most 32 impls: one table word per state.
+  const GateTable gates(netlist);
   std::vector<SpecWords> spec_words(sg.num_states());
   for (StateId q = 0; q < static_cast<StateId>(sg.num_states()); ++q) {
     SpecWords& w = spec_words[q];
-    const StateCode code = sg.code(q);
-    for (std::size_t i = 0; i < impls.size(); ++i) {
-      const std::uint64_t even = std::uint64_t{1} << (2 * i);
-      if (impls[i].set.eval(code)) w.gate |= even;
-      if (!impls[i].combinational && impls[i].reset.eval(code))
-        w.gate |= even << 1;
-      if (sg.value(q, impls[i].signal)) w.value |= even;
-    }
+    w.gate = gates.row(q)[0];
+    for (std::size_t i = 0; i < impls.size(); ++i)
+      if (sg.value(q, impls[i].signal)) w.value |= std::uint64_t{1} << (2 * i);
     for (std::size_t j = 0; j < inputs.size(); ++j)
       if (sg.enabled(q, Event{inputs[j], true}) ||
           sg.enabled(q, Event{inputs[j], false}))

@@ -22,7 +22,8 @@
 // gate reads only signal values, i.e. code(q), so for each spec state q the
 // verifier evaluates each cover once, up front, into three words:
 //   gate[q]    bit 2i = impl i's set (or combinational) cover at code(q),
-//              bit 2i+1 = its reset cover;
+//              bit 2i+1 = its reset cover (the netlist's GateTable row,
+//              the same table the check stage reads);
 //   value[q]   bit 2i = the value of impl i's signal in q;
 //   inputs[q]  bit j = input j has an enabled event in q.
 // The excited elements of c are then three words, one per element class:

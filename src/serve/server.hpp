@@ -25,7 +25,7 @@
 // fast reject path: a spec with lint errors fails typed (`spec`) at the
 // reachability gate, before any state graph is built.  `check` (also on by
 // default under `sitm serve`) is the output-side counterpart: netlist
-// static analysis plus the BDD equivalence proof after the map stage.
+// static analysis plus the equivalence proof after the map stage.
 //
 // Responses:
 //   {"id":"r1","status":"ok","cached":false,"key":"<hex>:<hex>",

@@ -5,7 +5,7 @@
 //                `error`-severity rule fires, 0 on clean/warnings
 //   sitm map     staged flow: CSC-resolve + map
 //   sitm verify  synthesize + gate-level SI check
-//   sitm check   netlist static analysis (nlint) + BDD equivalence proof of
+//   sitm check   netlist static analysis (nlint) + equivalence proof of
 //                every gate against its excitation function; --mutate
 //                corrupts the synthesized netlist first and exits 0 when the
 //                checker rejects the mutant with a counterexample
@@ -412,11 +412,9 @@ int cmd_check(int argc, char** argv) {
                     d.subject.c_str(), d.message.c_str());
   if (ctx.equiv && ctx.sg) print_verdicts(*ctx.equiv, *ctx.sg);
   if (report.ok && ctx.equiv)
-    std::printf("%s: %d/%d gates proven equivalent (%zu reachable codes, "
-                "reach BDD %zu nodes)\n",
+    std::printf("%s: %d/%d gates proven equivalent (%zu reachable codes)\n",
                 report.name.c_str(), ctx.equiv->gates_proven,
-                ctx.equiv->gates_checked, ctx.equiv->reach_states,
-                ctx.equiv->reach_bdd_size);
+                ctx.equiv->gates_checked, ctx.equiv->reach_states);
   if (!args.json_path.empty()) {
     Json j = Json::object();
     j.set("name", report.name);

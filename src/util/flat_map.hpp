@@ -1,7 +1,7 @@
 #pragma once
 // Open-addressing hash containers for the synthesis hot paths.
 //
-// The reachability engine, the CSC conflict detector and the BDD package all
+// The reachability engine, the CSC conflict detector and the SI verifier all
 // need key -> small-value lookups in their inner loops.  Generic node-based
 // containers (std::map / std::unordered_map) spend most of their time in
 // allocation and pointer chasing there; this header provides a minimal flat

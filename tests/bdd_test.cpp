@@ -1,12 +1,13 @@
-// Unit tests for the ROBDD package: every operator against its truth table
+// Unit tests for the ROBDD package of the symbolic test oracle
+// (support/bdd.hpp): every operator against its truth table
 // (eval), plus a cross-check against the explicit cover algebra.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "boolf/cover.hpp"
+#include "support/bdd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

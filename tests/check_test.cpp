@@ -1,6 +1,6 @@
-// The output-side static analysis gate: nlint's structural rules, the BDD
-// equivalence checker (netlist/equiv.hpp) with its mutation harness, the
-// reorder wiring, and the flow's `check` stage plumbing.
+// The output-side static analysis gate: nlint's structural rules, the
+// explicit equivalence checker (netlist/equiv.hpp) with its mutation
+// harness, and the flow's `check` stage plumbing.
 
 #include <gtest/gtest.h>
 
@@ -133,8 +133,9 @@ TEST(Nlint, EmptyNetworkAndDriveFight) {
   fight.add_impl(both);
   const NlintReport fought = nlint_netlist(fight);
   EXPECT_TRUE(fought.has(NlintRule::kDriveFight));
-  // A drive fight on don't-care codes is legal hardware until the BDD
-  // checker proves otherwise, so the rule warns instead of failing.
+  // A drive fight on don't-care codes is legal hardware until the
+  // equivalence checker proves otherwise, so the rule warns instead of
+  // failing.
   EXPECT_TRUE(fought.ok());
 }
 
@@ -213,8 +214,7 @@ TEST(Equiv, ProvesTheCorrectImplementation) {
   EXPECT_EQ(report.gates_checked, 1);
   EXPECT_EQ(report.gates_proven, 1);
   EXPECT_EQ(report.reach_states, 4u);
-  EXPECT_FALSE(report.reordered);
-  EXPECT_GT(report.bdd_nodes, 0u);
+  EXPECT_EQ(report.bdd_nodes, 0u);  // the proof is explicit
 }
 
 TEST(Equiv, RejectsWrongPolarityWithConcreteCounterexample) {
@@ -253,8 +253,12 @@ TEST(Equiv, JsonCarriesVerdictsAndSizes) {
   nl.add_impl(follow_impl());
   const std::string json = check_equivalence(nl).to_json().dump(0);
   EXPECT_NE(json.find("\"gates_proven\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"reach_bdd_size\""), std::string::npos);
+  EXPECT_NE(json.find("\"reach_states\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"failures\": []"), std::string::npos);
+  // No BDD sizes: the proof builds none.
+  for (const char* gone : {"reach_bdd_size", "bdd_nodes", "reordered",
+                           "reorder_size_before", "reorder_size_after"})
+    EXPECT_EQ(json.find(gone), std::string::npos) << gone;
 }
 
 // ----- corpus + mutation matrix -------------------------------------------
@@ -356,45 +360,6 @@ TEST(Equiv, MutationKindsEnumerateDisjointSites) {
   EXPECT_TRUE(untouched.same_impls(pristine));
 }
 
-// ----- reorder wiring -----------------------------------------------------
-
-TEST(Equiv, ReorderKeepsVerdictsAndRecordsSizes) {
-  const std::string path =
-      (std::filesystem::path(corpus_dir()) / "master-read.g").string();
-  Flow flow;
-  const Netlist netlist = mapped_netlist(path, flow);
-
-  const EquivReport plain = check_equivalence(netlist);
-  CheckOptions reorder;
-  reorder.reorder = true;
-  const EquivReport sifted = check_equivalence(netlist, reorder);
-
-  EXPECT_TRUE(plain.ok);
-  EXPECT_TRUE(sifted.ok);
-  EXPECT_EQ(plain.gates_checked, sifted.gates_checked);
-  EXPECT_EQ(plain.gates_proven, sifted.gates_proven);
-  EXPECT_FALSE(plain.reordered);
-  EXPECT_TRUE(sifted.reordered);
-  EXPECT_GT(sifted.reorder_size_before, 0u);
-  // Sifting never commits a worse order than the identity it starts from.
-  EXPECT_LE(sifted.reorder_size_after, sifted.reorder_size_before);
-  EXPECT_EQ(plain.reach_states, sifted.reach_states);
-
-  // And a mutant is rejected identically under the sifted order.
-  Netlist mutant = netlist;
-  ASSERT_TRUE(
-      mutate_netlist(mutant, NetlistMutation::kFlipLiteral, 0));
-  const EquivReport plain_bad = check_equivalence(mutant);
-  const EquivReport sifted_bad = check_equivalence(mutant, reorder);
-  ASSERT_FALSE(plain_bad.ok);
-  ASSERT_FALSE(sifted_bad.ok);
-  ASSERT_FALSE(sifted_bad.failures.empty());
-  EXPECT_EQ(plain_bad.failures.front().name, sifted_bad.failures.front().name);
-  EXPECT_EQ(plain_bad.failures.front().network,
-            sifted_bad.failures.front().network);
-  EXPECT_NE(sifted_bad.failures.front().counterexample_state, kNoState);
-}
-
 // ----- flow stage plumbing ------------------------------------------------
 
 TEST(CheckStage, OffByDefaultOnInReportAndBitIdenticalAcrossThreads) {
@@ -490,7 +455,10 @@ TEST(CheckStage, RejectsACorruptNetlistTyped) {
   const StageReport& check = report.stage(Stage::kCheck);
   EXPECT_GT(*check.metric_value("gates_proven"), 0.0);
   EXPECT_EQ(*check.metric_value("nlint_errors"), 0.0);
-  EXPECT_GT(*check.metric_value("bdd_nodes"), 0.0);
+  EXPECT_GT(*check.metric_value("reach_states"), 0.0);
+  for (const char* gone : {"reach_bdd_size", "bdd_nodes",
+                           "reorder_size_before", "reorder_size_after"})
+    EXPECT_FALSE(check.metric_value(gone).has_value()) << gone;
 }
 
 }  // namespace

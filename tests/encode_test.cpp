@@ -1,12 +1,11 @@
-// Tests for the SG-code -> BDD encoding the equivalence proof runs on
-// (encode_states in netlist/equiv.hpp).
+// Tests for the SG-code -> BDD encoding the symbolic equivalence oracle
+// runs on (encode_states in support/bdd_equiv.hpp).
 
 #include <gtest/gtest.h>
 
-#include "bdd/bdd.hpp"
 #include "benchlib/generators.hpp"
-#include "netlist/equiv.hpp"
 #include "stg/stg.hpp"
+#include "support/bdd_equiv.hpp"
 #include "util/error.hpp"
 
 namespace sitm {

@@ -236,36 +236,6 @@ TEST(MapParallel, GeneratorFamiliesBitIdentical) {
   }
 }
 
-TEST(MapParallel, PrunedPreChecksThreadIdenticalAndStillImplementable) {
-  // MapperOptions::prune_pre_checks stops the insert/verify pre-check once
-  // a committable winner exists.  The prune decision sits on fixed-width
-  // round boundaries, so for fixed options the result must stay
-  // bit-identical across thread counts; it may commit different (equally
-  // progress-making) divisors than the exhaustive loop, but never more
-  // resyntheses, and the mapped result must still be implementable.
-  const StateGraph workloads[] = {
-      bench::make_parallelizer(4).to_state_graph(),
-      bench::make_combo(3, 3).to_state_graph(),
-  };
-  for (const StateGraph& sg : workloads) {
-    MapperOptions exhaustive;
-    exhaustive.library.max_literals = 2;
-    MapperOptions pruned = exhaustive;
-    pruned.prune_pre_checks = true;
-
-    const MapFingerprint full = fingerprint_of(technology_map(sg, exhaustive));
-    const MapFingerprint ref = fingerprint_of(technology_map(sg, pruned));
-    EXPECT_TRUE(ref.ok);
-    EXPECT_LE(ref.resyntheses, full.resyntheses);
-    for (const int threads : {2, 4, 0}) {
-      MapperOptions opts = pruned;
-      opts.threads = threads;
-      EXPECT_EQ(fingerprint_of(technology_map(sg, opts)), ref)
-          << threads << " map-threads (pruned)";
-    }
-  }
-}
-
 TEST(MapParallel, TightEvalCapKeepsTheSerialEvaluationSet) {
   // With a cap smaller than the candidate list the parallel pre-check must
   // still evaluate exactly the first cap verifying candidates, not the

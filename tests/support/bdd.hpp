@@ -3,14 +3,14 @@
 //
 // A small, self-contained ROBDD package in the style of the classic
 // Brace-Rudell-Bryant design: a unique table for node hashing, a computed
-// table for ITE memoization, and just the operators the check stage needs:
-// its equivalence proof (netlist/equiv.hpp) encodes state codes and covers
-// over the SG signal variables, and its optional variable sifting
-// (bdd/reorder.hpp) rebuilds those BDDs in a new order.
+// table for ITE memoization, and just the operators the symbolic
+// equivalence oracle (support/bdd_equiv.hpp) needs to encode state codes
+// and covers over the SG signal variables.  It lives in the test support
+// library, not in libsitm: the flow's check is explicit (netlist/equiv.hpp)
+// and the tests hold it against this symbolic proof.
 //
 // Node 0 is the constant FALSE, node 1 the constant TRUE.  Variables are
-// ordered by their index; reordering builds a permuted copy
-// (bdd/reorder.hpp) instead of swapping levels in place.
+// ordered by their index.
 //
 // Both hash tables follow the classic package design instead of generic
 // containers: the unique table is an open-addressing power-of-two table
