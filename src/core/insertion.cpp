@@ -339,7 +339,7 @@ std::optional<InsertionPlan> InsertionPlanner::plan_state_latch(
 
 StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
                          const std::string& name, InsertionCopies* copies) {
-  StateGraph out;
+  StateGraphBuilder out;
   for (const auto& sig : sg.signals()) out.add_signal(sig.name, sig.kind);
   const int x = out.add_signal(name, SignalKind::kInternal);
 
@@ -348,6 +348,9 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
   // unsplit states both ids coincide.
   const auto n = static_cast<StateId>(sg.num_states());
   std::vector<StateId> id_x0(n, kNoState), id_x1(n, kNoState);
+  // An ER state has two copies and one x arc; an arc at most two copies.
+  const std::size_t split = plan.er_rise.count() + plan.er_fall.count();
+  out.reserve(sg.num_states() + split, 2 * sg.num_arcs() + split);
 
   auto x_bit = [&](bool v) { return v ? (StateCode{1} << x) : StateCode{0}; };
 
@@ -389,8 +392,9 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
 
   const StateId init = sg.initial();
   out.set_initial(plan.initial_value ? id_x1[init] : id_x0[init]);
+  StateGraph next = std::move(out).freeze();
   std::vector<StateId> remap;
-  out.prune_unreachable(copies ? &remap : nullptr);
+  next.prune_unreachable(copies ? &remap : nullptr);
   if (copies) {
     auto through = [&](std::vector<StateId> ids) {
       for (auto& id : ids)
@@ -400,7 +404,7 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
     copies->x0 = through(std::move(id_x0));
     copies->x1 = through(std::move(id_x1));
   }
-  return out;
+  return next;
 }
 
 InsertionPreview::InsertionPreview(const StateGraph& sg,
@@ -516,12 +520,18 @@ PropertyResult InsertionVerifier::verify(const StateGraph& after,
   // baseline-persistent signal outside the disturbed set cannot fail — its
   // enabledness is untouched on every surviving copy — so the re-check is
   // skipped when the caller supplies the set.
+  std::vector<int> sip;
   for (int sig = 0; sig < before_.num_signals(); ++sig) {
     if (!persistent_[static_cast<std::size_t>(sig)]) continue;
     if (disturbed && !disturbed->test(static_cast<std::size_t>(sig))) continue;
+    sip.push_back(sig);
+  }
+  // One pass checks them all; a violation is then named by the first
+  // signal, in signal order, that breaks on its own.
+  if (check_persistency(after, sip)) return PropertyResult::pass();
+  for (const int sig : sip)
     if (auto r = check_persistency(after, {sig}); !r)
       return PropertyResult::fail("SIP violated: " + r.why);
-  }
   return PropertyResult::pass();
 }
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <functional>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "boolf/minimize.hpp"
@@ -196,8 +198,7 @@ struct ForcedState {
 /// keep the states, in the given greedy order, that are apart from every
 /// state kept before, and add up their forced variables.  `kept` is
 /// scratch space.
-int disjoint_cube_literals(const std::vector<ForcedState>& states,
-                           unsigned sides,
+int disjoint_cube_literals(std::span<const ForcedState> states, unsigned sides,
                            std::vector<const ForcedState*>& kept) {
   kept.clear();
   int literals = 0;
@@ -237,21 +238,27 @@ std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
     noninput |= std::uint64_t{1} << sig;
   const auto signals = static_cast<std::size_t>(sg.num_signals());
   std::vector<Literals> set(signals), reset(signals), complete(signals);
-  // Both ends of every arc that crosses signal a's next-state boundary,
-  // with the variable the arc forces there.
-  struct ForcedEnd {
-    int signal;
-    StateId state;
-    std::uint64_t var;
+  // Signals whose next-state boundary the arc s -> t crosses, its own
+  // signal v excepted: the arc forces v's variable at both ends.
+  const auto crossing = [&](StateId s, StateId t, int v) {
+    return (next[s] ^ next[t]) & noninput & ~(std::uint64_t{1} << v);
   };
-  std::vector<ForcedEnd> forced;
+  // Every state that such arcs end at, for each crossed signal a, with the
+  // variables they force there.  States are visited in id order and meet
+  // their arcs from both ends, so each signal's states come out in id order.
+  struct Forced {
+    int signal;
+    ForcedState state;
+  };
+  std::vector<Forced> forced;
+  forced.reserve(static_cast<std::size_t>(n));  // about one per state
+  std::array<std::uint64_t, 64> vars{};
   for (StateId s = 0; s < n; ++s) {
+    std::uint64_t touched = 0;
     for (const auto& edge : sg.succs(s)) {
       const int v = edge.event.signal;
-      const std::uint64_t var = std::uint64_t{1} << v;
-      std::uint64_t crossing = (next[s] ^ next[edge.target]) & noninput & ~var;
-      for (; crossing != 0; crossing &= crossing - 1) {
-        const int a = std::countr_zero(crossing);
+      for (std::uint64_t c = crossing(s, edge.target, v); c != 0; c &= c - 1) {
+        const int a = std::countr_zero(c);
         const StateId on = ((next[s] >> a) & 1) ? s : edge.target;
         // Named by v's value at the next=1 end.  The reset cover's
         // on-state is the other end, but flipping every pair's polarity
@@ -260,9 +267,26 @@ std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
         const std::uint64_t bit = std::uint64_t{1} << (lit & 63);
         complete[a][lit >> 6] |= bit;
         (sg.value(s, a) ? reset[a] : set[a])[lit >> 6] |= bit;
-        forced.push_back(ForcedEnd{a, s, var});
-        forced.push_back(ForcedEnd{a, edge.target, var});
+        vars[a] |= std::uint64_t{1} << v;
+        touched |= std::uint64_t{1} << a;
       }
+    }
+    for (const auto& edge : sg.preds(s)) {
+      const int v = edge.event.signal;
+      for (std::uint64_t c = crossing(edge.target, s, v); c != 0; c &= c - 1) {
+        const int a = std::countr_zero(c);
+        vars[a] |= std::uint64_t{1} << v;
+        touched |= std::uint64_t{1} << a;
+      }
+    }
+    for (; touched != 0; touched &= touched - 1) {
+      const int a = std::countr_zero(touched);
+      ForcedState f;
+      f.code = sg.code(s);
+      f.vars = std::exchange(vars[a], 0);
+      f.side = static_cast<unsigned>(2 * ((f.code >> a) & 1) +
+                                     ((next[s] >> a) & 1));
+      forced.push_back(Forced{a, f});
     }
   }
 
@@ -274,38 +298,43 @@ std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg) {
   for (std::size_t a = 0; a < signals; ++a)
     out[a] = CoverBounds{count(set[a]), count(reset[a]), count(complete[a])};
 
-  // The disjoint-cube terms, signal by signal: merge each state's forced
-  // variables, order the states for the greedy (most forced variables
-  // first, then by id) and raise each bound to min(direct, complement).
-  // Sides: bit 2 * (value of a) + next_a.
+  // Group the forced states by signal, a stable counting sort that keeps
+  // them in id order.
+  std::vector<std::size_t> start(signals + 1, 0);
+  for (const Forced& f : forced) ++start[static_cast<std::size_t>(f.signal)];
+  std::exclusive_scan(start.begin(), start.end(), start.begin(),
+                      std::size_t{0});
+  std::vector<ForcedState> states(forced.size());
+  {
+    std::vector<std::size_t> at(start.begin(), start.end() - 1);
+    for (const Forced& f : forced)
+      states[at[static_cast<std::size_t>(f.signal)]++] = f.state;
+  }
+
+  // The disjoint-cube terms, signal by signal: order the states for the
+  // greedy (most forced variables first, then by id) and raise each bound
+  // to min(direct, complement).  Sides: bit 2 * (value of a) + next_a.
   constexpr unsigned kStable0 = 1u << 0, kErRise = 1u << 1;
   constexpr unsigned kErFall = 1u << 2, kStable1 = 1u << 3;
-  std::ranges::sort(forced, {}, [](const ForcedEnd& f) {
-    return std::pair(f.signal, f.state);
-  });
-  std::vector<ForcedState> states;
+  std::vector<ForcedState> ordered;
   std::vector<const ForcedState*> kept;
-  for (auto it = forced.begin(); it != forced.end();) {
-    const int a = it->signal;
-    states.clear();
-    while (it != forced.end() && it->signal == a) {
-      const StateId s = it->state;
-      ForcedState f;
-      f.code = sg.code(s);
-      f.side = static_cast<unsigned>(2 * ((f.code >> a) & 1) +
-                                     ((next[s] >> a) & 1));
-      for (; it != forced.end() && it->signal == a && it->state == s; ++it)
-        f.vars |= it->var;
-      states.push_back(f);
-    }
-    std::ranges::stable_sort(states, std::greater{}, [](const ForcedState& f) {
-      return std::popcount(f.vars);
-    });
+  for (std::size_t a = 0; a < signals; ++a) {
+    const std::span<const ForcedState> group(states.data() + start[a],
+                                             states.data() + start[a + 1]);
+    if (group.empty()) continue;
+    // A stable sort by descending count, one pass per count.
+    int most = 0;
+    for (const ForcedState& f : group)
+      most = std::max(most, std::popcount(f.vars));
+    ordered.clear();
+    for (int count = most; count > 0; --count)
+      for (const ForcedState& f : group)
+        if (std::popcount(f.vars) == count) ordered.push_back(f);
     const auto disjoint = [&](unsigned direct, unsigned complement) {
-      return std::min(disjoint_cube_literals(states, direct, kept),
-                      disjoint_cube_literals(states, complement, kept));
+      return std::min(disjoint_cube_literals(ordered, direct, kept),
+                      disjoint_cube_literals(ordered, complement, kept));
     };
-    CoverBounds& b = out[static_cast<std::size_t>(a)];
+    CoverBounds& b = out[a];
     b.set = std::max(b.set, disjoint(kErRise, kStable0));
     b.reset = std::max(b.reset, disjoint(kErFall, kStable1));
     b.complete =

@@ -136,20 +136,20 @@ Json FlowReport::to_json() const {
 FlowReport Flow::run_file(const std::string& path) {
   input_path_ = path;
   input_text_.clear();
-  return run_stages(Stage::kLoad);
+  return run_stages(Stage::kLoad, opts_.stop_after);
 }
 
 FlowReport Flow::run_string(const std::string& text) {
   input_path_.clear();
   input_text_ = text;
-  return run_stages(Stage::kLoad);
+  return run_stages(Stage::kLoad, opts_.stop_after);
 }
 
 FlowReport Flow::run_spec(Spec spec) {
   ctx_ = FlowContext{};
   ctx_.spec = std::move(spec);
   ctx_.name = ctx_.spec.name;
-  return run_stages(Stage::kReachability);
+  return run_stages(Stage::kReachability, opts_.stop_after);
 }
 
 FlowReport Flow::run_state_graph(StateGraph sg, std::string name) {
@@ -158,7 +158,7 @@ FlowReport Flow::run_state_graph(StateGraph sg, std::string name) {
   ctx_.spec.name = ctx_.name;
   ctx_.spec.format = SpecFormat::kSg;
   ctx_.spec.sg = std::move(sg);
-  return run_stages(Stage::kReachability);
+  return run_stages(Stage::kReachability, opts_.stop_after);
 }
 
 namespace {
@@ -181,7 +181,14 @@ void describe_spec(const Spec& spec, StageReport& sr) {
 
 }  // namespace
 
-FlowReport Flow::run_stages(Stage first) {
+FlowReport Flow::check_netlist(Netlist netlist) {
+  ctx_.netlist = std::move(netlist);
+  ctx_.nlint.reset();
+  ctx_.equiv.reset();
+  return run_stages(Stage::kCheck, Stage::kCheck);
+}
+
+FlowReport Flow::run_stages(Stage first, std::optional<Stage> last) {
   if (first == Stage::kLoad) ctx_ = FlowContext{};
   FlowReport report;
   for (int i = 0; i < kNumStages; ++i)
@@ -264,7 +271,7 @@ FlowReport Flow::run_stages(Stage first) {
       // report stays failed).  Every other failure stops the flow here.
       if (s != Stage::kVerify) break;
     }
-    if (opts_.stop_after == s) break;
+    if (last == s) break;
   }
 
   report.total_ms = ms_since(flow_start);

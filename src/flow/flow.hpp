@@ -310,9 +310,15 @@ class Flow {
   FlowReport run_spec(Spec spec);
   /// Run from an explicit SG (load + reachability recorded as satisfied).
   FlowReport run_state_graph(StateGraph sg, std::string name = "spec");
+  /// Run the check stage alone on `netlist`, which replaces the netlist a
+  /// previous run left in the context and is checked against the same SG
+  /// revision.  `sitm check --mutate` proves a corrupted copy of a run's
+  /// netlist this way, through the stage's own typed rejection.
+  FlowReport check_netlist(Netlist netlist);
 
  private:
-  FlowReport run_stages(Stage first);
+  /// Run the stages from `first` on, through `last` when given.
+  FlowReport run_stages(Stage first, std::optional<Stage> last);
   /// Stage bodies; throw sitm::Error (or return false with sr.failure set)
   /// to fail the flow.
   void stage_load(StageReport& sr);

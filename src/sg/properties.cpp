@@ -1,6 +1,8 @@
 #include "sg/properties.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 
 #include "util/flat_map.hpp"
 #include "util/text.hpp"
@@ -31,7 +33,12 @@ PropertyResult check_consistency(const StateGraph& sg) {
 
 PropertyResult check_determinism(const StateGraph& sg) {
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
-    const auto& edges = sg.succs(s);
+    const auto edges = sg.succs(s);
+    // One arc per enabled event leaves no two arcs sharing an event.
+    const auto& enabled = sg.enabled_mask(s);
+    if (edges.size() == static_cast<std::size_t>(std::popcount(enabled[0]) +
+                                                 std::popcount(enabled[1])))
+      continue;
     for (std::size_t i = 0; i < edges.size(); ++i) {
       for (std::size_t j = i + 1; j < edges.size(); ++j) {
         if (edges[i].event == edges[j].event &&
@@ -71,15 +78,31 @@ PropertyResult check_commutativity(const StateGraph& sg) {
 
 PropertyResult check_persistency(const StateGraph& sg,
                                  const std::vector<int>& signals) {
-  DynBitset watched(64);
-  for (int sig : signals) watched.set(static_cast<std::size_t>(sig));
+  // Both events of every watched signal, in the `enabled_mask` layout.
+  std::array<std::uint64_t, 2> watched{0, 0};
+  for (const int sig : signals)
+    watched[sig >> 5] |= std::uint64_t{3} << ((2 * sig) & 63);
 
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
+    const auto& enabled = sg.enabled_mask(s);
+    const std::array<std::uint64_t, 2> live{watched[0] & enabled[0],
+                                            watched[1] & enabled[1]};
+    // Firing an arc must leave every other live event enabled.
+    const bool clean = std::ranges::none_of(sg.succs(s), [&](const auto& ea) {
+      const auto& after = sg.enabled_mask(ea.target);
+      std::array<std::uint64_t, 2> lost{live[0] & ~after[0],
+                                        live[1] & ~after[1]};
+      const int id = 2 * ea.event.signal + (ea.event.rising ? 1 : 0);
+      lost[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+      return (lost[0] | lost[1]) != 0;
+    });
+    if (clean) continue;
+    // Name the first violating pair in arc order.
     for (const auto& ea : sg.succs(s)) {
-      // Firing ea must not disable any other enabled watched event.
       for (const auto& eb : sg.succs(s)) {
         if (eb.event == ea.event) continue;
-        if (!watched.test(static_cast<std::size_t>(eb.event.signal))) continue;
+        const int id = 2 * eb.event.signal + (eb.event.rising ? 1 : 0);
+        if (((watched[id >> 6] >> (id & 63)) & 1) == 0) continue;
         if (!sg.enabled(ea.target, eb.event)) {
           return PropertyResult::fail(strfmt(
               "event %s disabled by %s in state %s",

@@ -1,6 +1,6 @@
 #include "sg/regions.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 namespace sitm {
 
@@ -105,16 +105,6 @@ std::vector<Region> excitation_regions(const StateGraph& sg, Event e) {
       const StateId t = sg.successor(static_cast<StateId>(s), e);
       if (t != kNoState) r.sr.set(t);
     });
-    // Trigger events: labels of arcs entering the ER from outside.
-    r.er.for_each([&](std::size_t s) {
-      for (const auto& p : sg.preds(static_cast<StateId>(s))) {
-        if (!r.er.test(p.target)) {
-          if (std::find(r.triggers.begin(), r.triggers.end(), p.event) ==
-              r.triggers.end())
-            r.triggers.push_back(p.event);
-        }
-      }
-    });
     regions.push_back(std::move(r));
   }
 
@@ -152,17 +142,6 @@ DynBitset union_er(const StateGraph& sg, const std::vector<Region>& regions) {
 DynBitset union_qr(const StateGraph& sg, const std::vector<Region>& regions) {
   DynBitset out = sg.empty_set();
   for (const auto& r : regions) out |= r.qr;
-  return out;
-}
-
-std::vector<int> trigger_signals(const StateGraph& sg, int sig) {
-  DynBitset seen(64);
-  for (bool rising : {true, false}) {
-    for (const auto& r : excitation_regions(sg, Event{sig, rising}))
-      for (const auto& t : r.triggers) seen.set(static_cast<std::size_t>(t.signal));
-  }
-  std::vector<int> out;
-  seen.for_each([&](std::size_t i) { out.push_back(static_cast<int>(i)); });
   return out;
 }
 

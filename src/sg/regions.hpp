@@ -6,8 +6,6 @@
 // QRj(a*)  : restricted quiescent region — maximal set of states reachable
 //            from ERj(a*) in which `a` is stable and which are not reachable
 //            from any other ERk(a*), k != j, without passing through ERj(a*).
-//
-// Trigger events of ERj(a*): events on arcs entering the region from outside.
 
 #include <vector>
 
@@ -23,10 +21,9 @@ struct Region {
   DynBitset er;         ///< excitation region
   DynBitset sr;         ///< switching region
   DynBitset qr;         ///< restricted quiescent region
-  std::vector<Event> triggers;  ///< trigger events of this ER
 };
 
-/// All excitation regions of event `e`, with SR/QR/triggers filled in.
+/// All excitation regions of event `e`, with SR/QR filled in.
 std::vector<Region> excitation_regions(const StateGraph& sg, Event e);
 
 /// All regions of every transition of signal `sig` (both polarities).
@@ -46,11 +43,6 @@ std::vector<DynBitset> all_switching_regions(const StateGraph& sg);
 DynBitset union_er(const StateGraph& sg, const std::vector<Region>& regions);
 /// Union of the `qr` fields of `regions`.
 DynBitset union_qr(const StateGraph& sg, const std::vector<Region>& regions);
-
-/// Trigger signals of signal `sig`: signals whose events trigger some
-/// transition of `sig`.  These are necessarily inputs of any logic
-/// implementing `sig` (paper Section 2.2).
-std::vector<int> trigger_signals(const StateGraph& sg, int sig);
 
 /// Next-state function value of signal `sig` in state `s`:
 ///   1 if sig+ is enabled or sig is stable at 1; 0 otherwise.

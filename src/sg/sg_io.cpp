@@ -10,19 +10,19 @@
 
 namespace sitm {
 
-Event parse_event(const StateGraph& sg, std::string_view token) {
+Event parse_event(const std::vector<Signal>& signals, std::string_view token) {
   if (token.size() < 2) throw Error("bad event token '" + std::string(token) + "'");
   const char polarity = token.back();
   if (polarity != '+' && polarity != '-')
     throw Error("event token must end in +/-: '" + std::string(token) + "'");
   const auto name = token.substr(0, token.size() - 1);
-  const int sig = sg.find_signal(name);
+  const int sig = find_signal(signals, name);
   if (sig < 0) throw Error("unknown signal '" + std::string(name) + "'");
   return Event{sig, polarity == '+'};
 }
 
 StateGraph read_sg(std::istream& in, std::string* name) {
-  StateGraph sg;
+  StateGraphBuilder builder;
   std::map<std::string, StateId, std::less<>> ids;
   struct RawArc {
     std::string from, event, to;
@@ -38,7 +38,7 @@ StateGraph read_sg(std::istream& in, std::string* name) {
   auto state_id = [&](std::string_view token) -> StateId {
     auto it = ids.find(token);
     if (it != ids.end()) return it->second;
-    const StateId id = sg.add_state(0);
+    const StateId id = builder.add_state(0);
     ids.emplace(std::string(token), id);
     return id;
   };
@@ -62,7 +62,7 @@ StateGraph read_sg(std::istream& in, std::string* name) {
                               : head == ".outputs" ? SignalKind::kOutput
                                                    : SignalKind::kInternal;
       for (std::size_t i = 1; i < tokens.size(); ++i)
-        sg.add_signal(std::string(tokens[i]), kind);
+        builder.add_signal(std::string(tokens[i]), kind);
     } else if (head == ".graph") {
       in_graph = true;
     } else if (head == ".initial") {
@@ -91,13 +91,15 @@ StateGraph read_sg(std::istream& in, std::string* name) {
   }
 
   if (initial_name.empty()) throw Error(".initial missing");
-  if (static_cast<int>(initial_code.size()) != sg.num_signals())
+  if (static_cast<int>(initial_code.size()) != builder.num_signals())
     throw ParseError(".initial code length != number of signals",
                      initial_line, initial_code_col);
 
   for (const auto& arc : arcs) {
     try {
-      sg.add_arc(ids.at(arc.from), parse_event(sg, arc.event), ids.at(arc.to));
+      builder.add_arc(ids.at(arc.from),
+                      parse_event(builder.signals(), arc.event),
+                      ids.at(arc.to));
     } catch (const ParseError&) {
       throw;
     } catch (const Error& e) {
@@ -109,7 +111,8 @@ StateGraph read_sg(std::istream& in, std::string* name) {
   if (init_it == ids.end())
     throw ParseError("unknown initial state " + initial_name, initial_line,
                      initial_state_col);
-  sg.set_initial(init_it->second);
+  builder.set_initial(init_it->second);
+  const StateGraph sg = std::move(builder).freeze();
 
   // Propagate codes from the initial state; verify agreement on re-visit.
   StateCode init = 0;
@@ -145,15 +148,15 @@ StateGraph read_sg(std::istream& in, std::string* name) {
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s)
     if (!known[s]) throw Error("state unreachable from initial state");
 
-  // Rebuild with codes (StateGraph stores codes immutably at add_state).
-  StateGraph out;
+  // Rebuild with codes (a builder takes each state's code at add_state).
+  StateGraphBuilder out;
   for (const auto& sig : sg.signals()) out.add_signal(sig.name, sig.kind);
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s)
     out.add_state(code[s]);
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s)
     for (const auto& e : sg.succs(s)) out.add_arc(s, e.event, e.target);
   out.set_initial(sg.initial());
-  return out;
+  return std::move(out).freeze();
 }
 
 StateGraph read_sg_string(const std::string& text, std::string* name) {

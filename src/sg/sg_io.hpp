@@ -34,6 +34,6 @@ std::string write_sg_string(const StateGraph& sg,
                             const std::string& name = "sg");
 
 /// Parse an event token like "a+" or "req-"; throws on unknown signal.
-Event parse_event(const StateGraph& sg, std::string_view token);
+Event parse_event(const std::vector<Signal>& signals, std::string_view token);
 
 }  // namespace sitm

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace sitm {
 
@@ -42,6 +44,14 @@ struct Signal {
   std::string name;
   SignalKind kind = SignalKind::kOutput;
 };
+
+/// Index of the signal named `name` in `signals`, or -1.
+inline int find_signal(const std::vector<Signal>& signals,
+                       std::string_view name) {
+  for (std::size_t i = 0; i < signals.size(); ++i)
+    if (signals[i].name == name) return static_cast<int>(i);
+  return -1;
+}
 
 /// "a+" / "a-" rendering given a signal name.
 inline std::string event_name(const std::string& sig, bool rising) {

@@ -1,6 +1,7 @@
 #include "sg/state_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -8,43 +9,71 @@
 
 namespace sitm {
 
-int StateGraph::add_signal(std::string name, SignalKind kind) {
+int StateGraphBuilder::add_signal(std::string name, SignalKind kind) {
   if (signals_.size() >= 64) throw Error("StateGraph: more than 64 signals");
-  if (find_signal(name) >= 0)
+  if (find_signal(signals_, name) >= 0)
     throw Error("StateGraph: duplicate signal '" + name + "'");
   signals_.push_back(Signal{std::move(name), kind});
   return static_cast<int>(signals_.size()) - 1;
 }
 
-StateId StateGraph::add_state(StateCode code) {
-  all_reachable_ = false;
+StateId StateGraphBuilder::add_state(StateCode code) {
   codes_.push_back(code);
-  succs_.emplace_back();
-  preds_.emplace_back();
-  ev_mask_.push_back({0, 0});
   return static_cast<StateId>(codes_.size()) - 1;
 }
 
-void StateGraph::add_arc(StateId from, Event ev, StateId to) {
+void StateGraphBuilder::add_arc(StateId from, Event ev, StateId to) {
   if (ev.signal < 0 || ev.signal >= num_signals())
     throw Error("StateGraph: arc with unknown signal");
-  all_reachable_ = false;
-  succs_[from].push_back(Edge{ev, to});
-  preds_[to].push_back(Edge{ev, from});
-  const int id = event_id(ev);
-  ev_mask_[from][id >> 6] |= std::uint64_t{1} << (id & 63);
+  const auto n = static_cast<StateId>(codes_.size());
+  if (from < 0 || from >= n || to < 0 || to >= n)
+    throw Error("StateGraph: arc with unknown state");
+  arcs_.push_back(Arc{ev, from, to});
 }
 
-std::size_t StateGraph::num_arcs() const {
-  std::size_t n = 0;
-  for (const auto& v : succs_) n += v.size();
-  return n;
+StateGraph StateGraphBuilder::freeze() const& {
+  return StateGraphBuilder(*this).freeze();
 }
 
-int StateGraph::find_signal(std::string_view name) const {
-  for (std::size_t i = 0; i < signals_.size(); ++i)
-    if (signals_[i].name == name) return static_cast<int>(i);
-  return -1;
+StateGraph StateGraphBuilder::freeze() && {
+  StateGraph sg;
+  sg.signals_ = std::move(signals_);
+  sg.codes_ = std::move(codes_);
+  sg.initial_ = initial_;
+  sg.freeze_arcs(arcs_);
+  return sg;
+}
+
+void StateGraph::freeze_arcs(std::span<const Arc> arcs) {
+  // Offsets are 32-bit and index both halves of the edge array.
+  if (arcs.size() > std::numeric_limits<std::uint32_t>::max() / 2)
+    throw Error("StateGraph: more arcs than 32-bit offsets can index");
+  const std::size_t n = codes_.size();
+  const auto m = static_cast<std::uint32_t>(arcs.size());
+  // Count into each state's start slot, turn the counts into start
+  // positions, place the edges (each slot then holds its state's end), and
+  // shift the ends back into starts.
+  offsets_.assign(2 * n + 2, 0);
+  std::uint32_t* succ = offsets_.data();
+  std::uint32_t* pred = succ + n + 1;
+  for (const Arc& a : arcs) {
+    ++succ[a.from];
+    ++pred[a.to];
+  }
+  std::exclusive_scan(succ, succ + n + 1, succ, std::uint32_t{0});
+  std::exclusive_scan(pred, pred + n + 1, pred, m);
+  edges_.resize(2 * static_cast<std::size_t>(m));
+  ev_mask_.assign(n, {0, 0});
+  for (const Arc& a : arcs) {
+    edges_[succ[a.from]++] = Edge{a.event, a.to};
+    edges_[pred[a.to]++] = Edge{a.event, a.from};
+    const int id = event_id(a.event);
+    ev_mask_[a.from][id >> 6] |= std::uint64_t{1} << (id & 63);
+  }
+  std::copy_backward(succ, succ + n, succ + n + 1);
+  succ[0] = 0;
+  std::copy_backward(pred, pred + n, pred + n + 1);
+  pred[0] = m;
 }
 
 std::vector<int> StateGraph::input_signals() const {
@@ -73,18 +102,9 @@ std::array<std::uint64_t, 2> StateGraph::noninput_event_mask() const {
 
 StateId StateGraph::successor(StateId s, Event e) const {
   if (!enabled(s, e)) return kNoState;
-  for (const auto& edge : succs_[s])
+  for (const auto& edge : succs(s))
     if (edge.event == e) return edge.target;
   return kNoState;
-}
-
-std::vector<Event> StateGraph::enabled_events(StateId s) const {
-  std::vector<Event> out;
-  for (const auto& edge : succs_[s]) {
-    if (std::find(out.begin(), out.end(), edge.event) == out.end())
-      out.push_back(edge.event);
-  }
-  return out;
 }
 
 std::string StateGraph::code_string(StateId s) const {
@@ -113,7 +133,7 @@ DynBitset StateGraph::reachable() const {
   while (!stack.empty()) {
     const StateId s = stack.back();
     stack.pop_back();
-    for (const auto& edge : succs_[s]) {
+    for (const auto& edge : succs(s)) {
       if (!seen.test(edge.target)) {
         seen.set(edge.target);
         stack.push_back(edge.target);
@@ -139,33 +159,22 @@ std::size_t StateGraph::prune_unreachable(std::vector<StateId>* old_to_new) {
   StateId next = 0;
   for (std::size_t s = 0; s < num_states(); ++s)
     if (keep.test(s)) remap[s] = next++;
-  if (old_to_new) *old_to_new = remap;
 
+  // Every successor of a kept state is reachable, so kept too.
   std::vector<StateCode> codes;
-  std::vector<std::vector<Edge>> succs;
-  codes.reserve(next);
-  succs.reserve(next);
+  std::vector<Arc> arcs;
+  codes.reserve(static_cast<std::size_t>(next));
+  arcs.reserve(num_arcs());
   for (std::size_t s = 0; s < num_states(); ++s) {
     if (!keep.test(s)) continue;
     codes.push_back(codes_[s]);
-    auto edges = succs_[s];
-    std::erase_if(edges, [&](const Edge& e) { return remap[e.target] < 0; });
-    for (auto& e : edges) e.target = remap[e.target];
-    succs.push_back(std::move(edges));
+    for (const auto& e : succs(static_cast<StateId>(s)))
+      arcs.push_back(Arc{e.event, remap[s], remap[e.target]});
   }
-
   codes_ = std::move(codes);
-  succs_ = std::move(succs);
-  preds_.assign(codes_.size(), {});
-  ev_mask_.assign(codes_.size(), {0, 0});
-  for (std::size_t s = 0; s < codes_.size(); ++s) {
-    for (const auto& e : succs_[s]) {
-      preds_[e.target].push_back(Edge{e.event, static_cast<StateId>(s)});
-      const int id = event_id(e.event);
-      ev_mask_[s][id >> 6] |= std::uint64_t{1} << (id & 63);
-    }
-  }
+  freeze_arcs(arcs);
   initial_ = remap[initial_];
+  if (old_to_new) *old_to_new = std::move(remap);
   return removed;
 }
 

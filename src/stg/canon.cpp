@@ -153,6 +153,16 @@ SpecHash canonical_spec_hash(const StateGraph& sg) {
   const auto canon_event = [&](Event e) {
     return 2 * canon[static_cast<std::size_t>(e.signal)] + (e.rising ? 1 : 0);
   };
+  // A state's arcs in canonical event order; equal events keep arc order.
+  const auto canonical_edges = [&](StateId s) {
+    const auto arcs = sg.succs(s);
+    std::vector<StateGraph::Edge> edges(arcs.begin(), arcs.end());
+    std::stable_sort(edges.begin(), edges.end(),
+                     [&](const StateGraph::Edge& a, const StateGraph::Edge& b) {
+                       return canon_event(a.event) < canon_event(b.event);
+                     });
+    return edges;
+  };
   std::vector<StateId> bfs_id(sg.num_states(), kNoState);
   std::vector<StateId> order;
   order.reserve(sg.num_states());
@@ -160,11 +170,7 @@ SpecHash canonical_spec_hash(const StateGraph& sg) {
   order.push_back(sg.initial());
   for (std::size_t head = 0; head < order.size(); ++head) {
     const StateId s = order[head];
-    std::vector<StateGraph::Edge> edges = sg.succs(s);
-    std::stable_sort(edges.begin(), edges.end(),
-                     [&](const StateGraph::Edge& a, const StateGraph::Edge& b) {
-                       return canon_event(a.event) < canon_event(b.event);
-                     });
+    const std::vector<StateGraph::Edge> edges = canonical_edges(s);
     for (const auto& e : edges) {
       if (bfs_id[static_cast<std::size_t>(e.target)] != kNoState) continue;
       bfs_id[static_cast<std::size_t>(e.target)] =
@@ -183,11 +189,7 @@ SpecHash canonical_spec_hash(const StateGraph& sg) {
       if (sg.value(s, sig))
         code |= std::uint64_t{1} << canon[static_cast<std::size_t>(sig)];
     h.u64(code);
-    std::vector<StateGraph::Edge> edges = sg.succs(s);
-    std::stable_sort(edges.begin(), edges.end(),
-                     [&](const StateGraph::Edge& a, const StateGraph::Edge& b) {
-                       return canon_event(a.event) < canon_event(b.event);
-                     });
+    const std::vector<StateGraph::Edge> edges = canonical_edges(s);
     h.u64(edges.size());
     for (const auto& e : edges) {
       h.u64(static_cast<std::uint64_t>(canon_event(e.event)));

@@ -348,15 +348,16 @@ GameResult<Fire> token_game(const Stg& stg, const Fire& fire,
 template <typename Fire>
 StateGraph emit_state_graph(const Stg& stg, const GameResult<Fire>& game) {
   const StateCode init_code = game.initial.code();
-  StateGraph sg;
-  for (const auto& sig : stg.signals()) sg.add_signal(sig.name, sig.kind);
-  for (const auto& node : game.nodes) sg.add_state(init_code ^ node.mask);
+  StateGraphBuilder builder;
+  for (const auto& sig : stg.signals()) builder.add_signal(sig.name, sig.kind);
+  for (const auto& node : game.nodes) builder.add_state(init_code ^ node.mask);
   for (const auto& arc : game.arcs) {
     // Self-loops in code space are impossible by construction; duplicate
     // arcs (same from/event) collapse naturally in the SG representation.
-    sg.add_arc(arc.from, arc.event, arc.to);
+    builder.add_arc(arc.from, arc.event, arc.to);
   }
-  sg.set_initial(0);
+  builder.set_initial(0);
+  StateGraph sg = std::move(builder).freeze();
   // Every node was discovered from the initial marking; this records it so
   // later reachable() calls are O(1).
   sg.prune_unreachable();

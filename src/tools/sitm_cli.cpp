@@ -341,7 +341,7 @@ int cmd_check_mutate(const std::string& path, const std::string& mutate_spec,
     return usage();
   }
 
-  args.flow.check = false;  // the un-mutated flow must not reject itself
+  // Stopping after map keeps the check stage off the un-mutated netlist.
   args.flow.stop_after = Stage::kMap;
   Flow flow(args.flow);
   const FlowReport report = flow.run_file(path);
@@ -357,15 +357,27 @@ int cmd_check_mutate(const std::string& path, const std::string& mutate_spec,
     return 2;
   }
 
-  // Unlike the flow's check stage (which fast-rejects on nlint errors),
-  // the self-test runs *both* layers so the equivalence counterexample is
-  // always demonstrated, even for mutants nlint would already catch.
-  const NlintReport nlint =
-      nlint_netlist(mutant, nullptr, args.flow.check_opts.nlint);
-  if (!nlint.ok()) std::printf("%s\n", nlint.first_error().c_str());
-  const EquivReport equiv = check_equivalence(mutant, args.flow.check_opts);
-  print_verdicts(equiv, mutant.sg());
-  const bool rejected = !nlint.ok() || !equiv.ok;
+  // The mutant goes through the flow's check stage, which rejects it
+  // typed.  That stage stops at the first nlint error without the
+  // equivalence proof; the self-test runs the proof anyway, so the
+  // equivalence counterexample is always demonstrated.
+  const FlowReport checked = flow.check_netlist(std::move(mutant));
+  // A skipped stage, or one a fault, budget or deadline stopped, gives no
+  // verdict on the mutant.
+  if (!checked.stage(Stage::kCheck).ran ||
+      (!checked.ok && checked.failure_kind != FailureKind::kSpec)) {
+    std::fprintf(stderr, "%s: the check stage gave no verdict %s\n",
+                 report.name.c_str(), checked.failure.c_str());
+    return 2;
+  }
+  const FlowContext& ctx = flow.context();
+  if (ctx.nlint && !ctx.nlint->ok())
+    std::printf("%s\n", ctx.nlint->first_error().c_str());
+  const EquivReport equiv =
+      ctx.equiv ? *ctx.equiv
+                : check_equivalence(*ctx.netlist, args.flow.check_opts);
+  print_verdicts(equiv, ctx.netlist->sg());
+  const bool rejected = !checked.ok;
   std::printf("%s: %s mutant #%d %s\n", report.name.c_str(),
               netlist_mutation_name(kind), which,
               rejected ? "rejected" : "NOT rejected");
@@ -375,7 +387,9 @@ int cmd_check_mutate(const std::string& path, const std::string& mutate_spec,
     j.set("mutation", netlist_mutation_name(kind));
     j.set("site", which);
     j.set("rejected", rejected);
-    j.set("nlint", nlint.to_json());
+    j.set("failure_kind", failure_kind_name(checked.failure_kind));
+    j.set("failure", checked.failure);
+    if (ctx.nlint) j.set("nlint", ctx.nlint->to_json());
     j.set("equiv", equiv.to_json());
     write_json_file(args.json_path, j);
   }

@@ -35,7 +35,7 @@ std::vector<std::string> corpus_files() {
 /// s0(00) -a+-> s1(01) -b+-> s2(11) -a--> s3(10) -b--> s0.
 /// (bit 0 = a, bit 1 = b; next_value(b) is 1 exactly in {s1, s2}.)
 StateGraph follow_sg() {
-  StateGraph sg;
+  StateGraphBuilder sg;
   const int a = sg.add_signal("a", SignalKind::kInput);
   const int b = sg.add_signal("b", SignalKind::kOutput);
   const StateId s0 = sg.add_state(0b00), s1 = sg.add_state(0b01),
@@ -45,7 +45,7 @@ StateGraph follow_sg() {
   sg.add_arc(s2, Event{a, false}, s3);
   sg.add_arc(s3, Event{b, false}, s0);
   sg.set_initial(s0);
-  return sg;
+  return sg.freeze();
 }
 
 /// The correct combinational implementation for follow_sg: b = a.
@@ -434,17 +434,8 @@ TEST(CheckStage, SkippedNetlistMeansAutoSkipWithWarning) {
 }
 
 TEST(CheckStage, RejectsACorruptNetlistTyped) {
-  // Against a hand-built SG revision: run the flow over an explicit SG
-  // whose only output is implemented wrongly... simplest route is the
-  // direct one — fail the stage through the fault-free path by checking a
-  // Flow that synthesized fine, then corrupting its context is not
-  // possible from outside; instead prove the taxonomy through nlint: a
-  // spec whose synth netlist is fine but whose check options make nlint
-  // error is not constructible either.  So: drive the stage body directly
-  // via a flow over follow_sg-like input with an impossible fanin limit —
-  // fanin produces warnings only.  The typed `spec` rejection is therefore
-  // exercised end-to-end by the CLI mutation path and the fault matrix;
-  // here we pin that a clean corpus run reports ok with the stage metrics.
+  // A clean corpus run passes the stage with its metrics, and the same
+  // run's netlist with one literal flipped fails it typed.
   const std::string path =
       (std::filesystem::path(corpus_dir()) / "chu133.g").string();
   FlowOptions opts;
@@ -459,6 +450,57 @@ TEST(CheckStage, RejectsACorruptNetlistTyped) {
   for (const char* gone : {"reach_bdd_size", "bdd_nodes",
                            "reorder_size_before", "reorder_size_after"})
     EXPECT_FALSE(check.metric_value(gone).has_value()) << gone;
+
+  Netlist mutant = *flow.context().netlist;
+  ASSERT_TRUE(mutate_netlist(mutant, NetlistMutation::kFlipLiteral, 0));
+  const FlowReport rejected = flow.check_netlist(std::move(mutant));
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.failed_stage, Stage::kCheck);
+  EXPECT_EQ(rejected.failure_kind, FailureKind::kSpec);
+}
+
+/// The flow's check stage over a flip-literal mutant of a corpus spec's
+/// mapped netlist at i=2 (what `sitm check --mutate flip-literal:N` runs).
+FlowReport check_flip_literal_mutant(const std::string& name, int which,
+                                     Flow& flow) {
+  FlowOptions opts;
+  opts.check = true;
+  opts.stop_after = Stage::kMap;
+  opts.mapper.library.max_literals = 2;
+  flow = Flow(opts);
+  const FlowReport clean = flow.run_file(
+      (std::filesystem::path(corpus_dir()) / (name + ".g")).string());
+  EXPECT_TRUE(clean.ok) << clean.failure;
+  EXPECT_FALSE(clean.stage(Stage::kCheck).ran);
+  Netlist mutant = *flow.context().netlist;
+  EXPECT_TRUE(mutate_netlist(mutant, NetlistMutation::kFlipLiteral, which));
+  return flow.check_netlist(std::move(mutant));
+}
+
+TEST(CheckStage, MutantFailsTheStageWithItsCounterexample) {
+  // chu133's gates are combinational, so nlint's complete-cover rule
+  // catches the flip first and names the counterexample state.
+  Flow flow;
+  const FlowReport nlint = check_flip_literal_mutant("chu133", 0, flow);
+  EXPECT_FALSE(nlint.ok);
+  EXPECT_EQ(nlint.failed_stage, Stage::kCheck);
+  EXPECT_EQ(nlint.failure_kind, FailureKind::kSpec);
+  EXPECT_NE(nlint.failure.find("reachable state 1000"), std::string::npos)
+      << nlint.failure;
+  EXPECT_FALSE(flow.context().equiv.has_value());
+
+  // hazard's flipped set literal passes nlint; the equivalence proof
+  // rejects it, and the failure carries the proof's counterexample.
+  const FlowReport proof = check_flip_literal_mutant("hazard", 0, flow);
+  EXPECT_FALSE(proof.ok);
+  EXPECT_EQ(proof.failed_stage, Stage::kCheck);
+  EXPECT_EQ(proof.failure_kind, FailureKind::kSpec);
+  ASSERT_TRUE(flow.context().equiv.has_value());
+  EXPECT_FALSE(flow.context().equiv->ok);
+  EXPECT_EQ(flow.context().nlint->errors, 0);
+  EXPECT_EQ(proof.failure, flow.context().equiv->first_failure());
+  EXPECT_NE(proof.failure.find("in state 10000"), std::string::npos)
+      << proof.failure;
 }
 
 }  // namespace

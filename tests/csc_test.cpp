@@ -123,15 +123,16 @@ TEST(Csc, SixtyFourSignalGraphFailsTyped) {
 
 TEST(Csc, RejectsNonSpeedIndependentInput) {
   // Output choice (persistency violation) must be rejected up front.
-  StateGraph bad;
-  const int p = bad.add_signal("p", SignalKind::kOutput);
-  const int q = bad.add_signal("q", SignalKind::kOutput);
-  const StateId s0 = bad.add_state(0b00);
-  const StateId s1 = bad.add_state(0b01);
-  const StateId s2 = bad.add_state(0b10);
-  bad.add_arc(s0, Event{p, true}, s1);
-  bad.add_arc(s0, Event{q, true}, s2);
-  bad.set_initial(s0);
+  StateGraphBuilder builder;
+  const int p = builder.add_signal("p", SignalKind::kOutput);
+  const int q = builder.add_signal("q", SignalKind::kOutput);
+  const StateId s0 = builder.add_state(0b00);
+  const StateId s1 = builder.add_state(0b01);
+  const StateId s2 = builder.add_state(0b10);
+  builder.add_arc(s0, Event{p, true}, s1);
+  builder.add_arc(s0, Event{q, true}, s2);
+  builder.set_initial(s0);
+  const StateGraph bad = builder.freeze();
   EXPECT_THROW(resolve_csc(bad), Error);
 }
 

@@ -307,11 +307,12 @@ TEST(EquivOracle, MoreThanThirtyTwoImplsFitTheStridedTable) {
   // itself: gate i reads the signal's value, at bit 2i of a table row that
   // spans two words.
   constexpr int kSignals = 40;
-  StateGraph sg;
+  StateGraphBuilder builder;
   for (int i = 0; i < kSignals; ++i)
-    sg.add_signal("o" + std::to_string(i), SignalKind::kOutput);
+    builder.add_signal("o" + std::to_string(i), SignalKind::kOutput);
   const StateCode code = 0xA5A5A5A5A5ULL & ((StateCode{1} << kSignals) - 1);
-  sg.set_initial(sg.add_state(code));
+  builder.set_initial(builder.add_state(code));
+  const StateGraph sg = builder.freeze();
   Netlist netlist(&sg);
   for (int i = 0; i < kSignals; ++i) {
     SignalImpl impl;

@@ -144,23 +144,25 @@ TEST(Insertion, InsertionPreservesProjection) {
 
 TEST(Insertion, VerifyCatchesBrokenGraph) {
   // A deliberately broken "after" graph (persistency violation) is caught.
-  StateGraph before;
-  const int p = before.add_signal("p", SignalKind::kOutput);
-  const int q = before.add_signal("q", SignalKind::kOutput);
-  const StateId s00 = before.add_state(0b00);
-  const StateId s01 = before.add_state(0b01);
-  const StateId s11 = before.add_state(0b11);
-  const StateId s10 = before.add_state(0b10);
-  before.add_arc(s00, Event{p, true}, s01);
-  before.add_arc(s01, Event{q, true}, s11);
-  before.add_arc(s11, Event{p, false}, s10);
-  before.add_arc(s10, Event{q, false}, s00);
-  before.set_initial(s00);
+  StateGraphBuilder builder;
+  const int p = builder.add_signal("p", SignalKind::kOutput);
+  const int q = builder.add_signal("q", SignalKind::kOutput);
+  const StateId s00 = builder.add_state(0b00);
+  const StateId s01 = builder.add_state(0b01);
+  const StateId s11 = builder.add_state(0b11);
+  const StateId s10 = builder.add_state(0b10);
+  builder.add_arc(s00, Event{p, true}, s01);
+  builder.add_arc(s01, Event{q, true}, s11);
+  builder.add_arc(s11, Event{p, false}, s10);
+  builder.add_arc(s10, Event{q, false}, s00);
+  builder.set_initial(s00);
+  const StateGraph before = builder.freeze();
 
-  StateGraph after = before;  // same signals; break persistency with a choice
-  // add a competing arc from s00 that disables p+ (output choice).
-  // q+ from s00 leads to s10 where p+ is not enabled.
-  after.add_arc(s00, Event{q, true}, s10);
+  // Same signals; break persistency with a choice: a competing arc from
+  // s00 that disables p+ (output choice).  q+ from s00 leads to s10 where
+  // p+ is not enabled.
+  builder.add_arc(s00, Event{q, true}, s10);
+  const StateGraph after = builder.freeze();
   EXPECT_FALSE(InsertionVerifier(before).verify(after));
 }
 
@@ -169,18 +171,19 @@ TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
   // the cycle structure forces its initial value to 1.  The historical
   // planner only tried a provisional 0 and rejected the candidate as
   // "ambiguous"; it must retry with 1 and produce the plan.
-  StateGraph sg;
-  const int a = sg.add_signal("a", SignalKind::kOutput);
-  const int b = sg.add_signal("b", SignalKind::kOutput);
-  const StateId s00 = sg.add_state(0b00);
-  const StateId s10 = sg.add_state(0b01);  // a=1
-  const StateId s11 = sg.add_state(0b11);
-  const StateId s01 = sg.add_state(0b10);  // b=1
-  sg.add_arc(s00, Event{a, true}, s10);
-  sg.add_arc(s10, Event{b, true}, s11);
-  sg.add_arc(s11, Event{a, false}, s01);
-  sg.add_arc(s01, Event{b, false}, s00);
-  sg.set_initial(s11);
+  StateGraphBuilder builder;
+  const int a = builder.add_signal("a", SignalKind::kOutput);
+  const int b = builder.add_signal("b", SignalKind::kOutput);
+  const StateId s00 = builder.add_state(0b00);
+  const StateId s10 = builder.add_state(0b01);  // a=1
+  const StateId s11 = builder.add_state(0b11);
+  const StateId s01 = builder.add_state(0b10);  // b=1
+  builder.add_arc(s00, Event{a, true}, s10);
+  builder.add_arc(s10, Event{b, true}, s11);
+  builder.add_arc(s11, Event{a, false}, s01);
+  builder.add_arc(s01, Event{b, false}, s00);
+  builder.set_initial(s11);
+  const StateGraph sg = builder.freeze();
 
   DynBitset set_states = sg.empty_set();    // SR(a+)
   set_states.set(s10);
@@ -203,18 +206,19 @@ TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
 TEST(StateLatchInsertion, TrulyAmbiguousValueStillRejected) {
   // Two forced states meet in one join: no initial value makes the
   // propagation consistent, so the retry must not mask real ambiguity.
-  StateGraph sg;
-  const int a = sg.add_signal("a", SignalKind::kOutput);
-  const int b = sg.add_signal("b", SignalKind::kOutput);
-  const StateId s00 = sg.add_state(0b00);
-  const StateId sa = sg.add_state(0b01);
-  const StateId sb = sg.add_state(0b10);
-  const StateId s11 = sg.add_state(0b11);
-  sg.add_arc(s00, Event{a, true}, sa);
-  sg.add_arc(s00, Event{b, true}, sb);
-  sg.add_arc(sa, Event{b, true}, s11);
-  sg.add_arc(sb, Event{a, true}, s11);
-  sg.set_initial(s00);
+  StateGraphBuilder builder;
+  const int a = builder.add_signal("a", SignalKind::kOutput);
+  const int b = builder.add_signal("b", SignalKind::kOutput);
+  const StateId s00 = builder.add_state(0b00);
+  const StateId sa = builder.add_state(0b01);
+  const StateId sb = builder.add_state(0b10);
+  const StateId s11 = builder.add_state(0b11);
+  builder.add_arc(s00, Event{a, true}, sa);
+  builder.add_arc(s00, Event{b, true}, sb);
+  builder.add_arc(sa, Event{b, true}, s11);
+  builder.add_arc(sb, Event{a, true}, s11);
+  builder.set_initial(s00);
+  const StateGraph sg = builder.freeze();
 
   DynBitset set_states = sg.empty_set();
   set_states.set(sa);

@@ -95,22 +95,23 @@ TEST(Mapper, InsertedSignalsAreInternal) {
 
 TEST(Mapper, RejectsNonImplementableInput) {
   // CSC violation: two states with the same code enable different outputs.
-  StateGraph bad;
-  const int a = bad.add_signal("a", SignalKind::kInput);
-  const int b = bad.add_signal("b", SignalKind::kOutput);
-  const StateId s0 = bad.add_state(0b00);
-  const StateId s1 = bad.add_state(0b01);
-  const StateId s2 = bad.add_state(0b11);
-  const StateId s3 = bad.add_state(0b10);
-  const StateId s4 = bad.add_state(0b00);  // code clash with s0
-  const StateId s5 = bad.add_state(0b10);
-  bad.add_arc(s0, Event{a, true}, s1);
-  bad.add_arc(s1, Event{b, true}, s2);
-  bad.add_arc(s2, Event{a, false}, s3);
-  bad.add_arc(s3, Event{b, false}, s4);
-  bad.add_arc(s4, Event{b, true}, s5);  // b+ enabled at s4 but not s0
-  bad.add_arc(s5, Event{b, false}, s0);
-  bad.set_initial(s0);
+  StateGraphBuilder builder;
+  const int a = builder.add_signal("a", SignalKind::kInput);
+  const int b = builder.add_signal("b", SignalKind::kOutput);
+  const StateId s0 = builder.add_state(0b00);
+  const StateId s1 = builder.add_state(0b01);
+  const StateId s2 = builder.add_state(0b11);
+  const StateId s3 = builder.add_state(0b10);
+  const StateId s4 = builder.add_state(0b00);  // code clash with s0
+  const StateId s5 = builder.add_state(0b10);
+  builder.add_arc(s0, Event{a, true}, s1);
+  builder.add_arc(s1, Event{b, true}, s2);
+  builder.add_arc(s2, Event{a, false}, s3);
+  builder.add_arc(s3, Event{b, false}, s4);
+  builder.add_arc(s4, Event{b, true}, s5);  // b+ enabled at s4 but not s0
+  builder.add_arc(s5, Event{b, false}, s0);
+  builder.set_initial(s0);
+  const StateGraph bad = builder.freeze();
   EXPECT_THROW(technology_map(bad, with_library(2)), Error);
 }
 

@@ -360,8 +360,8 @@ int forced_literal_count(const StateGraph& sg, const DynBitset& on,
   std::set<std::pair<int, bool>> forced;
   on.for_each([&](std::size_t s) {
     const auto u = static_cast<StateId>(s);
-    for (const auto* edges : {&sg.succs(u), &sg.preds(u)})
-      for (const auto& edge : *edges)
+    for (const auto edges : {sg.succs(u), sg.preds(u)})
+      for (const auto& edge : edges)
         if (off.test(static_cast<std::size_t>(edge.target)))
           forced.emplace(edge.event.signal,
                          sg.value(edge.target, edge.event.signal));
@@ -413,22 +413,24 @@ TEST(McCover, ComplementWinsAtItsForcedLiteralCount) {
   // stays.  The next-state cover a'c + b'c has 4 literals, its complement
   // ab + c' has 3, and arcs across the boundary flip a, b and c: the
   // complement sits exactly at its forced count, one below the cover.
-  StateGraph sg;
+  StateGraphBuilder builder;
   for (const char* name : {"a", "b", "c"})
-    sg.add_signal(name, SignalKind::kInput);
-  const int x = sg.add_signal("x", SignalKind::kOutput);
+    builder.add_signal(name, SignalKind::kInput);
+  const int x = builder.add_signal("x", SignalKind::kOutput);
   const auto f = [](unsigned code) {
     return (code & 4) != 0 && (code & 3) != 3;
   };
-  for (unsigned code = 0; code < 8; ++code) sg.add_state(code);
+  for (unsigned code = 0; code < 8; ++code) builder.add_state(code);
   for (unsigned code = 0; code < 8; ++code) {
     const auto s = static_cast<StateId>(code);
     for (int v = 0; v < 3; ++v)
-      sg.add_arc(s, Event{v, ((code >> v) & 1) == 0},
-                 static_cast<StateId>(code ^ (1u << v)));
-    if (f(code)) sg.add_arc(s, Event{x, true}, sg.add_state(code | 8));
+      builder.add_arc(s, Event{v, ((code >> v) & 1) == 0},
+                      static_cast<StateId>(code ^ (1u << v)));
+    if (f(code))
+      builder.add_arc(s, Event{x, true}, builder.add_state(code | 8));
   }
-  sg.set_initial(0);
+  builder.set_initial(0);
+  const StateGraph sg = builder.freeze();
 
   const SignalSynthesis s = synthesize_signal(sg, x);
   ASSERT_TRUE(s.complete.has_value());
@@ -446,20 +448,21 @@ TEST(CoverBounds, DisjointCubesSkipTheCElementsCompleteCover) {
   // b (2 distinct literals), but the next=1 states 011, 101 and 110 (cba)
   // are pairwise apart and force 1 + 1 + 2 literals, as do 100, 010 and
   // 001 on the next=0 side: the complete bound is 4, above the gates.
-  StateGraph sg;
-  const int a = sg.add_signal("a", SignalKind::kInput);
-  const int b = sg.add_signal("b", SignalKind::kInput);
-  const int c = sg.add_signal("c", SignalKind::kOutput);
-  for (unsigned code = 0; code < 8; ++code) sg.add_state(code);
+  StateGraphBuilder builder;
+  const int a = builder.add_signal("a", SignalKind::kInput);
+  const int b = builder.add_signal("b", SignalKind::kInput);
+  const int c = builder.add_signal("c", SignalKind::kOutput);
+  for (unsigned code = 0; code < 8; ++code) builder.add_state(code);
   for (unsigned code = 0; code < 8; ++code) {
     const auto s = static_cast<StateId>(code);
     for (const int v : {a, b})
-      sg.add_arc(s, Event{v, ((code >> v) & 1) == 0},
-                 static_cast<StateId>(code ^ (1u << v)));
+      builder.add_arc(s, Event{v, ((code >> v) & 1) == 0},
+                      static_cast<StateId>(code ^ (1u << v)));
   }
-  sg.add_arc(3, Event{c, true}, 7);
-  sg.add_arc(4, Event{c, false}, 0);
-  sg.set_initial(0);
+  builder.add_arc(3, Event{c, true}, 7);
+  builder.add_arc(4, Event{c, false}, 0);
+  builder.set_initial(0);
+  StateGraph sg = builder.freeze();
   sg.prune_unreachable();
   ASSERT_EQ(sg.num_states(), 8u);
 

@@ -109,10 +109,10 @@ TEST(Observe, FullMappingPreservesObservableBehaviour) {
 TEST(Observe, DetectsDroppedBehaviour) {
   // Removing an arc (forbidding one interleaving) breaks equivalence.
   const StateGraph sg = bench::make_parallelizer(2).to_state_graph();
-  StateGraph pruned;
-  for (const auto& sig : sg.signals()) pruned.add_signal(sig.name, sig.kind);
+  StateGraphBuilder builder;
+  for (const auto& sig : sg.signals()) builder.add_signal(sig.name, sig.kind);
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s)
-    pruned.add_state(sg.code(s));
+    builder.add_state(sg.code(s));
   bool dropped = false;
   for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
     for (const auto& e : sg.succs(s)) {
@@ -122,10 +122,11 @@ TEST(Observe, DetectsDroppedBehaviour) {
         dropped = true;
         continue;
       }
-      pruned.add_arc(s, e.event, e.target);
+      builder.add_arc(s, e.event, e.target);
     }
   }
-  pruned.set_initial(sg.initial());
+  builder.set_initial(sg.initial());
+  StateGraph pruned = builder.freeze();
   pruned.prune_unreachable();
   ASSERT_TRUE(dropped);
   std::vector<std::string> visible;

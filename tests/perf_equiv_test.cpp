@@ -113,12 +113,12 @@ StateGraph reference_state_graph(const Stg& stg) {
   for (int i = 0; i < stg.num_signals(); ++i)
     if (initial_value[i] == 1) init_code |= StateCode{1} << i;
 
-  StateGraph sg;
+  StateGraphBuilder sg;
   for (const auto& sig : stg.signals()) sg.add_signal(sig.name, sig.kind);
   for (const auto& node : nodes) sg.add_state(init_code ^ node.mask);
   for (const auto& arc : arcs) sg.add_arc(arc.from, arc.event, arc.to);
   sg.set_initial(0);
-  return sg;
+  return sg.freeze();
 }
 
 /// Structural equality including state numbering and arc order.
@@ -283,16 +283,17 @@ TEST(PerfEquiv, WideSignalMasksDoNotAlias) {
   // so signals 32 apart aliased onto the same bits and a conflict between
   // them was silently missed.  Two states share a code; one enables s1+,
   // the other s33+ — a real CSC conflict the 128-bit mask must count.
-  StateGraph sg;
+  StateGraphBuilder builder;
   for (int i = 0; i < 34; ++i)
-    sg.add_signal("s" + std::to_string(i), SignalKind::kOutput);
-  const StateId p = sg.add_state(0);
-  const StateId q = sg.add_state(0);
-  const StateId p2 = sg.add_state(StateCode{1} << 1);
-  const StateId q2 = sg.add_state(StateCode{1} << 33);
-  sg.add_arc(p, Event{1, true}, p2);
-  sg.add_arc(q, Event{33, true}, q2);
-  sg.set_initial(p);
+    builder.add_signal("s" + std::to_string(i), SignalKind::kOutput);
+  const StateId p = builder.add_state(0);
+  const StateId q = builder.add_state(0);
+  const StateId p2 = builder.add_state(StateCode{1} << 1);
+  const StateId q2 = builder.add_state(StateCode{1} << 33);
+  builder.add_arc(p, Event{1, true}, p2);
+  builder.add_arc(q, Event{33, true}, q2);
+  builder.set_initial(p);
+  const StateGraph sg = builder.freeze();
   EXPECT_EQ(count_csc_conflicts(sg), 1);
 }
 

@@ -149,15 +149,16 @@ TEST(StateCoding, CscTellsApartOutputsThirtyTwoSignalsApart) {
   // Two states share the all-zero code; one enables o1+ and the other o33+.
   // Their output events differ, so this is a CSC conflict however wide the
   // graph is.
-  StateGraph sg;
+  StateGraphBuilder builder;
   for (int i = 0; i < 34; ++i)
-    sg.add_signal("o" + std::to_string(i), SignalKind::kOutput);
-  const StateId s0 = sg.add_state(0), s1 = sg.add_state(0);
-  const StateId up1 = sg.add_state(StateCode{1} << 1);
-  const StateId up33 = sg.add_state(StateCode{1} << 33);
-  sg.add_arc(s0, Event{1, true}, up1);
-  sg.add_arc(s1, Event{33, true}, up33);
-  sg.set_initial(s0);
+    builder.add_signal("o" + std::to_string(i), SignalKind::kOutput);
+  const StateId s0 = builder.add_state(0), s1 = builder.add_state(0);
+  const StateId up1 = builder.add_state(StateCode{1} << 1);
+  const StateId up33 = builder.add_state(StateCode{1} << 33);
+  builder.add_arc(s0, Event{1, true}, up1);
+  builder.add_arc(s1, Event{33, true}, up33);
+  builder.set_initial(s0);
+  const StateGraph sg = builder.freeze();
   const PropertyResult csc = check_csc(sg);
   EXPECT_FALSE(csc);
   const std::string zeros(34, '0');

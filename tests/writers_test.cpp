@@ -101,29 +101,30 @@ TEST(Writers, VerilogGcInitOneIsEmitted) {
   // A Muller C element observed between c+ and c-: c = 1 in the initial
   // state, so its gc instance must power on at 1 instead of the historical
   // hard-coded 1'b0.
-  StateGraph sg;
-  const int a = sg.add_signal("a", SignalKind::kInput);
-  const int b = sg.add_signal("b", SignalKind::kInput);
-  const int c = sg.add_signal("c", SignalKind::kOutput);
-  const StateId s000 = sg.add_state(0b000);
-  const StateId s100 = sg.add_state(0b001);
-  const StateId s010 = sg.add_state(0b010);
-  const StateId s110 = sg.add_state(0b011);
-  const StateId s111 = sg.add_state(0b111);
-  const StateId s011 = sg.add_state(0b110);
-  const StateId s101 = sg.add_state(0b101);
-  const StateId s001 = sg.add_state(0b100);
-  sg.add_arc(s000, Event{a, true}, s100);
-  sg.add_arc(s000, Event{b, true}, s010);
-  sg.add_arc(s100, Event{b, true}, s110);
-  sg.add_arc(s010, Event{a, true}, s110);
-  sg.add_arc(s110, Event{c, true}, s111);
-  sg.add_arc(s111, Event{a, false}, s011);
-  sg.add_arc(s111, Event{b, false}, s101);
-  sg.add_arc(s011, Event{b, false}, s001);
-  sg.add_arc(s101, Event{a, false}, s001);
-  sg.add_arc(s001, Event{c, false}, s000);
-  sg.set_initial(s111);
+  StateGraphBuilder builder;
+  const int a = builder.add_signal("a", SignalKind::kInput);
+  const int b = builder.add_signal("b", SignalKind::kInput);
+  const int c = builder.add_signal("c", SignalKind::kOutput);
+  const StateId s000 = builder.add_state(0b000);
+  const StateId s100 = builder.add_state(0b001);
+  const StateId s010 = builder.add_state(0b010);
+  const StateId s110 = builder.add_state(0b011);
+  const StateId s111 = builder.add_state(0b111);
+  const StateId s011 = builder.add_state(0b110);
+  const StateId s101 = builder.add_state(0b101);
+  const StateId s001 = builder.add_state(0b100);
+  builder.add_arc(s000, Event{a, true}, s100);
+  builder.add_arc(s000, Event{b, true}, s010);
+  builder.add_arc(s100, Event{b, true}, s110);
+  builder.add_arc(s010, Event{a, true}, s110);
+  builder.add_arc(s110, Event{c, true}, s111);
+  builder.add_arc(s111, Event{a, false}, s011);
+  builder.add_arc(s111, Event{b, false}, s101);
+  builder.add_arc(s011, Event{b, false}, s001);
+  builder.add_arc(s101, Event{a, false}, s001);
+  builder.add_arc(s001, Event{c, false}, s000);
+  builder.set_initial(s111);
+  const StateGraph sg = builder.freeze();
 
   const Netlist netlist = synthesize_all(sg);
   const std::string v = write_verilog_string(netlist, "celem");
