@@ -17,6 +17,7 @@
 #include "core/mapper.hpp"
 #include "core/mc_cover.hpp"
 #include "flow/flow.hpp"
+#include "netlist/si_verify.hpp"
 #include "sg/regions.hpp"
 #include "stg/stg.hpp"
 #include "util/run_guard.hpp"
@@ -131,6 +132,34 @@ void BM_CheckEquivalence(benchmark::State& state) {
   state.counters["reach_states"] = static_cast<double>(reach);
 }
 BENCHMARK(BM_CheckEquivalence)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
+/// Verify alone on the csc_rings netlists: make_csc_ring(n) through csc
+/// resolution and map at i=2 once, then only the composite exploration is
+/// timed.  Composite states grow about 6x per segment; at ring5 (518,144
+/// states) the visited set outgrows the cache.
+void BM_SiVerifyCscRing(benchmark::State& state) {
+  FlowOptions opts;
+  opts.stop_after = Stage::kMap;
+  opts.mapper.library.max_literals = 2;
+  Flow flow(opts);
+  Spec spec;
+  spec.name = "ring" + std::to_string(state.range(0));
+  spec.stg = bench::make_csc_ring(static_cast<int>(state.range(0)));
+  const FlowReport report = flow.run_spec(std::move(spec));
+  if (!report.ok || !flow.context().netlist) {
+    state.SkipWithError(report.failure.c_str());
+    return;
+  }
+  const Netlist& netlist = *flow.context().netlist;
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const SiVerifyResult result = verify_speed_independence(netlist);
+    benchmark::DoNotOptimize(result.ok);
+    states = result.num_states;
+  }
+  state.counters["composite_states"] = static_cast<double>(states);
+}
+BENCHMARK(BM_SiVerifyCscRing)->DenseRange(3, 5)->Unit(benchmark::kMillisecond);
 
 void BM_MapParallelizer(benchmark::State& state) {
   const StateGraph sg =

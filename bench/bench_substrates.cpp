@@ -1,18 +1,17 @@
 // Micro-benchmarks of the substrates: two-level minimizer, cover algebra,
-// kernel extraction, region computation, SI verification (generator
-// netlists, and the mapped csc_rings netlists).  The equivalence check is
-// measured where the flow uses it, by BM_CheckEquivalence (bench_scaling).
+// kernel extraction, region computation, SI verification of generator
+// netlists.  The equivalence check and verify on the mapped csc_rings
+// netlists are measured in bench_scaling (BM_CheckEquivalence,
+// BM_SiVerifyCscRing).
 
 #include <benchmark/benchmark.h>
 
 #include "benchlib/generators.hpp"
 #include "boolf/minimize.hpp"
 #include "core/mc_cover.hpp"
-#include "flow/flow.hpp"
 #include "mlogic/division.hpp"
 #include "netlist/si_verify.hpp"
 #include "sg/regions.hpp"
-#include "stg/load.hpp"
 #include "stg/stg.hpp"
 #include "util/rng.hpp"
 
@@ -98,33 +97,6 @@ void BM_SiVerify(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(sg.num_states());
 }
 BENCHMARK(BM_SiVerify)->DenseRange(2, 6, 2)->Unit(benchmark::kMillisecond);
-
-/// Verify alone on the csc_rings netlists: make_csc_ring(n) through csc
-/// resolution and map at i=2 once, then only the composite exploration is
-/// timed.
-void BM_SiVerifyCscRing(benchmark::State& state) {
-  FlowOptions opts;
-  opts.stop_after = Stage::kMap;
-  opts.mapper.library.max_literals = 2;
-  Flow flow(opts);
-  Spec spec;
-  spec.name = "ring" + std::to_string(state.range(0));
-  spec.stg = bench::make_csc_ring(static_cast<int>(state.range(0)));
-  const FlowReport report = flow.run_spec(std::move(spec));
-  if (!report.ok || !flow.context().netlist) {
-    state.SkipWithError(report.failure.c_str());
-    return;
-  }
-  const Netlist& netlist = *flow.context().netlist;
-  std::size_t states = 0;
-  for (auto _ : state) {
-    const SiVerifyResult result = verify_speed_independence(netlist);
-    benchmark::DoNotOptimize(result.ok);
-    states = result.num_states;
-  }
-  state.counters["composite_states"] = static_cast<double>(states);
-}
-BENCHMARK(BM_SiVerifyCscRing)->DenseRange(3, 4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -65,11 +65,15 @@ bool BitSlicedOffSet::removal_hits(const Cube& c, int v) const {
 
 Cube expand_minterm(std::uint64_t code, const BitSlicedOffSet& off,
                     const std::vector<int>& var_order) {
-  Cube cube = Cube::minterm(code, off.num_vars());
   // Degenerate input (the minterm itself is in the off-set): every widening
   // still hits, so the row-major fixpoint returns the minterm unchanged.
-  if (off.contains_minterm(code)) return cube;
+  if (off.contains_minterm(code)) return Cube::minterm(code, off.num_vars());
+  return expand_on_minterm(code, off, var_order);
+}
 
+Cube expand_on_minterm(std::uint64_t code, const BitSlicedOffSet& off,
+                       const std::vector<int>& var_order) {
+  Cube cube = Cube::minterm(code, off.num_vars());
   // One ordered pass reaches the row-major fixpoint.  A trial for v fails
   // iff some off-minterm's only cared disagreement with the cube is v; later
   // removals only shrink the cared set, so that witness keeps blocking v

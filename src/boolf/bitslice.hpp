@@ -65,8 +65,15 @@ class BitSlicedOffSet {
 
 /// Expand a minterm into a prime-ish cube against a bit-sliced off-set.
 /// Returns the same cube, literal for literal, as the row-major
-/// expand_minterm over the same off-set and `var_order`.
+/// expand_minterm over the same off-set and `var_order`; an off-minterm
+/// (degenerate input) comes back unchanged.
 Cube expand_minterm(std::uint64_t code, const BitSlicedOffSet& off,
                     const std::vector<int>& var_order);
+
+/// expand_minterm for a `code` known to lie outside the off-set, as every
+/// on-minterm of minimize_onoff does once its on/off overlap check passed:
+/// the same cube, without the membership test.
+Cube expand_on_minterm(std::uint64_t code, const BitSlicedOffSet& off,
+                       const std::vector<int>& var_order);
 
 }  // namespace sitm

@@ -209,8 +209,9 @@ Cover minimize_onoff(const std::vector<std::uint64_t>& on_in,
   const bool slice = off.size() >= 12;
   const BitSlicedOffSet sliced =
       slice ? BitSlicedOffSet(off, num_vars) : BitSlicedOffSet{};
+  // The merge above has rejected any on-minterm in the off-set.
   auto expand = [&](std::uint64_t code, const std::vector<int>& order) {
-    return slice ? expand_minterm(code, sliced, order)
+    return slice ? expand_on_minterm(code, sliced, order)
                  : expand_minterm(code, off, num_vars, order);
   };
 

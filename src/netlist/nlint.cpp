@@ -5,15 +5,13 @@
 #include <map>
 #include <utility>
 
-#include "sg/regions.hpp"
-
 namespace sitm {
 
 namespace {
 
 constexpr const char* kRuleNames[kNumNlintRules] = {
-    "missing-impl",     "bad-reference", "empty-network", "drive-fight",
-    "incomplete-cover", "fanin-limit",   "unused-wire",   "duplicate-gate",
+    "missing-impl", "bad-reference", "empty-network",  "drive-fight",
+    "fanin-limit",  "unused-wire",   "duplicate-gate",
 };
 
 std::string signal_list(const StateGraph& sg, std::uint64_t mask) {
@@ -117,25 +115,6 @@ void check_networks(const StateGraph& sg, const SignalImpl& impl,
       return;  // one diagnostic per signal is enough to point at the pair
     }
   }
-}
-
-void check_complete_cover(const StateGraph& sg, const DynBitset& reachable,
-                          const SignalImpl& impl, NlintReport& report) {
-  if (!impl.combinational) return;
-  const std::string& name = sg.signal(impl.signal).name;
-  StateId missed = kNoState;
-  reachable.for_each([&](std::size_t s) {
-    const auto state = static_cast<StateId>(s);
-    if (missed == kNoState && next_value(sg, state, impl.signal) &&
-        !impl.set.eval(sg.code(state)))
-      missed = state;
-  });
-  if (missed != kNoState)
-    report.add(NlintRule::kIncompleteCover, NlintSeverity::kError, name,
-               "combinational cover for '" + name +
-                   "' is not a complete cover: next-state function is 1 but "
-                   "the gate is 0 in reachable state " +
-                   sg.code_string(missed));
 }
 
 void check_fanin(const StateGraph& sg, const SignalImpl& impl, int max_fanin,
@@ -251,14 +230,12 @@ NlintReport nlint_netlist(const Netlist& netlist,
   NlintReport report;
   const StateGraph& sg = netlist.sg();
   check_signal_drivers(netlist, report);
-  const DynBitset reachable = sg.reachable();
   for (const SignalImpl& impl : netlist.impls()) {
     if (!check_references(sg, impl, report)) continue;
     check_networks(sg, impl, report);
-    check_complete_cover(sg, reachable, impl, report);
     check_fanin(sg, impl, opts.max_gc_fanin, report);
   }
-  report.rules_run = 6;
+  report.rules_run = 5;
   if (decomp) {
     check_decomp(netlist, *decomp, report);
     report.rules_run = kNumNlintRules;

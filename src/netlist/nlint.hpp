@@ -5,10 +5,11 @@
 // Where the STG linter rejects malformed *specifications* before state-graph
 // construction, nlint rejects malformed *implementations* before the (much
 // more expensive) equivalence proof and token-game SI verification run.
-// All rules are structural: linear scans over the SignalImpl list, the state
-// graph and (optionally) the tech-decomposed 2-input network, no symbolic
-// reasoning.  The exact reachable-space statements (gate ≡ excitation
-// function) belong to the equivalence checker in netlist/equiv.hpp.
+// All rules are structural: linear scans over the SignalImpl list and
+// (optionally) the tech-decomposed 2-input network, no state is read.  Every
+// reachable-space statement (a complete cover covers its on-set, gate ≡
+// excitation function) belongs to the equivalence checker in
+// netlist/equiv.hpp.
 
 #include <string>
 #include <vector>
@@ -26,12 +27,11 @@ enum class NlintRule : int {
                        ///< range of the SG's signals
   kEmptyNetwork,       ///< sequential signal whose set or reset SOP is empty
   kDriveFight,         ///< set and reset cubes share a minterm (gC drive fight)
-  kIncompleteCover,    ///< combinational cover misses a reachable on-state
   kFaninLimit,         ///< gC fanin above NlintOptions::max_gc_fanin
   kUnusedWire,         ///< decomposed gate output consumed by nothing
   kDuplicateGate,      ///< decomposed gates identical up to operand order
 };
-inline constexpr int kNumNlintRules = 8;
+inline constexpr int kNumNlintRules = 7;
 
 const char* nlint_rule_name(NlintRule rule);
 

@@ -26,14 +26,81 @@ struct Composite {
   bool operator==(const Composite&) const = default;
 };
 
-/// Hash for the open-addressed visited set (the exploration's inner loop;
-/// an ordered map spent most of the verification in node allocation).
-struct CompositeHash {
-  std::uint64_t operator()(const Composite& c) const {
-    return hash_mix(hash_mix(static_cast<std::uint64_t>(
-                        static_cast<std::uint32_t>(c.q))) ^
-                    c.nets);
+/// The usual key: a composite state packed into one word, q in the low
+/// `q_bits` bits and the nets above.  At most 63 bits are used, so the
+/// all-ones word is never a key and marks an empty slot.
+struct PackedKeys {
+  using Key = std::uint64_t;
+  static constexpr Key kEmpty = ~Key{0};
+  int q_bits = 0;
+
+  Key pack(const Composite& c) const {
+    return static_cast<std::uint32_t>(c.q) | c.nets << q_bits;
   }
+  Composite unpack(Key k) const {
+    return {static_cast<StateId>(k & ((Key{1} << q_bits) - 1)), k >> q_bits};
+  }
+  static std::uint64_t hash(Key k) { return hash_mix(k); }
+};
+
+/// The key when q and the nets need more than 63 bits (about 27 or more C
+/// elements): the composite state itself, empty when q == kNoState.
+struct WideKeys {
+  using Key = Composite;
+  static constexpr Key kEmpty{};
+  Key pack(const Composite& c) const { return c; }
+  Composite unpack(const Key& k) const { return k; }
+  static std::uint64_t hash(const Key& c) {
+    return hash_mix(hash_mix(static_cast<std::uint32_t>(c.q)) ^ c.nets);
+  }
+};
+
+/// The visited set: one open-addressed array of keys, linear probing,
+/// doubling at 70 % load.  Insert-only, like the exploration.
+template <class Keys>
+class VisitedSet {
+ public:
+  using Key = typename Keys::Key;
+
+  VisitedSet() : slots_(16, Keys::kEmpty), mask_(15) {}
+
+  std::size_t size() const { return size_; }
+
+  /// Start loading `k`'s home slot; a hint only.
+  void prefetch(const Key& k) const {
+    __builtin_prefetch(&slots_[Keys::hash(k) & mask_]);
+  }
+
+  /// Insert `k`; false when it was already present.
+  bool insert(const Key& k) {
+    if ((size_ + 1) * 10 >= slots_.size() * 7) grow();
+    if (!place(slots_, mask_, k)) return false;
+    ++size_;
+    return true;
+  }
+
+ private:
+  static bool place(std::vector<Key>& slots, std::size_t mask, const Key& k) {
+    for (std::size_t i = Keys::hash(k) & mask;; i = (i + 1) & mask) {
+      if (slots[i] == Keys::kEmpty) {
+        slots[i] = k;
+        return true;
+      }
+      if (slots[i] == k) return false;
+    }
+  }
+
+  void grow() {
+    std::vector<Key> next(slots_.size() * 2, Keys::kEmpty);
+    mask_ = next.size() - 1;
+    for (const Key& k : slots_)
+      if (k != Keys::kEmpty) place(next, mask_, k);
+    slots_ = std::move(next);
+  }
+
+  std::vector<Key> slots_;
+  std::size_t mask_;
+  std::size_t size_ = 0;
 };
 
 /// What a composite state's excitation depends on through its spec state.
@@ -136,15 +203,6 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
   };
 
   SiVerifyResult result;
-  FlatMap<Composite, char, CompositeHash> seen;
-
-  // Initial composite state: spec initial state, S/R nets settled.
-  const Composite init{sg.initial(),
-                       spec_words[sg.initial()].gate & seq_net_mask};
-
-  std::vector<Composite> queue{init};
-  seen.emplace(init, 0);
-
   auto fail = [&](std::string why) {
     result.ok = false;
     result.why = std::move(why);
@@ -156,94 +214,117 @@ SiVerifyResult verify_speed_independence(const Netlist& netlist,
     result.why = std::move(why);
   };
 
-  std::vector<std::pair<const Element*, Composite>> successors;
-  while (!queue.empty() && result.ok) {
-    const Composite c = queue.back();
-    queue.pop_back();
-    // A guard trip (or an injected one) is "ran out of budget", not "found
-    // a hazard": surface it as an unverified result, never an exception.
-    try {
-      fault::hit("verify.state");
-      guard_charge(guard, 1, "verify.state");
-    } catch (const GuardExhausted& e) {
-      stop_unverified(e.kind(), e.what());
-      break;
-    }
+  // Depth-first exploration; the stack and the visited set hold `keys`'s
+  // packed form of each composite state.
+  auto explore = [&]<class Keys>(const Keys& keys) {
+    VisitedSet<Keys> seen;
 
-    // Successors: fire every excited element in turn.
-    const Excitation ec = excitation(c);
-    successors.clear();
-    for (const auto& e : elements) {
-      if (!(ec.word(e.kind) & e.bit)) continue;
-      switch (e.kind) {
-        case Element::Kind::kInput: {
-          for (bool rising : {true, false}) {
-            const StateId q2 = sg.successor(c.q, Event{e.signal, rising});
-            if (q2 != kNoState)
-              successors.push_back({&e, Composite{q2, c.nets}});
-          }
-          break;
-        }
-        case Element::Kind::kSetNet:
-        case Element::Kind::kResetNet:
-          successors.push_back({&e, Composite{c.q, c.nets ^ e.bit}});
-          break;
-        case Element::Kind::kCOut:
-        case Element::Kind::kCombOut: {
-          const bool rising = !sg.value(c.q, e.signal);
-          const StateId q2 = sg.successor(c.q, Event{e.signal, rising});
-          if (q2 == kNoState) {
-            fail(strfmt("circuit fires %s not allowed by the specification "
-                        "in state %s",
-                        event_name(sg.signal(e.signal).name, rising).c_str(),
-                        sg.code_string(c.q).c_str()));
-            break;
-          }
-          successors.push_back({&e, Composite{q2, c.nets}});
-          break;
-        }
-      }
-      if (!result.ok) break;
-    }
-    if (!result.ok) break;
+    // Initial composite state: spec initial state, S/R nets settled.
+    const Composite init{sg.initial(),
+                         spec_words[sg.initial()].gate & seq_net_mask};
+    std::vector<typename Keys::Key> stack{keys.pack(init)};
+    seen.insert(stack.back());
 
-    // Semi-modularity: firing one element must not dis-excite another
-    // non-input element.  The lowest impl among the lost bits is the first
-    // such element in element order, which names the hazard.
-    for (const auto& [fired, next] : successors) {
-      const Excitation en = excitation(next);
-      std::uint64_t lost_nets = ec.nets & ~en.nets;
-      std::uint64_t lost_outs = ec.outs & ~en.outs;
-      if (fired->kind == Element::Kind::kSetNet ||
-          fired->kind == Element::Kind::kResetNet)
-        lost_nets &= ~fired->bit;
-      else if (fired->kind != Element::Kind::kInput)
-        lost_outs &= ~fired->bit;
-      if (lost_nets | lost_outs) {
-        const int impl = std::countr_zero(lost_nets | lost_outs) / 2;
-        fail(strfmt("gate for signal %s dis-excited (hazard) when %s fires",
-                    sg.signal(impls[impl].signal).name.c_str(),
-                    sg.signal(fired->signal).name.c_str()));
+    std::vector<std::pair<const Element*, Composite>> successors;
+    while (!stack.empty() && result.ok) {
+      const Composite c = keys.unpack(stack.back());
+      stack.pop_back();
+      // A guard trip (or an injected one) is "ran out of budget", not "found
+      // a hazard": surface it as an unverified result, never an exception.
+      try {
+        fault::hit("verify.state");
+        guard_charge(guard, 1, "verify.state");
+      } catch (const GuardExhausted& e) {
+        stop_unverified(e.kind(), e.what());
         break;
       }
-      auto [slot, inserted] = seen.emplace(next, 0);
-      if (inserted) {
-        if (seen.size() > max_states) {
-          stop_unverified(
-              GuardStop::kBudget,
-              strfmt("composite state budget exhausted: %zu states of "
-                     "limit %zu explored without a violation",
-                     seen.size(), max_states));
+
+      // Successors: fire every excited element in turn.
+      const Excitation ec = excitation(c);
+      successors.clear();
+      for (const auto& e : elements) {
+        if (!(ec.word(e.kind) & e.bit)) continue;
+        switch (e.kind) {
+          case Element::Kind::kInput: {
+            for (bool rising : {true, false}) {
+              const StateId q2 = sg.successor(c.q, Event{e.signal, rising});
+              if (q2 != kNoState)
+                successors.push_back({&e, Composite{q2, c.nets}});
+            }
+            break;
+          }
+          case Element::Kind::kSetNet:
+          case Element::Kind::kResetNet:
+            successors.push_back({&e, Composite{c.q, c.nets ^ e.bit}});
+            break;
+          case Element::Kind::kCOut:
+          case Element::Kind::kCombOut: {
+            const bool rising = !sg.value(c.q, e.signal);
+            const StateId q2 = sg.successor(c.q, Event{e.signal, rising});
+            if (q2 == kNoState) {
+              fail(strfmt("circuit fires %s not allowed by the specification "
+                          "in state %s",
+                          event_name(sg.signal(e.signal).name, rising).c_str(),
+                          sg.code_string(c.q).c_str()));
+              break;
+            }
+            successors.push_back({&e, Composite{q2, c.nets}});
+            break;
+          }
+        }
+        if (!result.ok) break;
+      }
+      if (!result.ok) break;
+
+      // The set outgrows the cache on large explorations: start every
+      // successor's probe now, so its miss overlaps the checks below.
+      for (const auto& successor : successors)
+        seen.prefetch(keys.pack(successor.second));
+
+      // Semi-modularity: firing one element must not dis-excite another
+      // non-input element.  The lowest impl among the lost bits is the first
+      // such element in element order, which names the hazard.
+      for (const auto& [fired, next] : successors) {
+        const Excitation en = excitation(next);
+        std::uint64_t lost_nets = ec.nets & ~en.nets;
+        std::uint64_t lost_outs = ec.outs & ~en.outs;
+        if (fired->kind == Element::Kind::kSetNet ||
+            fired->kind == Element::Kind::kResetNet)
+          lost_nets &= ~fired->bit;
+        else if (fired->kind != Element::Kind::kInput)
+          lost_outs &= ~fired->bit;
+        if (lost_nets | lost_outs) {
+          const int impl = std::countr_zero(lost_nets | lost_outs) / 2;
+          fail(strfmt("gate for signal %s dis-excited (hazard) when %s fires",
+                      sg.signal(impls[impl].signal).name.c_str(),
+                      sg.signal(fired->signal).name.c_str()));
           break;
         }
-        queue.push_back(next);
+        const auto key = keys.pack(next);
+        if (seen.insert(key)) {
+          if (seen.size() > max_states) {
+            stop_unverified(
+                GuardStop::kBudget,
+                strfmt("composite state budget exhausted: %zu states of "
+                       "limit %zu explored without a violation",
+                       seen.size(), max_states));
+            break;
+          }
+          stack.push_back(key);
+        }
       }
     }
-  }
 
-  // Distinct composite states discovered — not pops: an exploration cut
-  // short by a failure still reports every state it has seen.
-  result.num_states = seen.size();
+    // Distinct composite states discovered — not pops: an exploration cut
+    // short by a failure still reports every state it has seen.
+    result.num_states = seen.size();
+  };
+
+  const int q_bits = std::bit_width(sg.num_states());
+  if (q_bits + std::bit_width(seq_net_mask) > 63)
+    explore(WideKeys{});
+  else
+    explore(PackedKeys{q_bits});
   return result;
 }
 

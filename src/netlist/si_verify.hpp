@@ -43,6 +43,22 @@
 // output), so the hazard names the same gate an element-by-element scan
 // would.  Successors are still generated in element order, so the
 // exploration order, every verdict and the state count are unchanged.
+//
+// Packed composite states.  The DFS stack and the visited set hold each
+// composite state as one 64-bit key,
+//   key = q | nets << bit_width(num_states),
+// so q takes the low bit_width(num_states) bits and the nets the
+// bit_width(seq_net_mask) bits above.  The visited set is one
+// open-addressed array of such keys (linear probing, 16 slots at first,
+// doubling at 70 % load) whose empty slot is ~0: a key uses at most 63
+// bits, so its top bit is clear and ~0 is never a key.  When the two widths
+// sum to more than 63 (about 27 or more C elements), the same exploration
+// runs over 16-byte (q, nets) slots instead, with q == kNoState marking an
+// empty slot.  The key is only a representation: both widths visit the
+// same states in the same order, so every SiVerifyResult field is
+// identical.  The slot size is what makes ring5's 518,144 states cheap:
+// its 2^20 slots take 8 MB, where a generic FlatMap<Composite, char> spends
+// 25 bytes a slot (the 16-byte state, the value and a separate used byte).
 
 #include <cstddef>
 #include <string>

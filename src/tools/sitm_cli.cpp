@@ -357,25 +357,20 @@ int cmd_check_mutate(const std::string& path, const std::string& mutate_spec,
     return 2;
   }
 
-  // The mutant goes through the flow's check stage, which rejects it
-  // typed.  That stage stops at the first nlint error without the
-  // equivalence proof; the self-test runs the proof anyway, so the
-  // equivalence counterexample is always demonstrated.
+  // The mutant goes through the flow's check stage.  A mutation keeps every
+  // network non-empty and every reference in range, so nlint passes it and
+  // the equivalence proof gives the verdict and its counterexample.
   const FlowReport checked = flow.check_netlist(std::move(mutant));
+  const FlowContext& ctx = flow.context();
   // A skipped stage, or one a fault, budget or deadline stopped, gives no
   // verdict on the mutant.
-  if (!checked.stage(Stage::kCheck).ran ||
+  if (!ctx.equiv ||
       (!checked.ok && checked.failure_kind != FailureKind::kSpec)) {
     std::fprintf(stderr, "%s: the check stage gave no verdict %s\n",
                  report.name.c_str(), checked.failure.c_str());
     return 2;
   }
-  const FlowContext& ctx = flow.context();
-  if (ctx.nlint && !ctx.nlint->ok())
-    std::printf("%s\n", ctx.nlint->first_error().c_str());
-  const EquivReport equiv =
-      ctx.equiv ? *ctx.equiv
-                : check_equivalence(*ctx.netlist, args.flow.check_opts);
+  const EquivReport& equiv = *ctx.equiv;
   print_verdicts(equiv, ctx.netlist->sg());
   const bool rejected = !checked.ok;
   std::printf("%s: %s mutant #%d %s\n", report.name.c_str(),

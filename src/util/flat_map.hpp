@@ -1,12 +1,14 @@
 #pragma once
 // Open-addressing hash containers for the synthesis hot paths.
 //
-// The reachability engine, the CSC conflict detector and the SI verifier all
+// The reachability engine, the CSC conflict detector and the minimizer all
 // need key -> small-value lookups in their inner loops.  Generic node-based
 // containers (std::map / std::unordered_map) spend most of their time in
 // allocation and pointer chasing there; this header provides a minimal flat
 // alternative: power-of-two capacity, linear probing, no erase, grow at ~70%
 // load.  Keys and values are stored inline in one contiguous slot array.
+// (The SI verifier keeps its own set of packed 8-byte keys; see
+// netlist/si_verify.hpp.)
 
 #include <algorithm>
 #include <cstddef>

@@ -67,7 +67,7 @@ TEST(Nlint, CleanNetlistHasNoDiagnostics) {
   const NlintReport report = nlint_netlist(nl);
   EXPECT_TRUE(report.clean()) << report.to_json().dump(2);
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.rules_run, 6);  // no decomp result: wire rules skipped
+  EXPECT_EQ(report.rules_run, 5);  // no decomp result: wire rules skipped
 }
 
 TEST(Nlint, MissingAndDuplicateImplementations) {
@@ -137,19 +137,6 @@ TEST(Nlint, EmptyNetworkAndDriveFight) {
   // equivalence checker proves otherwise, so the rule warns instead of
   // failing.
   EXPECT_TRUE(fought.ok());
-}
-
-TEST(Nlint, IncompleteCombinationalCover) {
-  const StateGraph sg = follow_sg();
-  Netlist nl(&sg);
-  SignalImpl impl = follow_impl();
-  impl.set = Cover(2);  // constant 0: misses every on-state
-  nl.add_impl(impl);
-  const NlintReport report = nlint_netlist(nl);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.has(NlintRule::kIncompleteCover));
-  // The diagnostic names a concrete reachable state.
-  EXPECT_NE(report.first_error().find("reachable state"), std::string::npos);
 }
 
 TEST(Nlint, FaninLimitIsConfigurable) {
@@ -236,6 +223,27 @@ TEST(Equiv, RejectsWrongPolarityWithConcreteCounterexample) {
   EXPECT_TRUE(sg.reachable().test(
       static_cast<std::size_t>(v.counterexample_state)));
   EXPECT_FALSE(impl.set.eval(v.counterexample_code));
+}
+
+TEST(Equiv, RejectsIncompleteCombinationalCover) {
+  // Constant 0 passes nlint and misses both on-states (s1, s2); the proof
+  // names the lowest.
+  const StateGraph sg = follow_sg();
+  Netlist nl(&sg);
+  SignalImpl impl = follow_impl();
+  impl.set = Cover(2);
+  nl.add_impl(impl);
+  EXPECT_TRUE(nlint_netlist(nl).ok());
+  const EquivReport report = check_equivalence(nl);
+  ASSERT_FALSE(report.ok);
+  ASSERT_EQ(report.failures.size(), 1u);
+  const GateVerdict& v = report.failures.front();
+  EXPECT_EQ(v.network, "complete");
+  EXPECT_EQ(v.counterexample_state, 1);
+  EXPECT_EQ(v.counterexample_code, 0b01u);
+  EXPECT_NE(report.first_failure().find("is 0 in state " + sg.code_string(1)),
+            std::string::npos)
+      << report.first_failure();
 }
 
 TEST(Equiv, GuardBudgetSurfacesAsGuardExhausted) {
@@ -478,29 +486,25 @@ FlowReport check_flip_literal_mutant(const std::string& name, int which,
 }
 
 TEST(CheckStage, MutantFailsTheStageWithItsCounterexample) {
-  // chu133's gates are combinational, so nlint's complete-cover rule
-  // catches the flip first and names the counterexample state.
-  Flow flow;
-  const FlowReport nlint = check_flip_literal_mutant("chu133", 0, flow);
-  EXPECT_FALSE(nlint.ok);
-  EXPECT_EQ(nlint.failed_stage, Stage::kCheck);
-  EXPECT_EQ(nlint.failure_kind, FailureKind::kSpec);
-  EXPECT_NE(nlint.failure.find("reachable state 1000"), std::string::npos)
-      << nlint.failure;
-  EXPECT_FALSE(flow.context().equiv.has_value());
-
-  // hazard's flipped set literal passes nlint; the equivalence proof
-  // rejects it, and the failure carries the proof's counterexample.
-  const FlowReport proof = check_flip_literal_mutant("hazard", 0, flow);
-  EXPECT_FALSE(proof.ok);
-  EXPECT_EQ(proof.failed_stage, Stage::kCheck);
-  EXPECT_EQ(proof.failure_kind, FailureKind::kSpec);
-  ASSERT_TRUE(flow.context().equiv.has_value());
-  EXPECT_FALSE(flow.context().equiv->ok);
-  EXPECT_EQ(flow.context().nlint->errors, 0);
-  EXPECT_EQ(proof.failure, flow.context().equiv->first_failure());
-  EXPECT_NE(proof.failure.find("in state 10000"), std::string::npos)
-      << proof.failure;
+  // Both flipped literals pass nlint; the equivalence proof rejects them,
+  // and the failure carries the proof's counterexample.  chu133's gates are
+  // combinational, so its flip leaves an on-state of a complete cover at 0.
+  const struct {
+    const char* name;
+    const char* state;
+  } cases[] = {{"chu133", "in state 1000 "}, {"hazard", "in state 10000 "}};
+  for (const auto& c : cases) {
+    Flow flow;
+    const FlowReport proof = check_flip_literal_mutant(c.name, 0, flow);
+    EXPECT_FALSE(proof.ok) << c.name;
+    EXPECT_EQ(proof.failed_stage, Stage::kCheck) << c.name;
+    EXPECT_EQ(proof.failure_kind, FailureKind::kSpec) << c.name;
+    ASSERT_TRUE(flow.context().equiv.has_value()) << c.name;
+    EXPECT_FALSE(flow.context().equiv->ok) << c.name;
+    EXPECT_EQ(flow.context().nlint->errors, 0) << c.name;
+    EXPECT_EQ(proof.failure, flow.context().equiv->first_failure()) << c.name;
+    EXPECT_NE(proof.failure.find(c.state), std::string::npos) << proof.failure;
+  }
 }
 
 }  // namespace

@@ -689,6 +689,11 @@ TEST(PerfEquiv, BitSlicedExpandMatchesReferenceRandomized) {
             << "vars=" << num_vars << " code=" << code;
         EXPECT_EQ(expand_minterm(code, sliced, reversed),
                   expand_minterm(code, off, num_vars, reversed));
+        // What minimize_onoff calls: on-minterms skip the off-set test.
+        EXPECT_EQ(expand_on_minterm(code, sliced, order),
+                  expand_minterm(code, off, num_vars, order));
+        EXPECT_EQ(expand_on_minterm(code, sliced, reversed),
+                  expand_minterm(code, off, num_vars, reversed));
       }
       // Degenerate input: expanding an off-minterm keeps the full minterm.
       EXPECT_EQ(expand_minterm(off[0], sliced, order),

@@ -3,17 +3,21 @@
 // replaced, kept here verbatim as the oracle.  Every SiVerifyResult field
 // must agree: on the mapped corpus at i=2/3/4, on every seeded mutant of
 // those netlists, on explorations cut short by the state limit and by a
-// work budget, on the csc_rings specs and on random specs.
+// work budget, on the csc_rings specs (ring5 included), on random specs,
+// and on netlists whose packed composite key needs exactly 63 bits and
+// more than 63 (the verifier's 8- and 16-byte visited-set slots).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "benchlib/generators.hpp"
 #include "benchlib/random_stg.hpp"
+#include "core/mc_cover.hpp"
 #include "flow/flow.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/si_verify.hpp"
@@ -369,6 +373,62 @@ TEST(SiVerifyDiff, CscRingsAgreeAndKeepTheirStateCounts) {
     compare_all(*netlist, c.name, c.name == "ring3", tally);
   }
   EXPECT_GT(tally.hazards + tally.conformance, 0);
+}
+
+TEST(SiVerifyDiff, Ring5KeepsItsStateCount) {
+  Flow flow;
+  const Netlist* netlist =
+      mapped(flow, stg_spec(bench::make_csc_ring(5), "ring5"), 2);
+  ASSERT_NE(netlist, nullptr);
+  const SiVerifyResult verdict = verify_speed_independence(*netlist);
+  EXPECT_TRUE(verdict.ok) << verdict.why;
+  EXPECT_EQ(verdict.num_states, 518144u);
+  Tally tally;
+  compare_all(*netlist, "ring5", false, tally);
+}
+
+/// Bits of the verifier's packed composite key: the spec state's width plus
+/// the highest set/reset net's.
+int key_bits(const Netlist& netlist) {
+  std::uint64_t nets = 0;
+  for (std::size_t i = 0; i < netlist.impls().size(); ++i)
+    if (!netlist.impls()[i].combinational) nets |= std::uint64_t{3} << (2 * i);
+  return std::bit_width(netlist.sg().num_states()) + std::bit_width(nets);
+}
+
+Netlist synthesize(const StateGraph& sg, Architecture architecture) {
+  McOptions opts;
+  opts.architecture = architecture;
+  return synthesize_all(sg, opts);
+}
+
+TEST(SiVerifyDiff, KeysTooWideToPackAgree) {
+  // 31 C elements: 62 net bits beside the 7 of the 64 spec states.
+  const StateGraph sg = bench::make_seq_chain(30).to_state_graph();
+  const Netlist netlist = synthesize(sg, Architecture::kStandardC);
+  ASSERT_GT(key_bits(netlist), 63);
+  Tally tally;
+  compare_all(netlist, "seq_chain(30)", true, tally);
+  EXPECT_GT(tally.unverified, 0);
+  EXPECT_GT(tally.hazards + tally.conformance, 0);
+  EXPECT_TRUE(verify_speed_independence(netlist).ok);
+}
+
+TEST(SiVerifyDiff, SixtyThreeBitKeysAgree) {
+  // seq_chain(30) with C elements for the first 28 signals and complex
+  // gates for the last three: 7 state bits and 56 net bits.
+  const StateGraph sg = bench::make_seq_chain(30).to_state_graph();
+  const Netlist c_elements = synthesize(sg, Architecture::kStandardC);
+  const Netlist gates = synthesize(sg, Architecture::kComplexGate);
+  Netlist netlist(&sg);
+  for (std::size_t i = 0; i < c_elements.impls().size(); ++i)
+    netlist.add_impl(i < 28 ? c_elements.impls()[i] : gates.impls()[i]);
+  ASSERT_EQ(key_bits(netlist), 63);
+  Tally tally;
+  compare_all(netlist, "seq_chain(30) mixed", true, tally);
+  EXPECT_GT(tally.unverified, 0);
+  EXPECT_GT(tally.hazards + tally.conformance, 0);
+  EXPECT_TRUE(verify_speed_independence(netlist).ok);
 }
 
 TEST(SiVerifyDiff, RandomSpecsAgree) {
