@@ -10,77 +10,71 @@ namespace sitm {
 
 namespace {
 
-/// Grow one excitation region of the new signal inside `block` starting from
-/// the input border `seed`, per steps 2-4 of the paper's procedure.
-/// Returns false (with a reason) when forced outside the block.
-bool grow_region(const StateGraph& sg, const DynBitset& block,
-                 const std::vector<Diamond>& diamonds, DynBitset* er,
-                 std::string* why) {
+/// Input borders of the bipartition {~s1, s1}: the targets of arcs that
+/// enter S1 (`rise`) and of arcs that leave it (`fall`).
+void input_borders(const StateGraph& sg, const DynBitset& s1, DynBitset* rise,
+                   DynBitset* fall) {
+  *rise = sg.empty_set();
+  *fall = sg.empty_set();
+  for (StateId s = 0; s < static_cast<StateId>(sg.num_states()); ++s) {
+    for (const auto& edge : sg.succs(s)) {
+      if (!s1.test(s) && s1.test(edge.target)) rise->set(edge.target);
+      if (s1.test(s) && !s1.test(edge.target)) fall->set(edge.target);
+    }
+  }
+}
+
+/// Why growing `er` inside `block` fails (empty if it does not), named as
+/// the original sweep names it: a pass of step 2 to its fixpoint, a sweep of step 4 over the
+/// region (the last escaping input event wins), then one scan of step 3
+/// over every diamond (the first escaping diamond wins).  The corner-indexed
+/// closure reaches the same verdict in another order, so only the message
+/// needs this sweep; it runs only when a caller asks for the reason.
+std::string growth_failure(const StateGraph& sg, const DynBitset& block,
+                           const std::vector<Diamond>& diamonds,
+                           DynBitset er) {
+  std::string why;
   bool changed = true;
   while (changed) {
     changed = false;
-
-    // Step 2 — well-formedness: predecessors of ER states inside the block
-    // belong to the ER (no event may lead from block\ER into the ER).
-    // Iterate to the fixpoint with a worklist over current ER states.
-    std::vector<StateId> work = [&] {
-      std::vector<StateId> w;
-      er->for_each([&](std::size_t s) { w.push_back(static_cast<StateId>(s)); });
-      return w;
-    }();
+    std::vector<StateId> work;
+    er.for_each([&](std::size_t s) { work.push_back(static_cast<StateId>(s)); });
     while (!work.empty()) {
       const StateId v = work.back();
       work.pop_back();
       for (const auto& p : sg.preds(v)) {
         const StateId u = p.target;
-        if (block.test(u) && !er->test(u)) {
-          er->set(u);
+        if (block.test(u) && !er.test(u)) {
+          er.set(u);
           work.push_back(u);
           changed = true;
         }
       }
     }
-
-    // Step 4 — interface preservation: an input event enabled in an ER state
-    // must not be delayed by the insertion, so its successor joins the ER.
-    er->for_each([&](std::size_t s) {
+    er.for_each([&](std::size_t s) {
       for (const auto& edge : sg.succs(static_cast<StateId>(s))) {
         if (sg.signal(edge.event.signal).kind != SignalKind::kInput) continue;
-        if (er->test(edge.target)) continue;
-        if (!block.test(edge.target)) {
-          if (why)
-            *why = strfmt("input event %s would leave the insertion block",
-                          sg.event_string(edge.event).c_str());
-          changed = false;  // fatal
-          er->set(edge.target);  // poison marker; caller sees failure
-        } else {
-          er->set(edge.target);
+        if (er.test(edge.target)) continue;
+        if (!block.test(edge.target))
+          why = strfmt("input event %s would leave the insertion block",
+                       sg.event_string(edge.event).c_str());
+        else
           changed = true;
-        }
+        er.set(edge.target);
       }
     });
-    // Detect the poison marker (any ER state outside the block).
-    if (!er->subset_of(block)) return false;
-
-    // Step 3 — SIP: close illegal diamond intersections.  If both middle
-    // corners of a diamond lie in the ER but the top does not, two
-    // concurrent events enter the ER in either order and their join must
-    // still carry the pending transition — otherwise the second event is
-    // disabled in the pre-copy of the first (a persistency violation).
+    if (!er.subset_of(block)) return why;
     for (const auto& d : diamonds) {
-      if (er->test(d.left) && er->test(d.right) && !er->test(d.top)) {
-        if (!block.test(d.top)) {
-          if (why)
-            *why = strfmt("diamond closure forced out of block at state %s",
-                          sg.code_string(d.top).c_str());
-          return false;
-        }
-        er->set(d.top);
+      if (er.test(d.left) && er.test(d.right) && !er.test(d.top)) {
+        if (!block.test(d.top))
+          return strfmt("diamond closure forced out of block at state %s",
+                        sg.code_string(d.top).c_str());
+        er.set(d.top);
         changed = true;
       }
     }
   }
-  return true;
+  return why;
 }
 
 std::optional<InsertionPlan> plan_fail(InsertionFailure* failure,
@@ -94,8 +88,80 @@ std::optional<InsertionPlan> plan_fail(InsertionFailure* failure,
 InsertionPlanner::InsertionPlanner(const StateGraph& sg) : sg_(sg) {}
 
 const std::vector<Diamond>& InsertionPlanner::diamonds() {
-  if (!diamonds_) diamonds_ = enumerate_diamonds(sg_);
+  if (diamonds_) return *diamonds_;
+  diamonds_ = enumerate_diamonds(sg_);
+  // Corner index, by counting sort: each state's diamonds in diamond order.
+  corner_begin_.assign(sg_.num_states() + 1, 0);
+  for (const Diamond& d : *diamonds_) {
+    ++corner_begin_[static_cast<std::size_t>(d.left) + 1];
+    ++corner_begin_[static_cast<std::size_t>(d.right) + 1];
+  }
+  for (std::size_t s = 1; s < corner_begin_.size(); ++s)
+    corner_begin_[s] += corner_begin_[s - 1];
+  corner_diamonds_.resize(corner_begin_.back());
+  std::vector<std::uint32_t> fill(corner_begin_.begin(),
+                                  corner_begin_.end() - 1);
+  for (std::uint32_t i = 0; i < diamonds_->size(); ++i) {
+    const Diamond& d = (*diamonds_)[i];
+    corner_diamonds_[fill[static_cast<std::size_t>(d.left)]++] = i;
+    corner_diamonds_[fill[static_cast<std::size_t>(d.right)]++] = i;
+  }
   return *diamonds_;
+}
+
+std::span<const std::uint32_t> InsertionPlanner::corner_diamonds(
+    StateId s) const {
+  const auto i = static_cast<std::size_t>(s);
+  return {corner_diamonds_.data() + corner_begin_[i],
+          corner_begin_[i + 1] - corner_begin_[i]};
+}
+
+/// Grow one excitation region of the new signal inside `block`, starting
+/// from the input border in `er`, to the least fixpoint of steps 2-4 of the
+/// paper's procedure.  One worklist closure: each state that joins the
+/// region is visited once, for its predecessors (step 2), its input
+/// successors (step 4) and the diamonds where it is a middle corner
+/// (step 3) — a diamond's top can only be forced when its second middle
+/// corner joins.  Every rule only adds states, so any order reaches the
+/// same least set, and fails exactly when that set leaves the block.
+bool InsertionPlanner::grow_region(const DynBitset& block,
+                                   DynBitset* er) const {
+  const std::vector<Diamond>& dias = *diamonds_;
+  std::vector<StateId> work;
+  er->for_each([&](std::size_t s) { work.push_back(static_cast<StateId>(s)); });
+  auto add = [&](StateId s) {
+    er->set(s);
+    work.push_back(s);
+  };
+  while (!work.empty()) {
+    const StateId v = work.back();
+    work.pop_back();
+    // Step 2 — well-formedness: predecessors of ER states inside the block
+    // belong to the ER (no event may lead from block\ER into the ER).
+    for (const auto& p : sg_.preds(v))
+      if (block.test(p.target) && !er->test(p.target)) add(p.target);
+    // Step 4 — interface preservation: an input event enabled in an ER state
+    // must not be delayed by the insertion, so its successor joins the ER.
+    for (const auto& edge : sg_.succs(v)) {
+      if (sg_.signal(edge.event.signal).kind != SignalKind::kInput) continue;
+      if (er->test(edge.target)) continue;
+      if (!block.test(edge.target)) return false;
+      add(edge.target);
+    }
+    // Step 3 — SIP: close illegal diamond intersections.  If both middle
+    // corners of a diamond lie in the ER but the top does not, two
+    // concurrent events enter the ER in either order and their join must
+    // still carry the pending transition — otherwise the second event is
+    // disabled in the pre-copy of the first (a persistency violation).
+    for (const std::uint32_t i : corner_diamonds(v)) {
+      const Diamond& d = dias[i];
+      if (er->test(d.left) && er->test(d.right) && !er->test(d.top)) {
+        if (!block.test(d.top)) return false;
+        add(d.top);
+      }
+    }
+  }
+  return true;
 }
 
 /// Finish a plan given its S1 block: compute input borders, grow the
@@ -120,26 +186,14 @@ const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
     return finish_results_.back();
   };
 
-  const DynBitset s0 = ~s1;
-
-  // Input borders: states where the divisor changes value along an arc.
-  out.er_rise = sg_.empty_set();
-  out.er_fall = sg_.empty_set();
-  for (StateId s = 0; s < static_cast<StateId>(sg_.num_states()); ++s) {
-    for (const auto& edge : sg_.succs(s)) {
-      if (!s1.test(s) && s1.test(edge.target)) out.er_rise.set(edge.target);
-      if (s1.test(s) && !s1.test(edge.target)) out.er_fall.set(edge.target);
-    }
-  }
+  input_borders(sg_, s1, &out.er_rise, &out.er_fall);
   if (out.er_rise.none() && out.er_fall.none())
     return fail("divisor function never changes value");
 
+  // A growth failure is kept without its message (explain_growth).
   const auto& dias = diamonds();
-  std::string why;
-  if (!grow_region(sg_, s1, dias, &out.er_rise, &why))
-    return fail("ER(x+): " + why);
-  if (!grow_region(sg_, s0, dias, &out.er_fall, &why))
-    return fail("ER(x-): " + why);
+  if (!grow_region(s1, &out.er_rise) || !grow_region(~s1, &out.er_fall))
+    return fail({});
 
   // A state cannot host both a pending rise and a pending fall.
   if (!out.er_rise.disjoint(out.er_fall))
@@ -149,15 +203,25 @@ const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
   // whose top lands in ER(x-) means a concurrent event makes f fall while
   // x+ is still pending — the pending transition would have to be
   // cancelled, which Muller semantics forbids.  (Symmetrically for x-.)
-  for (const auto& dia : dias) {
+  // Only diamonds with a middle corner in a region can offend, so walk the
+  // regions' corner lists; the failure names the first offender in diamond
+  // order, with the x+ test first, as a scan of every diamond would.
+  std::size_t first = dias.size();
+  auto offenders = [&](const DynBitset& er, const DynBitset& other) {
+    er.for_each([&](std::size_t s) {
+      for (const std::uint32_t i : corner_diamonds(static_cast<StateId>(s)))
+        if (i < first && other.test(dias[i].top)) first = i;
+    });
+  };
+  offenders(out.er_rise, out.er_fall);
+  offenders(out.er_fall, out.er_rise);
+  if (first < dias.size()) {
+    const Diamond& dia = dias[first];
     const bool mid_rise =
         out.er_rise.test(dia.left) || out.er_rise.test(dia.right);
-    const bool mid_fall =
-        out.er_fall.test(dia.left) || out.er_fall.test(dia.right);
     if (mid_rise && out.er_fall.test(dia.top))
       return fail("concurrent event cancels pending x+ (diamond into ER(x-))");
-    if (mid_fall && out.er_rise.test(dia.top))
-      return fail("concurrent event cancels pending x- (diamond into ER(x+))");
+    return fail("concurrent event cancels pending x- (diamond into ER(x+))");
   }
 
   const StateId init = sg_.initial();
@@ -168,10 +232,22 @@ const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
   return finish_results_.back();
 }
 
+std::string InsertionPlanner::explain_growth(const DynBitset& s1) {
+  DynBitset rise, fall;
+  input_borders(sg_, s1, &rise, &fall);
+  const std::string why = growth_failure(sg_, s1, diamonds(), std::move(rise));
+  if (!why.empty()) return "ER(x+): " + why;
+  return "ER(x-): " + growth_failure(sg_, ~s1, diamonds(), std::move(fall));
+}
+
 std::optional<InsertionPlan> InsertionPlanner::finish(
     InsertionPlan plan, InsertionFailure* failure) {
   const FinishOutcome& out = finish_outcome(plan.s1);
-  if (!out.ok) return plan_fail(failure, out.why);
+  if (!out.ok) {
+    if (!failure) return std::nullopt;
+    return plan_fail(failure,
+                     out.why.empty() ? explain_growth(plan.s1) : out.why);
+  }
   plan.er_rise = out.er_rise;
   plan.er_fall = out.er_fall;
   plan.initial_value = out.initial_value;
@@ -203,14 +279,18 @@ std::optional<InsertionPlan> InsertionPlanner::plan_latch(
   const auto n = static_cast<StateId>(sg_.num_states());
   std::vector<signed char> value(static_cast<std::size_t>(n), -1);
   const StateId init = sg_.initial();
+  // A state's forced value is evaluated on its first visit and kept: the
+  // walk reads it once per incoming arc.
+  std::vector<signed char> forced_value(static_cast<std::size_t>(n), -3);
   auto forced = [&](StateId s) -> int {
-    const StateCode code = sg_.code(s);
-    const bool set = f_set.eval(code);
-    const bool reset = f_reset.eval(code);
-    if (set && reset) return -2;  // conflict
-    if (set) return 1;
-    if (reset) return 0;
-    return -1;
+    signed char& fv = forced_value[static_cast<std::size_t>(s)];
+    if (fv == -3) {
+      const StateCode code = sg_.code(s);
+      const bool set = f_set.eval(code);
+      const bool reset = f_reset.eval(code);
+      fv = set && reset ? -2 : set ? 1 : reset ? 0 : -1;  // -2: conflict
+    }
+    return fv;
   };
   {
     const int fv = forced(init);

@@ -22,7 +22,9 @@
 // `insert_signal` then splits every state of ER(x+) / ER(x-) into a
 // pre/post pair per the insertion scheme of Figure 3 and returns the new SG.
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,14 @@ struct InsertionFailure {
 /// the grown excitation regions.  The planner owns that shared state:
 ///
 ///  * diamonds are enumerated lazily, once, on the first plan that reaches
-///    region growth;
+///    region growth, together with a corner index: for every state, the
+///    diamonds (in enumeration order) where it is a middle corner, as
+///    compressed sparse rows.  Region growth is one worklist closure over
+///    it: a state that joins a region is visited once, for its
+///    predecessors, its input successors and its own diamonds, since a
+///    diamond's top can only be forced when its second middle corner
+///    joins.  The cross-region check walks only the regions' diamonds, so
+///    planning never scans the whole diamond list;
 ///  * a memo keyed by the (set-seed, reset-seed) switching-region pair
 ///    caches the propagated latch block (or the propagation failure), so
 ///    candidates bounded by events with identical switching regions skip
@@ -69,7 +78,13 @@ struct InsertionFailure {
 ///    combinational and latch divisors) that induce the same bipartition.
 ///
 /// Memoized answers equal a fresh planner's, failure strings included;
-/// `tests/perf_equiv_test.cpp` pins them.  The planner holds a reference to
+/// `tests/perf_equiv_test.cpp` pins them.  The closure reaches the least
+/// fixpoint of the paper's steps in another order than the original
+/// step-by-step sweep over every diamond (kept in `tests/support/` as the
+/// oracle, `tests/insertion_oracle_test.cpp`), so it gives the same verdict
+/// and regions.  A growth failure's message names the state or event where
+/// that sweep stops; the planner re-runs the sweep for it only when the
+/// caller passes an `InsertionFailure`.  The planner holds a reference to
 /// the SG — do not mutate or destroy the graph while using it.  A caller
 /// planning one candidate may use a throwaway `InsertionPlanner(sg)`.
 class InsertionPlanner {
@@ -104,7 +119,8 @@ class InsertionPlanner {
       const DynBitset& set_states, const DynBitset& reset_states,
       InsertionFailure* failure = nullptr);
 
-  /// The graph's diamonds, enumerated on first use and then shared.
+  /// The graph's diamonds, enumerated on first use (with the corner index)
+  /// and then shared.
   const std::vector<Diamond>& diamonds();
 
   /// Memo effectiveness counters (queries answered from a cache).
@@ -117,6 +133,8 @@ class InsertionPlanner {
     bool ok = false;
     DynBitset er_rise, er_fall;
     bool initial_value = false;
+    /// Empty when region growth left its block: explain_growth names
+    /// that reason on request.
     std::string why;
   };
   /// Propagated latch block for one (set, reset) seed pair, or the failure.
@@ -130,11 +148,18 @@ class InsertionPlanner {
   std::optional<InsertionPlan> finish(InsertionPlan plan,
                                       InsertionFailure* failure);
   const FinishOutcome& finish_outcome(const DynBitset& s1);
+  bool grow_region(const DynBitset& block, DynBitset* er) const;
+  std::string explain_growth(const DynBitset& s1);
+  /// Indices of the diamonds where `s` is a middle corner (after diamonds()).
+  std::span<const std::uint32_t> corner_diamonds(StateId s) const;
   const PropagateOutcome& propagate_outcome(const DynBitset& set_states,
                                             const DynBitset& reset_states);
 
   const StateGraph& sg_;
   std::optional<std::vector<Diamond>> diamonds_;
+  /// Corner index: state s is a middle corner of the diamonds
+  /// corner_diamonds_[corner_begin_[s] .. corner_begin_[s + 1]).
+  std::vector<std::uint32_t> corner_begin_, corner_diamonds_;
   /// (set words ++ reset words) -> index into propagate_results_.
   FlatMap<std::vector<std::uint64_t>, std::uint32_t, WordVecHash> region_memo_;
   std::vector<PropagateOutcome> propagate_results_;

@@ -286,33 +286,33 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
                          });
       }
 
-      // ---- full evaluation (bounded resynthesis) -----------------------
-      // Every candidate evaluation reads only the shared (const) SG and its
-      // own plan, so both steps fan out to a worker pool
-      // (MapperOptions::threads): the insert/verify pre-check in rank-order
-      // rounds, each round's verified candidates resynthesized before the
-      // next round starts.  The evaluated set — the first max_full_evals
-      // candidates whose insertion verifies — and the winner — the best
-      // (metrics, states) key, earliest candidate on ties — are both
-      // determined in candidate order, so the mapped result and the search
-      // counters are bit-identical to the serial loop at every thread count.
-      //
-      // Resynthesis is bounded: a candidate is synthesized signal by signal
-      // in bound_order, and the cost of the signals done so far plus the
-      // cover_lower_bounds of the rest is a lexicographic lower bound of
-      // its final cost.  It is abandoned, before its first signal if the
-      // bounds alone decide it, once that bound is not below
-      // `current_metrics` (it can never be committed) or, with its state
-      // count, not below the best key of the earlier rounds (it can never
-      // replace that best).  Either way the abandoned candidate could not
-      // have won, so the winner is the one the unbounded loop picks.  Only
-      // earlier rounds feed the bound, which keeps the winner independent of
-      // the worker schedule; how much gets abandoned depends on the round
-      // width (resyntheses_pruned, signals_resynthesized).
+      // ---- full evaluation (best-first bounded resynthesis) ------------
+      // Three phases, each fanned out to the worker pool
+      // (MapperOptions::threads); every evaluation reads only the shared
+      // (const) SG and its own candidate.
+      //  (a) Insert and verify in rank order, one candidate per worker a
+      //      round, until max_full_evals candidates verify: the evaluated
+      //      set, whatever the round width.  A candidate's position is its
+      //      index in it.
+      //  (b) Bound each: cover_lower_bounds and the suffix sums over
+      //      bound_order (`remaining`).
+      //  (c) Resynthesize in rounds of the same width, in the order of
+      //      (remaining[0], states, position).  A candidate is abandoned
+      //      once its bounded key is not below the best complete key of
+      //      the earlier rounds, or its bound not below `current_metrics`
+      //      (the global cost must strictly decrease: the loop's
+      //      termination measure).  The search stops at the first queued
+      //      candidate that cannot win; the queue is sorted on a lower
+      //      bound of the final key, so none behind it can either.
+      // The winner is the least (metrics, states, position) below
+      // `current_metrics`, at every thread count (see mapper.hpp); the
+      // work counters depend on the round width.
       struct Evaluated {
         StateGraph sg;
         std::vector<SignalSynthesis> syntheses;
         const Candidate* candidate = nullptr;
+        std::vector<CoverBounds> bounds;
+        std::vector<MapMetrics> remaining;  ///< bound of order[i..]
         MapMetrics metrics;
         std::size_t states = 0;
         bool complete = false;  ///< synthesized to the end, within the bound
@@ -323,100 +323,108 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
                       sg.num_signals());
       const int eval_threads =
           resolve_worker_threads(opts.threads, candidates.size());
-      // Round width: one candidate per worker.  The evaluated set is the
-      // first `cap` verifying candidates whatever the width, so a round
-      // over-checks at most one chunk past the serial stop.
       const std::size_t round_width =
           static_cast<std::size_t>(std::max(eval_threads, 1));
+      const std::size_t cap =
+          opts.max_full_evals > 0
+              ? static_cast<std::size_t>(opts.max_full_evals)
+              : 0;
 
+      // (a) The evaluated set.  A round over-checks at most one chunk past
+      // the serial stop.
       std::vector<Evaluated> evaluated;
-      std::optional<std::size_t> best_idx;  // committable running best
-      auto key = [](const Evaluated& e) {
-        return std::make_tuple(e.metrics.tuple(), e.states);
-      };
-      {
-        const std::size_t cap =
-            opts.max_full_evals > 0
-                ? static_cast<std::size_t>(opts.max_full_evals)
-                : 0;
-        std::vector<std::optional<StateGraph>> verified;
-        std::size_t pos = 0;
-        while (pos < candidates.size() && evaluated.size() < cap) {
-          const std::size_t chunk =
-              std::min(candidates.size() - pos, round_width);
-          guard_charge(guard, chunk, "map.candidates");
-          verified.assign(chunk, std::nullopt);
-          parallel_for(chunk, eval_threads, [&](std::size_t k) {
-            const InsertionPlan& plan = candidates[pos + k].plan;
-            StateGraph next = insert_signal(sg, plan, name);
-            const DynBitset disturbed = disturbed_signals(sg, plan);
-            if (verifier.verify(next, /*require_csc=*/true, &disturbed))
-              verified[k] = std::move(next);
-          });
-          const std::size_t first_new = evaluated.size();
-          for (std::size_t k = 0; k < chunk && evaluated.size() < cap; ++k) {
-            if (!verified[k]) continue;
-            Evaluated ev;
-            ev.sg = std::move(*verified[k]);
-            ev.candidate = &candidates[pos + k];
-            evaluated.push_back(std::move(ev));
-          }
-          // The running best of the earlier rounds; this round's workers
-          // only write their own new entries, so reading it is race-free.
-          const Evaluated* bar = best_idx ? &evaluated[*best_idx] : nullptr;
-          parallel_for(
-              evaluated.size() - first_new, eval_threads, [&](std::size_t k) {
-                Evaluated& ev = evaluated[first_new + k];
-                ev.states = ev.sg.num_states();
-                // remaining[i]: lower bound of the signals order[i..].
-                const std::vector<CoverBounds> bounds =
-                    cover_lower_bounds(ev.sg);
-                std::vector<MapMetrics> remaining(order.size() + 1);
-                for (std::size_t i = order.size(); i-- > 0;) {
-                  remaining[i] = signal_metrics_bound(
-                      bounds[order[i]], opts.mc.architecture, opts.library);
-                  remaining[i] += remaining[i + 1];
-                }
-                // Progress requirement: the global cost tuple strictly
-                // decreases.  This is the termination measure of the whole
-                // loop — temporary growth of one cover (the acknowledgement
-                // literal of Property 3.2) is fine as long as fewer gates
-                // exceed the library.
-                auto can_win = [&](MapMetrics bound) {
-                  bound += remaining[ev.syntheses.size()];
-                  return bound < current_metrics &&
-                         (!bar || std::make_tuple(bound.tuple(), ev.states) <
-                                      key(*bar));
-                };
-                ev.complete =
-                    can_win(MapMetrics{}) &&
-                    synthesize_while(ev.sg, order, opts.mc, guard, bounds,
-                                     &ev.syntheses,
-                                     [&](const SignalSynthesis& s) {
-                                       ev.metrics +=
-                                           signal_metrics(s, opts.library);
-                                       return can_win(ev.metrics);
-                                     });
-                // synthesize_all's signal order, for the next iteration.
-                if (ev.complete)
-                  std::ranges::sort(ev.syntheses, {}, &SignalSynthesis::signal);
-              });
-          for (std::size_t i = first_new; i < evaluated.size(); ++i) {
-            result.signals_resynthesized +=
-                static_cast<long>(evaluated[i].syntheses.size());
-            for (const auto& s : evaluated[i].syntheses)
-              result.minimizations += s.minimizations;
-            if (!evaluated[i].complete) {
-              ++result.resyntheses_pruned;
-              continue;
-            }
-            if (!best_idx || key(evaluated[i]) < key(evaluated[*best_idx]))
-              best_idx = i;
-          }
-          pos += chunk;
+      std::vector<std::optional<StateGraph>> verified;
+      for (std::size_t pos = 0;
+           pos < candidates.size() && evaluated.size() < cap;) {
+        const std::size_t chunk =
+            std::min(candidates.size() - pos, round_width);
+        guard_charge(guard, chunk, "map.candidates");
+        verified.assign(chunk, std::nullopt);
+        parallel_for(chunk, eval_threads, [&](std::size_t k) {
+          const InsertionPlan& plan = candidates[pos + k].plan;
+          StateGraph next = insert_signal(sg, plan, name);
+          const DynBitset disturbed = disturbed_signals(sg, plan);
+          if (verifier.verify(next, /*require_csc=*/true, &disturbed))
+            verified[k] = std::move(next);
+        });
+        for (std::size_t k = 0; k < chunk && evaluated.size() < cap; ++k) {
+          if (!verified[k]) continue;
+          Evaluated ev;
+          ev.sg = std::move(*verified[k]);
+          ev.candidate = &candidates[pos + k];
+          evaluated.push_back(std::move(ev));
         }
+        pos += chunk;
       }
       result.resyntheses += static_cast<long>(evaluated.size());
+
+      // (b) The bounds.
+      parallel_for(evaluated.size(), eval_threads, [&](std::size_t k) {
+        Evaluated& ev = evaluated[k];
+        ev.states = ev.sg.num_states();
+        ev.bounds = cover_lower_bounds(ev.sg);
+        ev.remaining.assign(order.size() + 1, MapMetrics{});
+        for (std::size_t i = order.size(); i-- > 0;) {
+          ev.remaining[i] = signal_metrics_bound(
+              ev.bounds[order[i]], opts.mc.architecture, opts.library);
+          ev.remaining[i] += ev.remaining[i + 1];
+        }
+      });
+
+      // (c) Best-first resynthesis.
+      auto key = [&](std::size_t i, const MapMetrics& m) {
+        return std::make_tuple(m.tuple(), evaluated[i].states, i);
+      };
+      std::vector<std::size_t> queue(evaluated.size());
+      for (std::size_t i = 0; i < queue.size(); ++i) queue[i] = i;
+      std::ranges::sort(queue, {}, [&](std::size_t i) {
+        return key(i, evaluated[i].remaining[0]);
+      });
+      std::optional<std::size_t> best_idx;  // committable running best
+      auto can_win = [&](std::size_t i, const MapMetrics& bound) {
+        return bound < current_metrics &&
+               (!best_idx ||
+                key(i, bound) < key(*best_idx, evaluated[*best_idx].metrics));
+      };
+      for (std::size_t head = 0;
+           head < queue.size() &&
+           can_win(queue[head], evaluated[queue[head]].remaining[0]);) {
+        const std::size_t width = std::min(queue.size() - head, round_width);
+        // Workers write only their own entries; best_idx is read-only
+        // until the round ends.
+        parallel_for(width, eval_threads, [&](std::size_t k) {
+          const std::size_t i = queue[head + k];
+          Evaluated& ev = evaluated[i];
+          auto within = [&](const MapMetrics& done) {
+            MapMetrics bound = done;
+            bound += ev.remaining[ev.syntheses.size()];
+            return can_win(i, bound);
+          };
+          ev.complete =
+              within(MapMetrics{}) &&
+              synthesize_while(ev.sg, order, opts.mc, guard, ev.bounds,
+                               &ev.syntheses, [&](const SignalSynthesis& s) {
+                                 ev.metrics += signal_metrics(s, opts.library);
+                                 return within(ev.metrics);
+                               });
+          // synthesize_all's signal order, for the next iteration.
+          if (ev.complete)
+            std::ranges::sort(ev.syntheses, {}, &SignalSynthesis::signal);
+        });
+        for (std::size_t k = head; k < head + width; ++k) {
+          const std::size_t i = queue[k];
+          if (evaluated[i].complete &&
+              (!best_idx || key(i, evaluated[i].metrics) <
+                                key(*best_idx, evaluated[*best_idx].metrics)))
+            best_idx = i;
+        }
+        head += width;
+      }
+      for (const Evaluated& ev : evaluated) {
+        result.signals_resynthesized += static_cast<long>(ev.syntheses.size());
+        for (const auto& s : ev.syntheses) result.minimizations += s.minimizations;
+        if (!ev.complete) ++result.resyntheses_pruned;
+      }
       Evaluated* best = best_idx ? &evaluated[*best_idx] : nullptr;
 
       if (best) {

@@ -11,28 +11,31 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
-// The resynthesis is an exact branch-and-bound.  Before anything is
-// minimized, cover_lower_bounds reads from the candidate SG, in one pass
-// over its arcs, a lower bound of every signal's gates: the literals that
-// cross-boundary arcs force into each cover (mc_cover.hpp).  The candidate
-// is then synthesized signal by signal, and after each signal the cost of
-// the signals done so far plus the bounds of the signals still to do is a
-// lower bound of its final cost.  A candidate is abandoned as soon as that
-// bound can no longer beat the current circuit or the best candidate found
-// before it, which may be before its first signal.  Abandoned candidates
-// could never have been committed, so the result is the one exhaustive
-// resynthesis would reach.  Each signal's synthesis gets its bound too, and
-// skips a complete cover the bound shows cannot be chosen.
+// The resynthesis is an exact best-first branch-and-bound (Lawler & Wood,
+// Oper. Res. 14, 1966).  Before anything is minimized, cover_lower_bounds
+// reads from each candidate SG, in one pass over its arcs, a lower bound of
+// every signal's gates: the literals that cross-boundary arcs force into
+// each cover (mc_cover.hpp).  Summed over the signals, that is a
+// lexicographic lower bound of the candidate's final cost tuple.
+// Candidates are resynthesized in the order of that bound (then state
+// count, then candidate position), signal by signal, and after each signal
+// the cost of the signals done so far plus the bounds of the signals still
+// to do is a lower bound that only rises.  A candidate is abandoned once that
+// bound, with its state count and position, can no longer beat the current
+// circuit or the best candidate found so far, which may be before its
+// first signal; the search stops when the next candidate in bound order
+// cannot win, since no candidate behind it can either.
 //
-// The bounds never change which candidates are abandoned, only how early.
-// Each signal's bound is componentwise at most its final cost, so the
-// bounded tuple is at most the final tuple at every step, and at least the
-// partial cost alone.  A candidate that completes passes the test at its
-// last signal, where the bound is the final cost, so it passed every
-// earlier test too.  A candidate that failed the partial-cost test at some
-// signal fails the bounded test there or sooner.  The winner, the steps,
-// `resyntheses` and `resyntheses_pruned` are those of the partial-cost
-// loop; only `signals_resynthesized` falls.
+// Abandoned and unstarted candidates could never have been committed, so
+// the winner is the one exhaustive resynthesis in candidate order reaches:
+// the least (metrics, states, position) below the current cost.  Every
+// bound is componentwise at most the final cost, so a candidate's bounded
+// key is at most its final key at every step, and it is only ever compared
+// against the key of a complete candidate, which only falls.  The order
+// changes how much work is done (`resyntheses_pruned`,
+// `signals_resynthesized`, `minimizations`), never the result.  Each
+// signal's synthesis gets its bound too, and skips a complete cover the
+// bound shows cannot be chosen.
 //
 // Each SG revision is synthesized once: the committed winner's syntheses
 // serve the next iteration and MapResult::build_netlist.
@@ -137,9 +140,10 @@ struct MapResult {
   /// 3.1/3.2 ranking is meant to save).
   long candidates_planned = 0;
   long resyntheses = 0;
-  /// Of those resyntheses, how many the cost bound abandoned before the
-  /// last signal.  A work counter: it depends on the round width, so unlike
-  /// the result it may differ across thread counts.
+  /// Of those resyntheses, how many did not run to the last signal: the
+  /// cost bound abandoned them, or the best-first search stopped before
+  /// them.  A work counter: it depends on the round width, so unlike the
+  /// result it may differ across thread counts.
   long resyntheses_pruned = 0;
   /// Per-signal syntheses run by the candidate loop, over all resyntheses.
   /// A work counter that depends on the round width like

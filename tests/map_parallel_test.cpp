@@ -7,8 +7,9 @@
 // families at 1/2/4/N threads.  The bounded resynthesis and the reuse of
 // syntheses across stages must not change a bit either: the mapped
 // netlist equals a fresh synthesis of the mapped SG, a Flow that hands the
-// synth stage's syntheses to the mapper matches a direct mapper call, and
-// the generator families keep the Verilog of the unbounded loop.
+// synth stage's syntheses to the mapper matches a direct mapper call, the
+// generator families keep the Verilog of the unbounded loop, and 24 random
+// STGs keep the Verilog of the rank-order search.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <cstdio>
 
 #include "benchlib/generators.hpp"
+#include "benchlib/random_stg.hpp"
 #include "benchlib/suite.hpp"
 #include "core/mapper.hpp"
 #include "flow/flow.hpp"
@@ -213,6 +215,64 @@ TEST(MapParallel, GeneratorFamiliesKeepTheirVerilog) {
     EXPECT_EQ(fnv1a64_hex(write_verilog_string(result.build_netlist(), w.name)),
               w.verilog_fnv64)
         << w.name;
+  }
+}
+
+TEST(MapParallel, RandomStgsKeepTheirVerilog) {
+  // Digests of the Verilog the rank-order search (before candidates were
+  // resynthesized best-first) mapped these random STGs to, at i=2 and i=3.
+  // The search order must not move a bit, at one map thread or four.  Seed
+  // 10 is not implementable at i=2; its digest is the netlist of the last
+  // committed revision.
+  const struct {
+    std::uint64_t seed;
+    const char* verilog_fnv64[2];
+  } kDigests[] = {
+      {1, {"6a16af910dbd0fa9", "6a16af910dbd0fa9"}},
+      {2, {"41c65c58a8ef9e59", "0cb840faeda9140a"}},
+      {3, {"2482dd7cb3be37b7", "538745bc8ebe5efe"}},
+      {4, {"b7cdc7a3b86e7534", "458a5d26d4cb306d"}},
+      {5, {"6006a37add55c1e5", "ce67368e553b6b64"}},
+      {6, {"4ef3fae8bcbd4bd1", "4ef3fae8bcbd4bd1"}},
+      {7, {"348868642868684b", "c9ece0b5104d81ed"}},
+      {8, {"809c1206c697497e", "447d8654f53cc1b4"}},
+      {9, {"1c9e11d86a6eeb51", "83ef10d08907cd80"}},
+      {10, {"67249d139c2cd8d6", "67249d139c2cd8d6"}},
+      {11, {"9903643a98b9ef88", "4d14ba48ff615893"}},
+      {12, {"1f5ba19784fea7b9", "1f5ba19784fea7b9"}},
+      {13, {"191695f4f1e02b37", "191695f4f1e02b37"}},
+      {14, {"abb77a3145f34a67", "abb77a3145f34a67"}},
+      {15, {"35e31a44338ed168", "35e31a44338ed168"}},
+      {16, {"1ee2d7b94eed5b94", "ef14fd265bba3ec4"}},
+      {17, {"c8b023a738ae80a9", "78f23616c8132e0d"}},
+      {18, {"cc76874ce1365993", "6b9605dd17cd057c"}},
+      {19, {"74bf4e6814f517ea", "74bf4e6814f517ea"}},
+      {20, {"f7835a738220e2c1", "f7835a738220e2c1"}},
+      {21, {"3ea1470dc77fac33", "5f4659933c65ae7a"}},
+      {22, {"61e2b2ceca899e03", "61e2b2ceca899e03"}},
+      {23, {"cfdf4cf474652fe1", "cfdf4cf474652fe1"}},
+      {24, {"9844500ec335b319", "090037b56741b44a"}},
+  };
+  for (const auto& want : kDigests) {
+    const std::string name = "random" + std::to_string(want.seed);
+    const StateGraph sg = bench::make_random_stg(want.seed).to_state_graph();
+    for (const int max_literals : {2, 3}) {
+      for (const int threads : {1, 4}) {
+        MapperOptions opts;
+        opts.library.max_literals = max_literals;
+        opts.threads = threads;
+        const MapResult result = technology_map(sg, opts);
+        const std::string label = name + " at i=" +
+                                  std::to_string(max_literals) + ", " +
+                                  std::to_string(threads) + " map-threads";
+        EXPECT_EQ(result.implementable, want.seed != 10 || max_literals != 2)
+            << label;
+        EXPECT_EQ(
+            fnv1a64_hex(write_verilog_string(result.build_netlist(), name)),
+            want.verilog_fnv64[max_literals - 2])
+            << label;
+      }
+    }
   }
 }
 
