@@ -8,10 +8,13 @@ Usage:
                      [--speedup SLOW/FAST:MIN ...]
 
 Both files are google-benchmark JSON reports (bench/run_bench.sh output).
-Benchmarks are matched by name; a benchmark regresses when its fresh
-real_time exceeds the baseline by more than --threshold percent (default
-25).  Only names matching --names (default: everything) are gated;
-benchmarks present in one file only are reported but never fail the gate.
+A report with repetitions gives each benchmark its "median" aggregate's
+real_time, keyed by run_name; a report without aggregates gives each
+iteration entry's real_time, keyed by name.  Benchmarks are matched by
+that key; a benchmark regresses when its fresh time exceeds the baseline
+by more than --threshold percent (default 25).  Only names matching
+--names (default: everything) are gated; benchmarks present in one file
+only are reported but never fail the gate.
 
 Because the baseline is produced on the repo's single-core benchmark
 container and the fresh run typically is not (CI runners differ in CPU,
@@ -70,18 +73,29 @@ def host_nproc(report):
 
 
 def load_benchmarks(report, path):
-    """name -> real_time in nanoseconds, iteration entries only."""
+    """run name -> real_time in nanoseconds.
+
+    The "median" aggregates when the report has them, else the iteration
+    entries (a report recorded without repetitions).
+    """
     to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    entries = report.get("benchmarks", [])
+    medians = [bm for bm in entries
+               if bm.get("run_type") == "aggregate"
+               and bm.get("aggregate_name") == "median"]
+    if medians:
+        picked = [(bm["run_name"], bm) for bm in medians]
+    else:
+        picked = [(bm["name"], bm) for bm in entries
+                  if bm.get("run_type", "iteration") == "iteration"]
     out = {}
-    for bm in report.get("benchmarks", []):
-        if bm.get("run_type", "iteration") != "iteration":
-            continue  # skip mean/median/stddev aggregates
+    for name, bm in picked:
         unit = bm.get("time_unit", "ns")
         if unit not in to_ns:
             print(f"compare_bench: unknown time_unit '{unit}' in {path}",
                   file=sys.stderr)
             sys.exit(2)
-        out[bm["name"]] = float(bm["real_time"]) * to_ns[unit]
+        out[name] = float(bm["real_time"]) * to_ns[unit]
     if not out:
         print(f"compare_bench: no benchmark entries in {path}",
               file=sys.stderr)

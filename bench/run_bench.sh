@@ -7,9 +7,15 @@
 # Builds the bench target if needed, then overwrites BENCH_scaling.json at
 # the repository root (set BENCH_OUT to write elsewhere — CI uses this to
 # produce a fresh run for bench/compare_bench.py without touching the
-# checked-in baseline).  Compare two checkouts with e.g.:
+# checked-in baseline).  Every benchmark runs ten repetitions, interleaved
+# at random with the other benchmarks' so that each median samples the
+# whole run, and the report keeps only the aggregates (mean, median,
+# stddev, cv).  bench/compare_bench.py gates on the medians: one sample of
+# a benchmark swings past the 25 % gate between two back-to-back runs on
+# the 4-vCPU benchmark host.  Compare two checkouts with e.g.:
 #
-#   jq -r '.benchmarks[] | "\(.name) \(.real_time)"' BENCH_scaling.json
+#   jq -r '.benchmarks[] | select(.aggregate_name == "median")
+#          | "\(.run_name) \(.real_time)"' BENCH_scaling.json
 
 set -euo pipefail
 
@@ -27,6 +33,9 @@ cmake --build "$build_dir" --target bench_scaling -j"$(nproc)"
   --benchmark_format=console \
   --benchmark_out="$out_file" \
   --benchmark_out_format=json \
+  --benchmark_repetitions=10 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_report_aggregates_only=true \
   "$@"
 
 # Stamp the host shape into the report.  compare_bench.py uses host.nproc to

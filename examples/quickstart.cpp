@@ -56,15 +56,13 @@ int main() {
                    {Cube::literal(c, true).with_literal(d, true)})},
   };
   for (const auto& trial : trials) {
-    InsertionFailure why;
-    const auto plan = InsertionPlanner(sg).plan(trial.f, &why);
+    const auto plan = InsertionPlanner(sg).plan(trial.f);
     if (plan) {
       std::printf("divisor %-4s -> legal insertion: |ER(x+)|=%zu, "
                   "|ER(x-)|=%zu\n",
                   trial.label, plan->er_rise.count(), plan->er_fall.count());
     } else {
-      std::printf("divisor %-4s -> ILLEGAL: %s\n", trial.label,
-                  why.why.c_str());
+      std::printf("divisor %-4s -> ILLEGAL\n", trial.label);
     }
   }
 

@@ -335,7 +335,7 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
       StateGraph next = insert_signal(sg, w.plan, name);
       ++result.graphs_materialized;
       const DynBitset disturbed = disturbed_signals(sg, w.plan);
-      if (verifier.verify(next, /*require_csc=*/false, &disturbed)) {
+      if (verifier.verify(next, /*require_csc=*/false, disturbed)) {
         best = Best{std::move(next), CscStep{name, cands[w.ci].e1,
                                              cands[w.ci].e2, conflicts.pairs,
                                              w.pairs}};

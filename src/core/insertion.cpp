@@ -1,10 +1,6 @@
 #include "core/insertion.hpp"
 
-#include <algorithm>
 #include <utility>
-
-#include "util/error.hpp"
-#include "util/text.hpp"
 
 namespace sitm {
 
@@ -24,63 +20,24 @@ void input_borders(const StateGraph& sg, const DynBitset& s1, DynBitset* rise,
   }
 }
 
-/// Why growing `er` inside `block` fails (empty if it does not), named as
-/// the original sweep names it: a pass of step 2 to its fixpoint, a sweep of step 4 over the
-/// region (the last escaping input event wins), then one scan of step 3
-/// over every diamond (the first escaping diamond wins).  The corner-indexed
-/// closure reaches the same verdict in another order, so only the message
-/// needs this sweep; it runs only when a caller asks for the reason.
-std::string growth_failure(const StateGraph& sg, const DynBitset& block,
-                           const std::vector<Diamond>& diamonds,
-                           DynBitset er) {
-  std::string why;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<StateId> work;
-    er.for_each([&](std::size_t s) { work.push_back(static_cast<StateId>(s)); });
-    while (!work.empty()) {
-      const StateId v = work.back();
-      work.pop_back();
-      for (const auto& p : sg.preds(v)) {
-        const StateId u = p.target;
-        if (block.test(u) && !er.test(u)) {
-          er.set(u);
-          work.push_back(u);
-          changed = true;
-        }
-      }
-    }
-    er.for_each([&](std::size_t s) {
-      for (const auto& edge : sg.succs(static_cast<StateId>(s))) {
-        if (sg.signal(edge.event.signal).kind != SignalKind::kInput) continue;
-        if (er.test(edge.target)) continue;
-        if (!block.test(edge.target))
-          why = strfmt("input event %s would leave the insertion block",
-                       sg.event_string(edge.event).c_str());
-        else
-          changed = true;
-        er.set(edge.target);
-      }
-    });
-    if (!er.subset_of(block)) return why;
-    for (const auto& d : diamonds) {
-      if (er.test(d.left) && er.test(d.right) && !er.test(d.top)) {
-        if (!block.test(d.top))
-          return strfmt("diamond closure forced out of block at state %s",
-                        sg.code_string(d.top).c_str());
-        er.set(d.top);
-        changed = true;
-      }
-    }
-  }
-  return why;
+/// Does the x=`x` copy of state `s` exist?  States of ER(x+) and ER(x-) are
+/// split into both copies; every other state keeps the one copy whose x
+/// value is its S1 membership.  ER(x+) lies in S1 and ER(x-) outside it, so
+/// the other copy exists only in ER(x+) for x=0 and in ER(x-) for x=1.
+bool copy_exists(const InsertionPlan& plan, std::size_t s, bool x) {
+  return plan.s1.test(s) == x || (x ? plan.er_fall : plan.er_rise).test(s);
 }
 
-std::optional<InsertionPlan> plan_fail(InsertionFailure* failure,
-                                       std::string why) {
-  if (failure) failure->why = std::move(why);
-  return std::nullopt;
+/// Does the original arc u -> v carry from the x=`x` copy of u, which must
+/// exist, to the x=`x` copy of v?  That copy must exist, and a crossing
+/// between the two excitation regions must not skip the pending x
+/// transition: on an ER(x+) -> ER(x-) arc only the x=1 copies connect, and
+/// on an ER(x-) -> ER(x+) arc only the x=0 copies.
+bool arc_carries(const InsertionPlan& plan, std::size_t u, std::size_t v,
+                 bool x) {
+  if (!copy_exists(plan, v, x)) return false;
+  if (!x) return !(plan.er_rise.test(u) && plan.er_fall.test(v));
+  return !(plan.er_fall.test(u) && plan.er_rise.test(v));
 }
 
 }  // namespace
@@ -177,52 +134,35 @@ const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
   }
   finish_memo_.emplace(key_scratch_,
                        static_cast<std::uint32_t>(finish_results_.size()));
-  finish_results_.emplace_back();
+  // Stays the failed outcome unless every check below passes.
+  const FinishOutcome& failed = finish_results_.emplace_back();
   FinishOutcome out;
-  auto fail = [&](std::string why) -> const FinishOutcome& {
-    out.ok = false;
-    out.why = std::move(why);
-    finish_results_.back() = std::move(out);
-    return finish_results_.back();
-  };
 
+  // A divisor that never changes value has nothing to insert.
   input_borders(sg_, s1, &out.er_rise, &out.er_fall);
-  if (out.er_rise.none() && out.er_fall.none())
-    return fail("divisor function never changes value");
+  if (out.er_rise.none() && out.er_fall.none()) return failed;
 
-  // A growth failure is kept without its message (explain_growth).
   const auto& dias = diamonds();
   if (!grow_region(s1, &out.er_rise) || !grow_region(~s1, &out.er_fall))
-    return fail({});
+    return failed;
 
   // A state cannot host both a pending rise and a pending fall.
-  if (!out.er_rise.disjoint(out.er_fall))
-    return fail("ER(x+) and ER(x-) overlap");
+  if (!out.er_rise.disjoint(out.er_fall)) return failed;
 
   // Cross-region hazard: a diamond with one middle corner inside ER(x+)
   // whose top lands in ER(x-) means a concurrent event makes f fall while
   // x+ is still pending — the pending transition would have to be
   // cancelled, which Muller semantics forbids.  (Symmetrically for x-.)
   // Only diamonds with a middle corner in a region can offend, so walk the
-  // regions' corner lists; the failure names the first offender in diamond
-  // order, with the x+ test first, as a scan of every diamond would.
-  std::size_t first = dias.size();
-  auto offenders = [&](const DynBitset& er, const DynBitset& other) {
-    er.for_each([&](std::size_t s) {
+  // regions' corner lists.
+  auto cancels = [&](const DynBitset& er, const DynBitset& other) {
+    for (std::size_t s = er.first(); s != DynBitset::npos; s = er.next(s))
       for (const std::uint32_t i : corner_diamonds(static_cast<StateId>(s)))
-        if (i < first && other.test(dias[i].top)) first = i;
-    });
+        if (other.test(dias[i].top)) return true;
+    return false;
   };
-  offenders(out.er_rise, out.er_fall);
-  offenders(out.er_fall, out.er_rise);
-  if (first < dias.size()) {
-    const Diamond& dia = dias[first];
-    const bool mid_rise =
-        out.er_rise.test(dia.left) || out.er_rise.test(dia.right);
-    if (mid_rise && out.er_fall.test(dia.top))
-      return fail("concurrent event cancels pending x+ (diamond into ER(x-))");
-    return fail("concurrent event cancels pending x- (diamond into ER(x+))");
-  }
+  if (cancels(out.er_rise, out.er_fall) || cancels(out.er_fall, out.er_rise))
+    return failed;
 
   const StateId init = sg_.initial();
   out.initial_value = s1.test(init) && !out.er_rise.test(init);
@@ -232,124 +172,98 @@ const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
   return finish_results_.back();
 }
 
-std::string InsertionPlanner::explain_growth(const DynBitset& s1) {
-  DynBitset rise, fall;
-  input_borders(sg_, s1, &rise, &fall);
-  const std::string why = growth_failure(sg_, s1, diamonds(), std::move(rise));
-  if (!why.empty()) return "ER(x+): " + why;
-  return "ER(x-): " + growth_failure(sg_, ~s1, diamonds(), std::move(fall));
-}
-
-std::optional<InsertionPlan> InsertionPlanner::finish(
-    InsertionPlan plan, InsertionFailure* failure) {
+std::optional<InsertionPlan> InsertionPlanner::finish(InsertionPlan plan) {
   const FinishOutcome& out = finish_outcome(plan.s1);
-  if (!out.ok) {
-    if (!failure) return std::nullopt;
-    return plan_fail(failure,
-                     out.why.empty() ? explain_growth(plan.s1) : out.why);
-  }
+  if (!out.ok) return std::nullopt;
   plan.er_rise = out.er_rise;
   plan.er_fall = out.er_fall;
   plan.initial_value = out.initial_value;
   return plan;
 }
 
-std::optional<InsertionPlan> InsertionPlanner::plan(const Cover& f,
-                                                    InsertionFailure* failure) {
+std::optional<InsertionPlan> InsertionPlanner::plan(const Cover& f) {
   InsertionPlan plan;
   plan.f = f;
   plan.f_reset = Cover(f.num_vars());
   plan.s1 = sg_.empty_set();
   for (StateId s = 0; s < static_cast<StateId>(sg_.num_states()); ++s)
     if (f.eval(sg_.code(s))) plan.s1.set(s);
-  return finish(std::move(plan), failure);
+  return finish(std::move(plan));
 }
 
 std::optional<InsertionPlan> InsertionPlanner::plan_latch(
-    const Cover& f_set, const Cover& f_reset, InsertionFailure* failure) {
-  InsertionPlan plan;
-  plan.f = f_set;
-  plan.f_reset = f_reset;
-  plan.latch = true;
-  plan.s1 = sg_.empty_set();
-
-  // Propagate SR-latch semantics over the reachable graph: value 1 where
-  // f_set holds, 0 where f_reset holds, inherited from predecessors
-  // elsewhere.  Any conflict means the latch value is not well-defined.
-  const auto n = static_cast<StateId>(sg_.num_states());
-  std::vector<signed char> value(static_cast<std::size_t>(n), -1);
-  const StateId init = sg_.initial();
-  // A state's forced value is evaluated on its first visit and kept: the
-  // walk reads it once per incoming arc.
-  std::vector<signed char> forced_value(static_cast<std::size_t>(n), -3);
-  auto forced = [&](StateId s) -> int {
-    signed char& fv = forced_value[static_cast<std::size_t>(s)];
-    if (fv == -3) {
-      const StateCode code = sg_.code(s);
-      const bool set = f_set.eval(code);
-      const bool reset = f_reset.eval(code);
-      fv = set && reset ? -2 : set ? 1 : reset ? 0 : -1;  // -2: conflict
-    }
-    return fv;
-  };
-  {
-    const int fv = forced(init);
-    if (fv == -2)
-      return plan_fail(failure, "latch set and reset overlap in initial state");
-    if (fv == -1)
-      return plan_fail(failure, "latch value undefined in initial state");
-    value[static_cast<std::size_t>(init)] = static_cast<signed char>(fv);
-  }
-  std::vector<StateId> queue{init};
-  while (!queue.empty()) {
-    const StateId u = queue.back();
-    queue.pop_back();
-    for (const auto& edge : sg_.succs(u)) {
-      const StateId v = edge.target;
-      int fv = forced(v);
-      if (fv == -2) return plan_fail(failure, "latch set and reset overlap");
-      if (fv == -1) fv = value[static_cast<std::size_t>(u)];
-      if (value[static_cast<std::size_t>(v)] == -1) {
-        value[static_cast<std::size_t>(v)] = static_cast<signed char>(fv);
-        queue.push_back(v);
-      } else if (value[static_cast<std::size_t>(v)] != fv) {
-        return plan_fail(failure, "latch value ambiguous (path-dependent)");
-      }
-    }
-  }
-  for (StateId s = 0; s < n; ++s)
-    if (value[static_cast<std::size_t>(s)] == 1) plan.s1.set(s);
-  return finish(std::move(plan), failure);
+    const Cover& f_set, const Cover& f_reset) {
+  // The covers must define the latch's initial value: unlike a state latch,
+  // a cover latch is not given a provisional one.
+  const StateCode init = sg_.code(sg_.initial());
+  if (!f_set.eval(init) && !f_reset.eval(init)) return std::nullopt;
+  const std::size_t words = bitwords::words_for(sg_.num_states());
+  key_scratch_.assign(2 * words, 0);
+  mark_states(f_set, key_scratch_.data());
+  mark_states(f_reset, key_scratch_.data() + words);
+  return plan_latch_block(f_set, f_reset, propagate_outcome(key_scratch_));
 }
 
-const InsertionPlanner::PropagateOutcome&
-InsertionPlanner::propagate_outcome(const DynBitset& set_states,
-                                    const DynBitset& reset_states) {
-  key_scratch_.assign(set_states.words().begin(), set_states.words().end());
-  key_scratch_.insert(key_scratch_.end(), reset_states.words().begin(),
-                      reset_states.words().end());
-  if (const std::uint32_t* idx = region_memo_.find(key_scratch_)) {
+/// Every state's cover value, a word of states at a time: a cube holds on
+/// the states where each of its literals' signal rows (or their
+/// complements) is set.  A latch walk reads every state's value, and this
+/// costs a few word operations per literal instead of one cover evaluation
+/// per state.
+void InsertionPlanner::mark_states(const Cover& f, std::uint64_t* out) {
+  const std::size_t n = sg_.num_states();
+  const std::size_t words = bitwords::words_for(n);
+  if (signal_rows_.empty()) {
+    signal_rows_.assign(static_cast<std::size_t>(sg_.num_signals()) * words,
+                        0);
+    for (std::size_t s = 0; s < n; ++s)
+      for (StateCode code = sg_.code(static_cast<StateId>(s)); code;
+           code &= code - 1)
+        signal_rows_[static_cast<std::size_t>(__builtin_ctzll(code)) * words +
+                     (s >> 6)] |= std::uint64_t{1} << (s & 63);
+  }
+  for (const Cube& c : f.cubes()) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t m = w + 1 < words || n % 64 == 0
+                            ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << (n % 64)) - 1;
+      for (std::uint64_t care = c.care; care && m; care &= care - 1) {
+        const int v = __builtin_ctzll(care);
+        const std::uint64_t row =
+            signal_rows_[static_cast<std::size_t>(v) * words + w];
+        m &= (c.val >> v) & 1 ? row : ~row;
+      }
+      out[w] |= m;
+    }
+  }
+}
+
+const std::optional<DynBitset>& InsertionPlanner::propagate_outcome(
+    const std::vector<std::uint64_t>& key) {
+  if (const std::uint32_t* idx = region_memo_.find(key)) {
     ++region_hits_;
     return propagate_results_[*idx];
   }
-  region_memo_.emplace(key_scratch_,
+  region_memo_.emplace(key,
                        static_cast<std::uint32_t>(propagate_results_.size()));
-  propagate_results_.emplace_back();
-  PropagateOutcome out;
+  std::optional<DynBitset>& out = propagate_results_.emplace_back();
 
+  // Forced latch value per state: 1 where set, 0 where reset, -1 (inherit
+  // from the predecessor) elsewhere, -2 where set and reset overlap.
   const auto n = static_cast<StateId>(sg_.num_states());
+  const std::size_t words = key.size() / 2;
   const StateId init = sg_.initial();
   auto forced = [&](StateId s) -> int {
-    if (set_states.test(static_cast<std::size_t>(s))) return 1;
-    if (reset_states.test(static_cast<std::size_t>(s))) return 0;
-    return -1;
+    const auto i = static_cast<std::size_t>(s);
+    const bool set = (key[i >> 6] >> (i & 63)) & 1;
+    const bool reset = (key[words + (i >> 6)] >> (i & 63)) & 1;
+    return set ? (reset ? -2 : 1) : reset ? 0 : -1;
   };
 
-  // Propagate forward from one assumed initial value; returns the value
-  // assignment or nullopt on a contradiction with the forced states.
-  auto propagate = [&](signed char init_value)
-      -> std::optional<std::vector<signed char>> {
-    std::vector<signed char> value(static_cast<std::size_t>(n), -1);
+  // Propagate SR-latch semantics forward from one assumed initial value;
+  // false on a reached overlap or a contradiction (a path-dependent value).
+  std::vector<signed char> value;
+  auto propagate = [&](signed char init_value) {
+    value.assign(static_cast<std::size_t>(n), -1);
     value[static_cast<std::size_t>(init)] = init_value;
     std::vector<StateId> queue{init};
     while (!queue.empty()) {
@@ -358,16 +272,17 @@ InsertionPlanner::propagate_outcome(const DynBitset& set_states,
       for (const auto& edge : sg_.succs(u)) {
         const StateId v = edge.target;
         int fv = forced(v);
+        if (fv == -2) return false;
         if (fv == -1) fv = value[static_cast<std::size_t>(u)];
         if (value[static_cast<std::size_t>(v)] == -1) {
           value[static_cast<std::size_t>(v)] = static_cast<signed char>(fv);
           queue.push_back(v);
         } else if (value[static_cast<std::size_t>(v)] != fv) {
-          return std::nullopt;
+          return false;
         }
       }
     }
-    return value;
+    return true;
   };
 
   // The initial value may be undetermined by the seeds; propagation from a
@@ -376,45 +291,37 @@ InsertionPlanner::propagate_outcome(const DynBitset& set_states,
   // first — matching the historical choice — and retry with 1 before
   // rejecting: a cycle structure that forces the initial value to 1 is a
   // perfectly valid insertion, not an ambiguity.
-  std::optional<std::vector<signed char>> value;
   const int fv = forced(init);
-  if (fv != -1) {
-    value = propagate(static_cast<signed char>(fv));
-  } else {
-    value = propagate(0);
-    if (!value) value = propagate(1);
-  }
-  if (!value) {
-    out.ok = false;
-    out.why = "latch value ambiguous (path-dependent)";
-    propagate_results_.back() = std::move(out);
-    return propagate_results_.back();
-  }
-
-  out.ok = true;
-  out.s1 = sg_.empty_set();
+  const bool ok = fv == -1 ? propagate(0) || propagate(1)
+                           : fv != -2 && propagate(static_cast<signed char>(fv));
+  if (!ok) return out;
+  out = sg_.empty_set();
   for (StateId s = 0; s < n; ++s)
-    if ((*value)[static_cast<std::size_t>(s)] == 1)
-      out.s1.set(static_cast<std::size_t>(s));
-  propagate_results_.back() = std::move(out);
-  return propagate_results_.back();
+    if (value[static_cast<std::size_t>(s)] == 1)
+      out->set(static_cast<std::size_t>(s));
+  return out;
 }
 
 std::optional<InsertionPlan> InsertionPlanner::plan_state_latch(
-    const DynBitset& set_states, const DynBitset& reset_states,
-    InsertionFailure* failure) {
-  if (!set_states.disjoint(reset_states))
-    return plan_fail(failure, "latch set and reset state sets overlap");
+    const DynBitset& set_states, const DynBitset& reset_states) {
+  if (!set_states.disjoint(reset_states)) return std::nullopt;
+  key_scratch_.assign(set_states.words().begin(), set_states.words().end());
+  key_scratch_.insert(key_scratch_.end(), reset_states.words().begin(),
+                      reset_states.words().end());
+  return plan_latch_block(Cover(sg_.num_signals()), Cover(sg_.num_signals()),
+                          propagate_outcome(key_scratch_));
+}
 
-  const PropagateOutcome& prop = propagate_outcome(set_states, reset_states);
-  if (!prop.ok) return plan_fail(failure, prop.why);
-
+std::optional<InsertionPlan> InsertionPlanner::plan_latch_block(
+    const Cover& f_set, const Cover& f_reset,
+    const std::optional<DynBitset>& s1) {
+  if (!s1) return std::nullopt;
   InsertionPlan plan;
-  plan.f = Cover(sg_.num_signals());
-  plan.f_reset = Cover(sg_.num_signals());
+  plan.f = f_set;
+  plan.f_reset = f_reset;
   plan.latch = true;
-  plan.s1 = prop.s1;
-  return finish(std::move(plan), failure);
+  plan.s1 = *s1;
+  return finish(std::move(plan));
 }
 
 StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
@@ -423,27 +330,19 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
   for (const auto& sig : sg.signals()) out.add_signal(sig.name, sig.kind);
   const int x = out.add_signal(name, SignalKind::kInternal);
 
-  // State copies: pre/post for states in the insertion regions, a single
-  // copy elsewhere.  pre_id/post_id hold new state ids per old state; for
-  // unsplit states both ids coincide.
+  // State copies: both x values for states in the insertion regions, the
+  // one matching S1 elsewhere (copy_exists).
   const auto n = static_cast<StateId>(sg.num_states());
   std::vector<StateId> id_x0(n, kNoState), id_x1(n, kNoState);
   // An ER state has two copies and one x arc; an arc at most two copies.
   const std::size_t split = plan.er_rise.count() + plan.er_fall.count();
   out.reserve(sg.num_states() + split, 2 * sg.num_arcs() + split);
 
-  auto x_bit = [&](bool v) { return v ? (StateCode{1} << x) : StateCode{0}; };
-
   for (StateId s = 0; s < n; ++s) {
     const StateCode base = sg.code(s);
-    if (plan.er_rise.test(s) || plan.er_fall.test(s)) {
-      id_x0[s] = out.add_state(base | x_bit(false));
-      id_x1[s] = out.add_state(base | x_bit(true));
-    } else if (plan.s1.test(s)) {
-      id_x1[s] = out.add_state(base | x_bit(true));
-    } else {
-      id_x0[s] = out.add_state(base | x_bit(false));
-    }
+    if (copy_exists(plan, s, false)) id_x0[s] = out.add_state(base);
+    if (copy_exists(plan, s, true))
+      id_x1[s] = out.add_state(base | (StateCode{1} << x));
   }
 
   // Transitions of the new signal.
@@ -454,18 +353,13 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
     out.add_arc(id_x1[s], Event{x, false}, id_x0[s]);
   });
 
-  // Original arcs: connect x-consistent copies.  Crossings between the two
-  // excitation regions must not skip the pending x transitions: on a
-  // ER(x+) -> ER(x-) arc only the (post,pre) = (x=1,x=1) copy survives, and
-  // symmetrically for ER(x-) -> ER(x+).
+  // Original arcs: connect the copies they carry between (arc_carries).
   for (StateId u = 0; u < n; ++u) {
     for (const auto& edge : sg.succs(u)) {
       const StateId v = edge.target;
-      const bool skip_00 = plan.er_rise.test(u) && plan.er_fall.test(v);
-      const bool skip_11 = plan.er_fall.test(u) && plan.er_rise.test(v);
-      if (id_x0[u] != kNoState && id_x0[v] != kNoState && !skip_00)
+      if (id_x0[u] != kNoState && arc_carries(plan, u, v, false))
         out.add_arc(id_x0[u], edge.event, id_x0[v]);
-      if (id_x1[u] != kNoState && id_x1[v] != kNoState && !skip_11)
+      if (id_x1[u] != kNoState && arc_carries(plan, u, v, true))
         out.add_arc(id_x1[u], edge.event, id_x1[v]);
     }
   }
@@ -512,25 +406,9 @@ InsertionPreview::InsertionPreview(const StateGraph& sg,
     if (!v && plan.er_rise.test(static_cast<std::size_t>(s))) visit(s, true);
     if (v && plan.er_fall.test(static_cast<std::size_t>(s))) visit(s, false);
     for (const auto& edge : sg.succs(s))
-      if (arc_carries(s, edge.target, v)) visit(edge.target, v);
+      if (arc_carries(plan, s, edge.target, v)) visit(edge.target, v);
   }
   num_states_ = reached_.count();
-}
-
-bool InsertionPreview::copy_exists(StateId s, bool value) const {
-  const auto i = static_cast<std::size_t>(s);
-  if (plan_.er_rise.test(i) || plan_.er_fall.test(i)) return true;
-  return plan_.s1.test(i) == value;
-}
-
-bool InsertionPreview::arc_carries(StateId from, StateId to, bool value) const {
-  if (!copy_exists(to, value)) return false;
-  // ER(x+) -> ER(x-) arcs must not skip the pending x+ on the x=0 side, and
-  // symmetrically for the x=1 side (insert_signal's skip_00 / skip_11).
-  const auto u = static_cast<std::size_t>(from);
-  const auto v = static_cast<std::size_t>(to);
-  if (!value) return !(plan_.er_rise.test(u) && plan_.er_fall.test(v));
-  return !(plan_.er_fall.test(u) && plan_.er_rise.test(v));
 }
 
 std::array<std::uint64_t, 2> InsertionPreview::enabled_mask(StateId s,
@@ -546,7 +424,7 @@ std::array<std::uint64_t, 2> InsertionPreview::enabled_mask(StateId s,
     // bitmap — every arc crossing the S0/S1 boundary lands inside an ER (the
     // input borders seed the regions), so all their arcs carry.
     for (const auto& edge : sg_.succs(s)) {
-      if (arc_carries(s, edge.target, value)) continue;
+      if (arc_carries(plan_, s, edge.target, value)) continue;
       const int id = 2 * edge.event.signal + (edge.event.rising ? 1 : 0);
       mask[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
     }
@@ -562,16 +440,9 @@ DynBitset disturbed_signals(const StateGraph& sg, const InsertionPlan& plan) {
   DynBitset out(static_cast<std::size_t>(sg.num_signals()));
   const DynBitset er = plan.er_rise | plan.er_fall;
   er.for_each([&](std::size_t s) {
-    const bool in_rise = plan.er_rise.test(s);
-    const bool in_fall = plan.er_fall.test(s);
     for (const auto& edge : sg.succs(static_cast<StateId>(s))) {
       const auto t = static_cast<std::size_t>(edge.target);
-      const bool er_t = plan.er_rise.test(t) || plan.er_fall.test(t);
-      const bool carries0 = (er_t || !plan.s1.test(t)) &&
-                            !(in_rise && plan.er_fall.test(t));
-      const bool carries1 = (er_t || plan.s1.test(t)) &&
-                            !(in_fall && plan.er_rise.test(t));
-      if (!carries0 || !carries1)
+      if (!arc_carries(plan, s, t, false) || !arc_carries(plan, s, t, true))
         out.set(static_cast<std::size_t>(edge.event.signal));
     }
   });
@@ -588,7 +459,7 @@ InsertionVerifier::InsertionVerifier(const StateGraph& before)
 
 PropertyResult InsertionVerifier::verify(const StateGraph& after,
                                          bool require_csc,
-                                         const DynBitset* disturbed) const {
+                                         const DynBitset& disturbed) const {
   if (auto r = check_consistency(after); !r) return r;
   if (auto r = check_speed_independence(after); !r) return r;
   if (require_csc) {
@@ -598,12 +469,12 @@ PropertyResult InsertionVerifier::verify(const StateGraph& after,
   // SIP: every signal whose events were persistent before must stay
   // persistent (inputs included; outputs are covered by the SI check).  A
   // baseline-persistent signal outside the disturbed set cannot fail — its
-  // enabledness is untouched on every surviving copy — so the re-check is
-  // skipped when the caller supplies the set.
+  // enabledness is untouched on every surviving copy — so its re-check is
+  // skipped.
   std::vector<int> sip;
   for (int sig = 0; sig < before_.num_signals(); ++sig) {
     if (!persistent_[static_cast<std::size_t>(sig)]) continue;
-    if (disturbed && !disturbed->test(static_cast<std::size_t>(sig))) continue;
+    if (!disturbed.test(static_cast<std::size_t>(sig))) continue;
     sip.push_back(sig);
   }
   // One pass checks them all; a violation is then named by the first

@@ -47,10 +47,6 @@ struct InsertionPlan {
   bool initial_value = false;  ///< x's value in the initial state
 };
 
-struct InsertionFailure {
-  std::string why;
-};
-
 /// Incremental insertion-planning engine: one planner per SG revision.
 ///
 /// Planning one candidate re-derives per-graph state the candidates of a
@@ -68,23 +64,24 @@ struct InsertionFailure {
 ///    diamond's top can only be forced when its second middle corner
 ///    joins.  The cross-region check walks only the regions' diamonds, so
 ///    planning never scans the whole diamond list;
-///  * a memo keyed by the (set-seed, reset-seed) switching-region pair
-///    caches the propagated latch block (or the propagation failure), so
-///    candidates bounded by events with identical switching regions skip
-///    the fixpoint;
+///  * a memo keyed by the (set, reset) state-set pair caches the
+///    propagated latch block, or that there is none, so latches forced on
+///    identical states (state latches bounded by events with identical
+///    switching regions, cover latches whose covers hold on the same
+///    states) share one latch walk;
 ///  * a second memo keyed by the S1 block itself caches the grown
-///    ER(x+)/ER(x-) pair, the derived initial value, or the growth failure
-///    — shared even between candidates with different seeds (and between
-///    combinational and latch divisors) that induce the same bipartition.
+///    ER(x+)/ER(x-) pair and the derived initial value, or that there are
+///    none — shared even between candidates with different seeds (and
+///    between combinational and latch divisors) that induce the same
+///    bipartition.
 ///
-/// Memoized answers equal a fresh planner's, failure strings included;
-/// `tests/perf_equiv_test.cpp` pins them.  The closure reaches the least
-/// fixpoint of the paper's steps in another order than the original
-/// step-by-step sweep over every diamond (kept in `tests/support/` as the
-/// oracle, `tests/insertion_oracle_test.cpp`), so it gives the same verdict
-/// and regions.  A growth failure's message names the state or event where
-/// that sweep stops; the planner re-runs the sweep for it only when the
-/// caller passes an `InsertionFailure`.  The planner holds a reference to
+/// The planner answers only whether a legal insertion exists and, if so,
+/// with its plan; nothing in the flow reads why a divisor is rejected.
+/// Memoized answers equal a fresh planner's (`tests/perf_equiv_test.cpp`).
+/// The closure reaches the least fixpoint of the paper's steps in another
+/// order than the step-by-step sweep over every diamond (kept in
+/// `tests/support/` as the oracle, `tests/insertion_oracle_test.cpp`), so it
+/// gives the same verdict and regions.  The planner holds a reference to
 /// the SG — do not mutate or destroy the graph while using it.  A caller
 /// planning one candidate may use a throwaway `InsertionPlanner(sg)`.
 class InsertionPlanner {
@@ -92,32 +89,31 @@ class InsertionPlanner {
   explicit InsertionPlanner(const StateGraph& sg);
 
   /// The I-partition for the combinational divisor `f` (S1 = states where f
-  /// evaluates to 1), or nullopt with the reason in `failure` if no legal
-  /// speed-independence-preserving insertion exists.
-  std::optional<InsertionPlan> plan(const Cover& f,
-                                    InsertionFailure* failure = nullptr);
+  /// evaluates to 1), or nullopt if no legal speed-independence-preserving
+  /// insertion exists.
+  std::optional<InsertionPlan> plan(const Cover& f);
 
   /// The I-partition for a sequential (latch) divisor: the new signal
   /// behaves like an SR latch, set when `f_set` holds and reset when
   /// `f_reset` holds; elsewhere it keeps its value.  S1 is obtained by
-  /// propagating this latch semantics over the SG; fails when set/reset
-  /// overlap on a reachable state or the propagated value is ambiguous.
+  /// propagating this latch semantics over the SG; fails when the initial
+  /// state is in neither set, set/reset overlap on a reachable state or the
+  /// propagated value is ambiguous.
   /// This realizes the paper's "very general sequential decomposition"
   /// (Section 5) — e.g. a 3-input C element decomposes as C(C(a,b), c) via
   /// f_set = a*b, f_reset = a'*b'.
   std::optional<InsertionPlan> plan_latch(const Cover& f_set,
-                                          const Cover& f_reset,
-                                          InsertionFailure* failure = nullptr);
+                                          const Cover& f_reset);
 
   /// State-set latch divisor: the new signal is forced to 1 on
   /// `set_states`, to 0 on `reset_states`, and inherits its value elsewhere.
   /// Unlike the cover-based divisors this can separate states sharing the
   /// same binary code, which is what Complete State Coding resolution needs
   /// (the insertion machinery is shared with decomposition, paper
-  /// Section 2.3).
-  std::optional<InsertionPlan> plan_state_latch(
-      const DynBitset& set_states, const DynBitset& reset_states,
-      InsertionFailure* failure = nullptr);
+  /// Section 2.3).  Fails when the sets overlap; an initial state in
+  /// neither set gets a provisional value, 0 and then 1.
+  std::optional<InsertionPlan> plan_state_latch(const DynBitset& set_states,
+                                                const DynBitset& reset_states);
 
   /// The graph's diamonds, enumerated on first use (with the corner index)
   /// and then shared.
@@ -128,32 +124,30 @@ class InsertionPlanner {
   std::size_t finish_memo_hits() const { return finish_hits_; }
 
  private:
-  /// Grown regions + initial value for one S1 block, or the failure reason.
+  /// Grown regions + initial value for one S1 block; !ok when none exist.
   struct FinishOutcome {
     bool ok = false;
     DynBitset er_rise, er_fall;
     bool initial_value = false;
-    /// Empty when region growth left its block: explain_growth names
-    /// that reason on request.
-    std::string why;
-  };
-  /// Propagated latch block for one (set, reset) seed pair, or the failure.
-  struct PropagateOutcome {
-    bool ok = false;
-    DynBitset s1;
-    std::string why;
   };
 
   /// Compute input borders + region growth for `plan.s1`, memoized.
-  std::optional<InsertionPlan> finish(InsertionPlan plan,
-                                      InsertionFailure* failure);
+  std::optional<InsertionPlan> finish(InsertionPlan plan);
   const FinishOutcome& finish_outcome(const DynBitset& s1);
   bool grow_region(const DynBitset& block, DynBitset* er) const;
-  std::string explain_growth(const DynBitset& s1);
   /// Indices of the diamonds where `s` is a middle corner (after diamonds()).
   std::span<const std::uint32_t> corner_diamonds(StateId s) const;
-  const PropagateOutcome& propagate_outcome(const DynBitset& set_states,
-                                            const DynBitset& reset_states);
+  /// The S1 block of the latch forced to 1 on the set states and to 0 on
+  /// the reset states, memoized; nullopt when its value is not well-defined.
+  /// `key` holds the set-state words, then the reset-state words.
+  const std::optional<DynBitset>& propagate_outcome(
+      const std::vector<std::uint64_t>& key);
+  /// Sets in `out`, words of a state set, the states where `f` holds.
+  void mark_states(const Cover& f, std::uint64_t* out);
+  /// The latch plan for a propagated block `s1` (nullopt passes through).
+  std::optional<InsertionPlan> plan_latch_block(
+      const Cover& f_set, const Cover& f_reset,
+      const std::optional<DynBitset>& s1);
 
   const StateGraph& sg_;
   std::optional<std::vector<Diamond>> diamonds_;
@@ -162,13 +156,15 @@ class InsertionPlanner {
   std::vector<std::uint32_t> corner_begin_, corner_diamonds_;
   /// (set words ++ reset words) -> index into propagate_results_.
   FlatMap<std::vector<std::uint64_t>, std::uint32_t, WordVecHash> region_memo_;
-  std::vector<PropagateOutcome> propagate_results_;
+  std::vector<std::optional<DynBitset>> propagate_results_;
   /// s1 words -> index into finish_results_.
   FlatMap<std::vector<std::uint64_t>, std::uint32_t, WordVecHash> finish_memo_;
   std::vector<FinishOutcome> finish_results_;
   /// Reused lookup-key buffer: queries probe with it and only a memo miss
   /// pays for the key copy (the memo is on the per-candidate hot path).
   std::vector<std::uint64_t> key_scratch_;
+  /// Signal v's row: the words of the states where v is 1 (mark_states).
+  std::vector<std::uint64_t> signal_rows_;
   std::size_t region_hits_ = 0, finish_hits_ = 0;
 };
 
@@ -228,8 +224,6 @@ class InsertionPreview {
   static std::size_t pair_index(StateId s, bool value) {
     return 2 * static_cast<std::size_t>(s) + (value ? 1 : 0);
   }
-  bool copy_exists(StateId s, bool value) const;
-  bool arc_carries(StateId from, StateId to, bool value) const;
 
   const StateGraph& sg_;
   const InsertionPlan& plan_;
@@ -263,12 +257,13 @@ class InsertionVerifier {
 
   /// Check `after` against `before`.  Pass `require_csc = false` while
   /// resolving CSC conflicts (the input SG itself violates CSC and
-  /// intermediate steps may still).  When `disturbed` is given (see
-  /// `disturbed_signals`) the SIP re-checks skip baseline-persistent signals
-  /// outside it; the verdict and failure message are unchanged — the skipped
-  /// checks cannot fail.
-  PropertyResult verify(const StateGraph& after, bool require_csc = true,
-                        const DynBitset* disturbed = nullptr) const;
+  /// intermediate steps may still).  The SIP re-checks skip
+  /// baseline-persistent signals outside `disturbed` (see
+  /// `disturbed_signals`; pass every signal for the unrestricted check);
+  /// the verdict and failure message are unchanged — the skipped checks
+  /// cannot fail.
+  PropertyResult verify(const StateGraph& after, bool require_csc,
+                        const DynBitset& disturbed) const;
 
  private:
   const StateGraph& before_;

@@ -344,7 +344,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
           const InsertionPlan& plan = candidates[pos + k].plan;
           StateGraph next = insert_signal(sg, plan, name);
           const DynBitset disturbed = disturbed_signals(sg, plan);
-          if (verifier.verify(next, /*require_csc=*/true, &disturbed))
+          if (verifier.verify(next, /*require_csc=*/true, disturbed))
             verified[k] = std::move(next);
         });
         for (std::size_t k = 0; k < chunk && evaluated.size() < cap; ++k) {

@@ -9,6 +9,7 @@
 #include "core/insertion.hpp"
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
+#include "support/insertion_oracle.hpp"
 
 namespace sitm {
 namespace {
@@ -38,10 +39,11 @@ TEST_F(HazardInsertion, DivisorAdIsIllegal) {
   // Figure 1b: decomposing Sx = a'cd by f = a'd is illegal (the insertion
   // set intersects a state diamond illegally / delays input events).
   const Cover f = cube_cover(sg.num_signals(), {{a, false}, {d, true}});
-  InsertionFailure why;
-  const auto plan = InsertionPlanner(sg).plan(f, &why);
-  EXPECT_FALSE(plan.has_value());
-  EXPECT_FALSE(why.why.empty());
+  EXPECT_FALSE(InsertionPlanner(sg).plan(f).has_value());
+  const ReferencePlan ref = reference_plan(sg, f);
+  EXPECT_FALSE(ref.ok);
+  EXPECT_EQ(ref.why,
+            "ER(x+): input event a+ would leave the insertion block");
 }
 
 TEST_F(HazardInsertion, DivisorAcIsLegal) {
@@ -49,7 +51,8 @@ TEST_F(HazardInsertion, DivisorAcIsLegal) {
   const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "s");
-  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                           ~DynBitset(sg.num_signals())));
 }
 
 TEST_F(HazardInsertion, DivisorDcIsLegal) {
@@ -57,7 +60,8 @@ TEST_F(HazardInsertion, DivisorDcIsLegal) {
   const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "s");
-  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                           ~DynBitset(sg.num_signals())));
 }
 
 TEST_F(HazardInsertion, InsertedSignalBehavesAsDelayedDivisor) {
@@ -98,9 +102,13 @@ TEST_F(HazardInsertion, ErRiseContainsInputBorder) {
 
 TEST(Insertion, ConstantDivisorRejected) {
   const StateGraph sg = bench::make_hazard().to_state_graph();
-  InsertionFailure why;
-  EXPECT_FALSE(InsertionPlanner(sg).plan(Cover::one(sg.num_signals()), &why));
-  EXPECT_FALSE(InsertionPlanner(sg).plan(Cover::zero(sg.num_signals()), &why));
+  for (const Cover& f :
+       {Cover::one(sg.num_signals()), Cover::zero(sg.num_signals())}) {
+    EXPECT_FALSE(InsertionPlanner(sg).plan(f));
+    const ReferencePlan ref = reference_plan(sg, f);
+    EXPECT_FALSE(ref.ok);
+    EXPECT_EQ(ref.why, "divisor function never changes value");
+  }
 }
 
 TEST(Insertion, StateCountGrowsByRegions) {
@@ -114,7 +122,8 @@ TEST(Insertion, StateCountGrowsByRegions) {
   const StateGraph next = insert_signal(sg, *plan, "y");
   EXPECT_EQ(next.num_states(),
             sg.num_states() + plan->er_rise.count() + plan->er_fall.count());
-  EXPECT_TRUE(InsertionVerifier(sg).verify(next));
+  EXPECT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                           ~DynBitset(sg.num_signals())));
 }
 
 TEST(Insertion, InsertionPreservesProjection) {
@@ -127,7 +136,8 @@ TEST(Insertion, InsertionPreservesProjection) {
   const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "y");
-  ASSERT_TRUE(InsertionVerifier(sg).verify(next));
+  ASSERT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                           ~DynBitset(sg.num_signals())));
 
   const StateCode mask = (StateCode{1} << sg.num_signals()) - 1;
   // Count arcs per (projected code, event) in both graphs; sets must match.
@@ -163,7 +173,8 @@ TEST(Insertion, VerifyCatchesBrokenGraph) {
   // p+ is not enabled.
   builder.add_arc(s00, Event{q, true}, s10);
   const StateGraph after = builder.freeze();
-  EXPECT_FALSE(InsertionVerifier(before).verify(after));
+  EXPECT_FALSE(InsertionVerifier(before).verify(
+      after, /*require_csc=*/true, ~DynBitset(before.num_signals())));
 }
 
 TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
@@ -190,10 +201,9 @@ TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
   DynBitset reset_states = sg.empty_set();  // SR(a-)
   reset_states.set(s01);
 
-  InsertionFailure why;
   const auto plan =
-      InsertionPlanner(sg).plan_state_latch(set_states, reset_states, &why);
-  ASSERT_TRUE(plan.has_value()) << why.why;
+      InsertionPlanner(sg).plan_state_latch(set_states, reset_states);
+  ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->initial_value);
   EXPECT_TRUE(plan->s1.test(s10));
   EXPECT_TRUE(plan->s1.test(s11));
@@ -225,10 +235,101 @@ TEST(StateLatchInsertion, TrulyAmbiguousValueStillRejected) {
   DynBitset reset_states = sg.empty_set();
   reset_states.set(sb);
 
-  InsertionFailure why;
-  EXPECT_FALSE(
-      InsertionPlanner(sg).plan_state_latch(set_states, reset_states, &why));
-  EXPECT_EQ(why.why, "latch value ambiguous (path-dependent)");
+  EXPECT_FALSE(InsertionPlanner(sg).plan_state_latch(set_states, reset_states));
+  const ReferencePlan ref =
+      reference_plan_state_latch(sg, set_states, reset_states);
+  EXPECT_FALSE(ref.ok);
+  EXPECT_EQ(ref.why, "latch value ambiguous (path-dependent)");
+}
+
+/// The 4-state ring a+ b+ a- b- over outputs a and b (a is code bit 0), plus
+/// a third signal c that stays 0 on the ring; when `orphan` is set, one more
+/// state with c = 1 that no arc reaches.  Starts at the ring state `start`.
+struct Ring {
+  StateGraph sg;
+  StateId s00, s10, s11, s01;
+  int a, b, c;
+};
+
+Ring make_ring(StateId Ring::*start, bool orphan) {
+  StateGraphBuilder builder;
+  Ring r;
+  r.a = builder.add_signal("a", SignalKind::kOutput);
+  r.b = builder.add_signal("b", SignalKind::kOutput);
+  r.c = builder.add_signal("c", SignalKind::kOutput);
+  r.s00 = builder.add_state(0b000);
+  r.s10 = builder.add_state(0b001);
+  r.s11 = builder.add_state(0b011);
+  r.s01 = builder.add_state(0b010);
+  if (orphan) builder.add_state(0b111);
+  builder.add_arc(r.s00, Event{r.a, true}, r.s10);
+  builder.add_arc(r.s10, Event{r.b, true}, r.s11);
+  builder.add_arc(r.s11, Event{r.a, false}, r.s01);
+  builder.add_arc(r.s01, Event{r.b, false}, r.s00);
+  builder.set_initial(r.*start);
+  r.sg = builder.freeze();
+  return r;
+}
+
+TEST(LatchInsertion, InitialStateInNeitherSet) {
+  // Set on a*b' (state 10) and reset on a'*b (state 01), starting at 11:
+  // the covers leave the initial value open.  A cover latch is rejected;
+  // the state latch on the same states retries with a provisional 1 and
+  // plans (StateLatchInsertion.InitialValueForcedToOneIsResolved).
+  const Ring r = make_ring(&Ring::s11, /*orphan=*/false);
+  const Cover f_set = cube_cover(3, {{r.a, true}, {r.b, false}});
+  const Cover f_reset = cube_cover(3, {{r.a, false}, {r.b, true}});
+  DynBitset set_states = r.sg.empty_set();
+  set_states.set(r.s10);
+  DynBitset reset_states = r.sg.empty_set();
+  reset_states.set(r.s01);
+
+  // One planner answers both, in both orders: the two latch kinds share
+  // the propagation memo, and a cover latch must not inherit the state
+  // latch's provisional initial value from it.
+  for (const bool cover_first : {true, false}) {
+    InsertionPlanner planner(r.sg);
+    if (cover_first) {
+      EXPECT_FALSE(planner.plan_latch(f_set, f_reset));
+    }
+    const auto state = planner.plan_state_latch(set_states, reset_states);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_TRUE(state->initial_value);
+    EXPECT_FALSE(planner.plan_latch(f_set, f_reset));
+  }
+
+  const ReferencePlan ref_latch = reference_plan_latch(r.sg, f_set, f_reset);
+  EXPECT_FALSE(ref_latch.ok);
+  EXPECT_EQ(ref_latch.why, "latch value undefined in initial state");
+  const ReferencePlan ref_state =
+      reference_plan_state_latch(r.sg, set_states, reset_states);
+  ASSERT_TRUE(ref_state.ok);
+  EXPECT_TRUE(ref_state.initial_value);
+}
+
+TEST(LatchInsertion, OverlapOnAnUnreachableStateIsIgnored) {
+  // f_set = a*b' + c and f_reset = a'*b + c overlap only where c = 1, on a
+  // state no arc reaches.  The latch walk only judges reached states, so
+  // the cover latch still plans, exactly as the oracle does.
+  const Ring r = make_ring(&Ring::s10, /*orphan=*/true);
+  ASSERT_EQ(r.sg.num_states(), 5u);
+  Cover f_set = cube_cover(3, {{r.a, true}, {r.b, false}});
+  f_set.add(Cube::literal(r.c, true));
+  Cover f_reset = cube_cover(3, {{r.a, false}, {r.b, true}});
+  f_reset.add(Cube::literal(r.c, true));
+
+  const auto plan = InsertionPlanner(r.sg).plan_latch(f_set, f_reset);
+  ASSERT_TRUE(plan.has_value());
+  const ReferencePlan ref = reference_plan_latch(r.sg, f_set, f_reset);
+  ASSERT_TRUE(ref.ok) << ref.why;
+  EXPECT_EQ(plan->s1, ref.s1);
+  EXPECT_EQ(plan->er_rise, ref.er_rise);
+  EXPECT_EQ(plan->er_fall, ref.er_fall);
+  EXPECT_EQ(plan->initial_value, ref.initial_value);
+  EXPECT_TRUE(plan->s1.test(r.s10));
+  EXPECT_TRUE(plan->s1.test(r.s11));
+  EXPECT_FALSE(plan->s1.test(r.s01));
+  EXPECT_FALSE(plan->s1.test(r.s00));
 }
 
 }  // namespace

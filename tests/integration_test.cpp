@@ -130,7 +130,8 @@ TEST(Integration, DecompositionStepsAreSoundInSequence) {
             : InsertionPlanner(sg).plan(step.divisor);
     ASSERT_TRUE(plan.has_value());
     StateGraph next = insert_signal(sg, *plan, step.new_signal);
-    ASSERT_TRUE(InsertionVerifier(sg).verify(next));
+    ASSERT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                              ~DynBitset(sg.num_signals())));
     EXPECT_EQ(next.num_states(), step.states_after);
     sg = std::move(next);
   }

@@ -88,7 +88,8 @@ TEST(Observe, InsertionPreservesObservableBehaviour) {
   const auto plan = InsertionPlanner(sg).plan(f);
   ASSERT_TRUE(plan.has_value());
   const StateGraph next = insert_signal(sg, *plan, "u");
-  ASSERT_TRUE(InsertionVerifier(sg).verify(next));
+  ASSERT_TRUE(InsertionVerifier(sg).verify(next, /*require_csc=*/true,
+                                            ~DynBitset(sg.num_signals())));
   EXPECT_TRUE(observationally_equivalent(sg, next));
 }
 

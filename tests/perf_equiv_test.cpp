@@ -434,7 +434,9 @@ CscResult reference_resolve_csc(const StateGraph& input,
       ++result.candidates_scored;
       StateGraph next = insert_signal(sg, *plan, name);
       ++result.graphs_materialized;
-      if (!InsertionVerifier(sg).verify(next, /*require_csc=*/false)) continue;
+      if (!InsertionVerifier(sg).verify(next, /*require_csc=*/false,
+                                        ~DynBitset(sg.num_signals())))
+        continue;
       const int pairs_after = ref_conflicts128(next).pairs;
       if (pairs_after >= conflicts.pairs) continue;
 
@@ -799,7 +801,7 @@ void expect_plan_equal(const std::optional<InsertionPlan>& a,
 TEST(PerfEquiv, PlannerStateLatchMatchesOneShot) {
   // One shared planner answering every (set, reset) switching-region pair —
   // memo hits included (each query is issued twice) — must return exactly
-  // what a fresh planner returns, failure strings included.
+  // what a fresh planner returns.
   std::vector<StateGraph> graphs;
   for (int segments : {2, 3, 4})
     graphs.push_back(bench::make_csc_ring(segments).to_state_graph());
@@ -822,16 +824,12 @@ TEST(PerfEquiv, PlannerStateLatchMatchesOneShot) {
         ++checked;
         const std::string ctx =
             "events " + std::to_string(e1) + "/" + std::to_string(e2);
-        InsertionFailure shared_why, one_shot_why;
-        const auto shared =
-            planner.plan_state_latch(region[e1], region[e2], &shared_why);
-        const auto one_shot = InsertionPlanner(sg).plan_state_latch(
-            region[e1], region[e2], &one_shot_why);
+        const auto shared = planner.plan_state_latch(region[e1], region[e2]);
+        const auto one_shot =
+            InsertionPlanner(sg).plan_state_latch(region[e1], region[e2]);
         expect_plan_equal(shared, one_shot, ctx);
-        if (!shared) EXPECT_EQ(shared_why.why, one_shot_why.why) << ctx;
         // Second query hits the memo; the answer must not drift.
-        const auto again =
-            planner.plan_state_latch(region[e1], region[e2], &shared_why);
+        const auto again = planner.plan_state_latch(region[e1], region[e2]);
         expect_plan_equal(again, one_shot, ctx + " (memoized)");
       }
     }
@@ -854,15 +852,12 @@ TEST(PerfEquiv, PlannerStateLatchMatchesOneShotOnCorpus) {
       for (const std::size_t e2 : occupied) {
         if (e1 == e2 || checked >= 64) continue;
         ++checked;
-        InsertionFailure shared_why, one_shot_why;
-        const auto shared =
-            planner.plan_state_latch(region[e1], region[e2], &shared_why);
-        const auto one_shot = InsertionPlanner(sg).plan_state_latch(
-            region[e1], region[e2], &one_shot_why);
+        const auto shared = planner.plan_state_latch(region[e1], region[e2]);
+        const auto one_shot =
+            InsertionPlanner(sg).plan_state_latch(region[e1], region[e2]);
         expect_plan_equal(shared, one_shot,
                           entry.name + " " + std::to_string(e1) + "/" +
                               std::to_string(e2));
-        if (!shared) EXPECT_EQ(shared_why.why, one_shot_why.why) << entry.name;
       }
     }
   }
@@ -894,17 +889,13 @@ TEST(PerfEquiv, PlannerCoverMatchesOneShotRandomized) {
       const Cover f(sg.num_signals(), {cube});
       const Cover f_reset(sg.num_signals(), {partner});
 
-      InsertionFailure shared_why, one_shot_why;
-      const auto comb = planner.plan(f, &shared_why);
-      const auto comb_ref = InsertionPlanner(sg).plan(f, &one_shot_why);
+      const auto comb = planner.plan(f);
+      const auto comb_ref = InsertionPlanner(sg).plan(f);
       expect_plan_equal(comb, comb_ref, "combinational");
-      if (!comb) EXPECT_EQ(shared_why.why, one_shot_why.why);
 
-      const auto latch = planner.plan_latch(f, f_reset, &shared_why);
-      const auto latch_ref =
-          InsertionPlanner(sg).plan_latch(f, f_reset, &one_shot_why);
+      const auto latch = planner.plan_latch(f, f_reset);
+      const auto latch_ref = InsertionPlanner(sg).plan_latch(f, f_reset);
       expect_plan_equal(latch, latch_ref, "latch");
-      if (!latch) EXPECT_EQ(shared_why.why, one_shot_why.why);
     }
   }
 }
@@ -1010,12 +1001,14 @@ TEST(PerfEquiv, InsertionVerifierMatchesFreeVerify) {
 
         const StateGraph next = insert_signal(sg, *plan, "zz0");
         const DynBitset disturbed = disturbed_signals(sg, *plan);
+        const DynBitset every = ~DynBitset(sg.num_signals());
         for (const bool require_csc : {false, true}) {
           const PropertyResult free_r =
-              InsertionVerifier(sg).verify(next, require_csc);
-          const PropertyResult memo_r = verifier.verify(next, require_csc);
+              InsertionVerifier(sg).verify(next, require_csc, every);
+          const PropertyResult memo_r =
+              verifier.verify(next, require_csc, every);
           const PropertyResult dist_r =
-              verifier.verify(next, require_csc, &disturbed);
+              verifier.verify(next, require_csc, disturbed);
           EXPECT_EQ(free_r.ok, memo_r.ok);
           EXPECT_EQ(free_r.why, memo_r.why);
           EXPECT_EQ(free_r.ok, dist_r.ok);

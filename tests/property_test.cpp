@@ -92,7 +92,8 @@ TEST_P(FamilySweep, InsertionInvariants) {
         EXPECT_TRUE(plan->er_rise.disjoint(plan->er_fall));
         // Insertion preserves all behavioural properties.
         const StateGraph next = insert_signal(sg, *plan, "prop");
-        const auto check = InsertionVerifier(sg).verify(next);
+        const auto check = InsertionVerifier(sg).verify(
+            next, /*require_csc=*/true, ~DynBitset(sg.num_signals()));
         EXPECT_TRUE(check.ok) << check.why;
         if (planned >= 8) return;  // bound runtime per instance
       }
@@ -136,7 +137,8 @@ TEST(RandomDivisors, PlannedInsertionsAlwaysVerify) {
     if (!plan) continue;
     ++valid;
     const StateGraph next = insert_signal(sg, *plan, "rnd");
-    const auto check = InsertionVerifier(sg).verify(next);
+    const auto check = InsertionVerifier(sg).verify(
+        next, /*require_csc=*/true, ~DynBitset(sg.num_signals()));
     EXPECT_TRUE(check.ok) << "divisor failed: " << check.why;
   }
   // The generator families admit at least some random legal insertions.
