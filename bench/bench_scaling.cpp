@@ -210,7 +210,8 @@ BENCHMARK(BM_MapSeqChain)->DenseRange(2, 10, 2)->Unit(benchmark::kMillisecond);
 // Inner loop of the minimizer in isolation: expand every on-minterm of the
 // parallelizer's done-signal next-state function against the off-set through
 // the bit-sliced engine, including the per-call off-set transpose (this is
-// how minimize_onoff amortizes it).
+// how minimize_onoff amortizes it).  next_value splits the states, so no
+// on-minterm is also an off-minterm.
 void BM_ExpandMinterm(benchmark::State& state) {
   const StateGraph sg =
       bench::make_parallelizer(static_cast<int>(state.range(0)))
@@ -226,7 +227,7 @@ void BM_ExpandMinterm(benchmark::State& state) {
   for (auto _ : state) {
     const BitSlicedOffSet sliced(off, sg.num_signals());
     for (const auto code : on)
-      benchmark::DoNotOptimize(expand_minterm(code, sliced, order));
+      benchmark::DoNotOptimize(expand_on_minterm(code, sliced, order));
   }
   state.counters["on"] = static_cast<double>(on.size());
   state.counters["off"] = static_cast<double>(off.size());
@@ -254,8 +255,8 @@ void BM_Irredundant(benchmark::State& state) {
     std::rotate(order.begin(), order.begin() + 1, order.end());
     const std::vector<int> reversed(order.rbegin(), order.rend());
     for (const auto code : on) {
-      cubes.push_back(expand_minterm(code, sliced, order));
-      cubes.push_back(expand_minterm(code, sliced, reversed));
+      cubes.push_back(expand_on_minterm(code, sliced, order));
+      cubes.push_back(expand_on_minterm(code, sliced, reversed));
     }
   }
   std::sort(cubes.begin(), cubes.end());

@@ -49,14 +49,6 @@ void BM_CoverComplement(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverComplement);
 
-void BM_CoverTautology(benchmark::State& state) {
-  std::vector<std::uint64_t> on, off;
-  random_onoff(12, 9, &on, &off);
-  const Cover f = minimize_onoff(on, off, 12);
-  for (auto _ : state) benchmark::DoNotOptimize(f.tautology());
-}
-BENCHMARK(BM_CoverTautology);
-
 void BM_Kernels(benchmark::State& state) {
   // (a+b+c)(d+e)f + g — the classic kernel workload, scaled by replication.
   Cover f(24);

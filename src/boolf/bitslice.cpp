@@ -23,25 +23,6 @@ BitSlicedOffSet::BitSlicedOffSet(const std::vector<std::uint64_t>& off,
   }
 }
 
-bool BitSlicedOffSet::hits(const Cube& c) const {
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t acc = (w + 1 == words_) ? tail_ : ~std::uint64_t{0};
-    std::uint64_t rem = c.care;
-    while (rem && acc) {
-      const int u = __builtin_ctzll(rem);
-      rem &= rem - 1;
-      const std::uint64_t ones = col(u)[w];
-      acc &= ((c.val >> u) & 1u) ? ones : ~ones;
-    }
-    if (acc) return true;
-  }
-  return false;
-}
-
-bool BitSlicedOffSet::contains_minterm(std::uint64_t code) const {
-  return hits(Cube::minterm(code, num_vars_));
-}
-
 bool BitSlicedOffSet::removal_hits(const Cube& c, int v) const {
   const std::uint64_t others = c.care & ~(std::uint64_t{1} << v);
   for (std::size_t w = 0; w < words_; ++w) {
@@ -61,14 +42,6 @@ bool BitSlicedOffSet::removal_hits(const Cube& c, int v) const {
     if (acc) return true;
   }
   return false;
-}
-
-Cube expand_minterm(std::uint64_t code, const BitSlicedOffSet& off,
-                    const std::vector<int>& var_order) {
-  // Degenerate input (the minterm itself is in the off-set): every widening
-  // still hits, so the row-major fixpoint returns the minterm unchanged.
-  if (off.contains_minterm(code)) return Cube::minterm(code, off.num_vars());
-  return expand_on_minterm(code, off, var_order);
 }
 
 Cube expand_on_minterm(std::uint64_t code, const BitSlicedOffSet& off,

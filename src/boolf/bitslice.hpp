@@ -33,14 +33,7 @@ class BitSlicedOffSet {
   BitSlicedOffSet(const std::vector<std::uint64_t>& off, int num_vars);
 
   int num_vars() const { return num_vars_; }
-  std::size_t num_minterms() const { return n_; }
   bool empty() const { return n_ == 0; }
-
-  /// Is the full assignment `code` one of the off-minterms?
-  bool contains_minterm(std::uint64_t code) const;
-
-  /// Does cube `c` contain at least one off-minterm?
-  bool hits(const Cube& c) const;
 
   /// Would dropping the literal on `v` from cube `c` capture an off-minterm?
   /// Exact under the precondition that `c` itself hits no off-minterm: true
@@ -64,15 +57,10 @@ class BitSlicedOffSet {
 };
 
 /// Expand a minterm into a prime-ish cube against a bit-sliced off-set.
-/// Returns the same cube, literal for literal, as the row-major
-/// expand_minterm over the same off-set and `var_order`; an off-minterm
-/// (degenerate input) comes back unchanged.
-Cube expand_minterm(std::uint64_t code, const BitSlicedOffSet& off,
-                    const std::vector<int>& var_order);
-
-/// expand_minterm for a `code` known to lie outside the off-set, as every
-/// on-minterm of minimize_onoff does once its on/off overlap check passed:
-/// the same cube, without the membership test.
+/// `code` must lie outside the off-set, as every on-minterm of
+/// minimize_onoff does once its on/off overlap check passed.  Returns the
+/// same cube, literal for literal, as the row-major expand_minterm over the
+/// same off-set and `var_order`.
 Cube expand_on_minterm(std::uint64_t code, const BitSlicedOffSet& off,
                        const std::vector<int>& var_order);
 

@@ -64,18 +64,6 @@ Cover Cover::cofactor(int var, bool value) const {
   return out;
 }
 
-Cover Cover::cofactor(const Cube& cc) const {
-  Cover out(num_vars_);
-  for (const auto& c : cubes_) {
-    if (!c.intersects(cc)) continue;
-    Cube r = c;
-    r.care &= ~cc.care;
-    r.val &= ~cc.care;
-    out.add(r);
-  }
-  return out;
-}
-
 namespace {
 
 /// Pick the splitting variable: the most binate variable (appears in both
@@ -110,29 +98,6 @@ int splitting_var(const std::vector<Cube>& cubes) {
 }
 
 }  // namespace
-
-bool Cover::tautology() const {
-  for (const auto& c : cubes_)
-    if (c.is_one()) return true;
-  if (cubes_.empty()) return false;
-  const int v = splitting_var(cubes_);
-  if (v < 0) return false;  // no support and no universal cube
-  // Unate shortcut: if v is unate, the cofactor against the absent polarity
-  // already decides (cubes with the literal vanish there).
-  return cofactor(v, false).tautology() && cofactor(v, true).tautology();
-}
-
-bool Cover::covers_cube(const Cube& c) const { return cofactor(c).tautology(); }
-
-bool Cover::covers(const Cover& other) const {
-  for (const auto& c : other.cubes_)
-    if (!covers_cube(c)) return false;
-  return true;
-}
-
-bool Cover::equivalent(const Cover& other) const {
-  return covers(other) && other.covers(*this);
-}
 
 Cover Cover::complement() const {
   for (const auto& c : cubes_)
@@ -173,22 +138,6 @@ Cover Cover::complement() const {
       if (disjoint) c = wider;
     }
   }
-  out.make_minimal_wrt_containment();
-  return out;
-}
-
-Cover Cover::operator|(const Cover& o) const {
-  Cover out(num_vars_, cubes_);
-  for (const auto& c : o.cubes_) out.add(c);
-  out.make_minimal_wrt_containment();
-  return out;
-}
-
-Cover Cover::operator&(const Cover& o) const {
-  Cover out(num_vars_);
-  for (const auto& a : cubes_)
-    for (const auto& b : o.cubes_)
-      if (a.intersects(b)) out.add(a.meet(b));
   out.make_minimal_wrt_containment();
   return out;
 }

@@ -1,7 +1,7 @@
 #pragma once
-// Sum-of-products covers and the classical cover algebra of two-level
-// synthesis: cofactors, tautology, complement, containment (the unate
-// recursive paradigm of espresso).
+// Sum-of-products covers and the part of the classical cover algebra of
+// two-level synthesis that the flow uses: cofactors, complement (the unate
+// recursive paradigm of espresso) and containment cleanup.
 
 #include <string>
 #include <vector>
@@ -47,30 +47,15 @@ class Cover {
 
   /// Cofactor with respect to var=value.
   Cover cofactor(int var, bool value) const;
-  /// Cofactor with respect to a cube.
-  Cover cofactor(const Cube& c) const;
 
-  /// Is the cover the constant-1 function? (unate recursive tautology)
-  bool tautology() const;
-  /// Does the cover contain (imply over) cube `c`?
-  bool covers_cube(const Cube& c) const;
-  /// Semantic containment: is `other`'s on-set a subset of ours?
-  bool covers(const Cover& other) const;
-  /// Semantic equality.
-  bool equivalent(const Cover& other) const;
   /// Structural (cube-for-cube) equality — the bit-identity predicate of
-  /// the parallel-synthesis equivalence tests; use `equivalent` for
-  /// function equality.
+  /// the parallel-synthesis equivalence tests, not function equality.
   bool operator==(const Cover& o) const {
     return num_vars_ == o.num_vars_ && cubes_ == o.cubes_;
   }
 
   /// Complement via unate-recursive De Morgan recursion.
   Cover complement() const;
-
-  /// OR / AND of two covers (no minimization).
-  Cover operator|(const Cover& o) const;
-  Cover operator&(const Cover& o) const;
 
   /// Variables appearing in some cube, as a mask.
   std::uint64_t support() const;

@@ -128,10 +128,8 @@ bool InsertionPlanner::grow_region(const DynBitset& block,
 const InsertionPlanner::FinishOutcome& InsertionPlanner::finish_outcome(
     const DynBitset& s1) {
   key_scratch_ = s1.words();
-  if (const std::uint32_t* idx = finish_memo_.find(key_scratch_)) {
-    ++finish_hits_;
+  if (const std::uint32_t* idx = finish_memo_.find(key_scratch_))
     return finish_results_[*idx];
-  }
   finish_memo_.emplace(key_scratch_,
                        static_cast<std::uint32_t>(finish_results_.size()));
   // Stays the failed outcome unless every check below passes.
@@ -201,7 +199,9 @@ std::optional<InsertionPlan> InsertionPlanner::plan_latch(
   key_scratch_.assign(2 * words, 0);
   mark_states(f_set, key_scratch_.data());
   mark_states(f_reset, key_scratch_.data() + words);
-  return plan_latch_block(f_set, f_reset, propagate_outcome(key_scratch_));
+  return plan_latch_block(
+      f_set, f_reset,
+      propagate_latch(key_scratch_.data(), key_scratch_.data() + words));
 }
 
 /// Every state's cover value, a word of states at a time: a cube holds on
@@ -237,26 +237,17 @@ void InsertionPlanner::mark_states(const Cover& f, std::uint64_t* out) {
   }
 }
 
-const std::optional<DynBitset>& InsertionPlanner::propagate_outcome(
-    const std::vector<std::uint64_t>& key) {
-  if (const std::uint32_t* idx = region_memo_.find(key)) {
-    ++region_hits_;
-    return propagate_results_[*idx];
-  }
-  region_memo_.emplace(key,
-                       static_cast<std::uint32_t>(propagate_results_.size()));
-  std::optional<DynBitset>& out = propagate_results_.emplace_back();
-
+std::optional<DynBitset> InsertionPlanner::propagate_latch(
+    const std::uint64_t* set, const std::uint64_t* reset) const {
   // Forced latch value per state: 1 where set, 0 where reset, -1 (inherit
   // from the predecessor) elsewhere, -2 where set and reset overlap.
   const auto n = static_cast<StateId>(sg_.num_states());
-  const std::size_t words = key.size() / 2;
   const StateId init = sg_.initial();
   auto forced = [&](StateId s) -> int {
     const auto i = static_cast<std::size_t>(s);
-    const bool set = (key[i >> 6] >> (i & 63)) & 1;
-    const bool reset = (key[words + (i >> 6)] >> (i & 63)) & 1;
-    return set ? (reset ? -2 : 1) : reset ? 0 : -1;
+    const bool in_set = (set[i >> 6] >> (i & 63)) & 1;
+    const bool in_reset = (reset[i >> 6] >> (i & 63)) & 1;
+    return in_set ? (in_reset ? -2 : 1) : in_reset ? 0 : -1;
   };
 
   // Propagate SR-latch semantics forward from one assumed initial value;
@@ -294,33 +285,30 @@ const std::optional<DynBitset>& InsertionPlanner::propagate_outcome(
   const int fv = forced(init);
   const bool ok = fv == -1 ? propagate(0) || propagate(1)
                            : fv != -2 && propagate(static_cast<signed char>(fv));
-  if (!ok) return out;
-  out = sg_.empty_set();
+  if (!ok) return std::nullopt;
+  DynBitset s1 = sg_.empty_set();
   for (StateId s = 0; s < n; ++s)
     if (value[static_cast<std::size_t>(s)] == 1)
-      out->set(static_cast<std::size_t>(s));
-  return out;
+      s1.set(static_cast<std::size_t>(s));
+  return s1;
 }
 
 std::optional<InsertionPlan> InsertionPlanner::plan_state_latch(
     const DynBitset& set_states, const DynBitset& reset_states) {
   if (!set_states.disjoint(reset_states)) return std::nullopt;
-  key_scratch_.assign(set_states.words().begin(), set_states.words().end());
-  key_scratch_.insert(key_scratch_.end(), reset_states.words().begin(),
-                      reset_states.words().end());
-  return plan_latch_block(Cover(sg_.num_signals()), Cover(sg_.num_signals()),
-                          propagate_outcome(key_scratch_));
+  return plan_latch_block(
+      Cover(sg_.num_signals()), Cover(sg_.num_signals()),
+      propagate_latch(set_states.words().data(), reset_states.words().data()));
 }
 
 std::optional<InsertionPlan> InsertionPlanner::plan_latch_block(
-    const Cover& f_set, const Cover& f_reset,
-    const std::optional<DynBitset>& s1) {
+    const Cover& f_set, const Cover& f_reset, std::optional<DynBitset> s1) {
   if (!s1) return std::nullopt;
   InsertionPlan plan;
   plan.f = f_set;
   plan.f_reset = f_reset;
   plan.latch = true;
-  plan.s1 = *s1;
+  plan.s1 = std::move(*s1);
   return finish(std::move(plan));
 }
 

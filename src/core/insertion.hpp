@@ -64,12 +64,7 @@ struct InsertionPlan {
 ///    diamond's top can only be forced when its second middle corner
 ///    joins.  The cross-region check walks only the regions' diamonds, so
 ///    planning never scans the whole diamond list;
-///  * a memo keyed by the (set, reset) state-set pair caches the
-///    propagated latch block, or that there is none, so latches forced on
-///    identical states (state latches bounded by events with identical
-///    switching regions, cover latches whose covers hold on the same
-///    states) share one latch walk;
-///  * a second memo keyed by the S1 block itself caches the grown
+///  * a memo keyed by the S1 block itself caches the grown
 ///    ER(x+)/ER(x-) pair and the derived initial value, or that there are
 ///    none — shared even between candidates with different seeds (and
 ///    between combinational and latch divisors) that induce the same
@@ -119,10 +114,6 @@ class InsertionPlanner {
   /// and then shared.
   const std::vector<Diamond>& diamonds();
 
-  /// Memo effectiveness counters (queries answered from a cache).
-  std::size_t region_memo_hits() const { return region_hits_; }
-  std::size_t finish_memo_hits() const { return finish_hits_; }
-
  private:
   /// Grown regions + initial value for one S1 block; !ok when none exist.
   struct FinishOutcome {
@@ -137,35 +128,31 @@ class InsertionPlanner {
   bool grow_region(const DynBitset& block, DynBitset* er) const;
   /// Indices of the diamonds where `s` is a middle corner (after diamonds()).
   std::span<const std::uint32_t> corner_diamonds(StateId s) const;
-  /// The S1 block of the latch forced to 1 on the set states and to 0 on
-  /// the reset states, memoized; nullopt when its value is not well-defined.
-  /// `key` holds the set-state words, then the reset-state words.
-  const std::optional<DynBitset>& propagate_outcome(
-      const std::vector<std::uint64_t>& key);
+  /// The S1 block of the latch forced to 1 on the states of the `set`
+  /// words and to 0 on those of the `reset` words; nullopt when its value
+  /// is not well-defined.
+  std::optional<DynBitset> propagate_latch(const std::uint64_t* set,
+                                           const std::uint64_t* reset) const;
   /// Sets in `out`, words of a state set, the states where `f` holds.
   void mark_states(const Cover& f, std::uint64_t* out);
   /// The latch plan for a propagated block `s1` (nullopt passes through).
-  std::optional<InsertionPlan> plan_latch_block(
-      const Cover& f_set, const Cover& f_reset,
-      const std::optional<DynBitset>& s1);
+  std::optional<InsertionPlan> plan_latch_block(const Cover& f_set,
+                                                const Cover& f_reset,
+                                                std::optional<DynBitset> s1);
 
   const StateGraph& sg_;
   std::optional<std::vector<Diamond>> diamonds_;
   /// Corner index: state s is a middle corner of the diamonds
   /// corner_diamonds_[corner_begin_[s] .. corner_begin_[s + 1]).
   std::vector<std::uint32_t> corner_begin_, corner_diamonds_;
-  /// (set words ++ reset words) -> index into propagate_results_.
-  FlatMap<std::vector<std::uint64_t>, std::uint32_t, WordVecHash> region_memo_;
-  std::vector<std::optional<DynBitset>> propagate_results_;
   /// s1 words -> index into finish_results_.
   FlatMap<std::vector<std::uint64_t>, std::uint32_t, WordVecHash> finish_memo_;
   std::vector<FinishOutcome> finish_results_;
-  /// Reused lookup-key buffer: queries probe with it and only a memo miss
-  /// pays for the key copy (the memo is on the per-candidate hot path).
+  /// Reused buffer: the finish memo's lookup key (only a miss pays for the
+  /// key copy), and a cover latch's set words then reset words.
   std::vector<std::uint64_t> key_scratch_;
   /// Signal v's row: the words of the states where v is 1 (mark_states).
   std::vector<std::uint64_t> signal_rows_;
-  std::size_t region_hits_ = 0, finish_hits_ = 0;
 };
 
 /// Provenance of the inserted graph's states: for every pre-insertion state,

@@ -4,6 +4,7 @@
 
 #include "core/progress.hpp"
 #include "mlogic/division.hpp"
+#include "mlogic/divisors.hpp"
 #include "sg/properties.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -261,7 +262,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         candidates.push_back(
             Candidate{f, div.quotient, div.remainder, std::move(*plan), est});
       };
-      for (Cover& f : generate_divisors(target.cover->cover, opts.divisors)) {
+      for (Cover& f : generate_divisors(target.cover->cover)) {
         Division div = algebraic_division(target.cover->cover, f);
         if (div.quotient.empty()) continue;  // not an algebraic divisor
         // Combinational divisor: the new signal is a delayed copy of f.

@@ -52,7 +52,6 @@
 #include "core/gate_library.hpp"
 #include "core/insertion.hpp"
 #include "core/mc_cover.hpp"
-#include "mlogic/divisors.hpp"
 #include "netlist/netlist.hpp"
 #include "sg/state_graph.hpp"
 
@@ -61,7 +60,6 @@ namespace sitm {
 struct MapperOptions {
   GateLibrary library{2};
   McOptions mc;
-  DivisorOptions divisors;
   /// Apply Properties 3.1/3.2 as candidate filters before resynthesis.
   bool use_progress_filters = true;
   /// Allow transitions of the new signal to be acknowledged by covers other

@@ -152,15 +152,6 @@ FlowReport Flow::run_spec(Spec spec) {
   return run_stages(Stage::kReachability, opts_.stop_after);
 }
 
-FlowReport Flow::run_state_graph(StateGraph sg, std::string name) {
-  ctx_ = FlowContext{};
-  ctx_.name = std::move(name);
-  ctx_.spec.name = ctx_.name;
-  ctx_.spec.format = SpecFormat::kSg;
-  ctx_.spec.sg = std::move(sg);
-  return run_stages(Stage::kReachability, opts_.stop_after);
-}
-
 namespace {
 
 /// Load-stage metrics from an already-parsed spec (shared between the real

@@ -241,9 +241,6 @@ struct FlowReport {
   }
 
   Json to_json() const;
-  std::string to_json_string(int indent = 2) const {
-    return to_json().dump(indent);
-  }
 };
 
 /// Shared artifact store: everything stages hand to each other lives here
@@ -308,8 +305,6 @@ class Flow {
   /// Run from a pre-parsed spec (e.g. a suite entry); the load stage is
   /// recorded from the spec without re-parsing.
   FlowReport run_spec(Spec spec);
-  /// Run from an explicit SG (load + reachability recorded as satisfied).
-  FlowReport run_state_graph(StateGraph sg, std::string name = "spec");
   /// Run the check stage alone on `netlist`, which replaces the netlist a
   /// previous run left in the context and is checked against the same SG
   /// revision.  `sitm check --mutate` proves a corrupted copy of a run's

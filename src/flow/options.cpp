@@ -177,7 +177,6 @@ constexpr OptionRow kTable[] = {
     {SITM_FIELD(mapper.mc.minimize_passes), .min = 1},
     {SITM_FIELD(mapper.mc.architecture)},
     {SITM_FIELD(mapper.mc.threads)},
-    {SITM_FIELD(mapper.divisors.max_candidates)},
     {SITM_FIELD(mapper.use_progress_filters)},
     {SITM_FIELD(mapper.global_acknowledgement)},
     {SITM_FIELD(mapper.max_insertions)},

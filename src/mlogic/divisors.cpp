@@ -11,6 +11,9 @@ namespace {
 /// when a cube/cover has at most this many literals/terms.
 constexpr int kMaxSubsetWidth = 6;
 
+/// Upper bound on emitted candidates (the cheapest by literal count).
+constexpr std::size_t kMaxDivisors = 128;
+
 /// Canonical key for dedup.
 std::vector<Cube> key_of(Cover c) {
   c.make_minimal_wrt_containment();
@@ -20,8 +23,7 @@ std::vector<Cube> key_of(Cover c) {
 
 class Collector {
  public:
-  Collector(const Cover& target, const DivisorOptions& opts)
-      : target_(target), opts_(opts) {}
+  explicit Collector(const Cover& target) : target_(target) {}
 
   void add(Cover divisor) {
     divisor.make_minimal_wrt_containment();
@@ -41,13 +43,12 @@ class Collector {
                      [](const Cover& a, const Cover& b) {
                        return a.num_literals() < b.num_literals();
                      });
-    if (out_.size() > opts_.max_candidates) out_.resize(opts_.max_candidates);
+    if (out_.size() > kMaxDivisors) out_.resize(kMaxDivisors);
     return std::move(out_);
   }
 
  private:
   const Cover& target_;
-  const DivisorOptions& opts_;
   std::set<std::vector<Cube>> seen_;
   std::vector<Cover> out_;
 };
@@ -109,9 +110,8 @@ void add_term_subsets(const Cover& cover, int max_width, Collector& out) {
 
 }  // namespace
 
-std::vector<Cover> generate_divisors(const Cover& cover,
-                                     const DivisorOptions& opts) {
-  Collector out(cover, opts);
+std::vector<Cover> generate_divisors(const Cover& cover) {
+  Collector out(cover);
 
   // Kernels and co-kernels.
   const auto kernels = all_kernels(cover);

@@ -16,15 +16,9 @@
 
 namespace sitm {
 
-struct DivisorOptions {
-  /// Upper bound on emitted candidates (best-first by literal count).
-  std::size_t max_candidates = 128;
-};
-
 /// Candidate divisors for `cover`, deduplicated, sorted by ascending literal
 /// count (cheap gates first), trivial (single-literal / full-cover)
-/// candidates excluded.
-std::vector<Cover> generate_divisors(const Cover& cover,
-                                     const DivisorOptions& opts = {});
+/// candidates excluded, and cut to the first 128.
+std::vector<Cover> generate_divisors(const Cover& cover);
 
 }  // namespace sitm

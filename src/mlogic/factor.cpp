@@ -20,72 +20,30 @@ std::unique_ptr<FactoredForm> FactoredForm::constant(bool one) {
   return node;
 }
 
-int FactoredForm::num_literals() const {
+std::string FactoredForm::to_string(const std::vector<std::string>& names,
+                                    const FactoredSyntax& syntax) const {
   switch (kind) {
     case Kind::kLiteral:
-      return 1;
+      if (positive) return names[static_cast<std::size_t>(var)];
+      return syntax.not_prefix + names[static_cast<std::size_t>(var)] +
+             syntax.not_suffix;
     case Kind::kZero:
+      return syntax.zero;
     case Kind::kOne:
-      return 0;
+      return syntax.one;
     case Kind::kAnd:
     case Kind::kOr: {
-      int n = 0;
-      for (const auto& child : children) n += child->num_literals();
-      return n;
-    }
-  }
-  return 0;
-}
-
-bool FactoredForm::eval(std::uint64_t code) const {
-  switch (kind) {
-    case Kind::kLiteral:
-      return (((code >> var) & 1) != 0) == positive;
-    case Kind::kZero:
-      return false;
-    case Kind::kOne:
-      return true;
-    case Kind::kAnd:
-      for (const auto& child : children)
-        if (!child->eval(code)) return false;
-      return true;
-    case Kind::kOr:
-      for (const auto& child : children)
-        if (child->eval(code)) return true;
-      return false;
-  }
-  return false;
-}
-
-std::string FactoredForm::to_string(
-    const std::vector<std::string>& names) const {
-  switch (kind) {
-    case Kind::kLiteral:
-      return names[static_cast<std::size_t>(var)] + (positive ? "" : "'");
-    case Kind::kZero:
-      return "0";
-    case Kind::kOne:
-      return "1";
-    case Kind::kAnd: {
+      const bool is_and = kind == Kind::kAnd;
       std::string out;
       for (const auto& child : children) {
-        if (!out.empty()) out += ' ';
-        const bool parens = child->kind == Kind::kOr;
-        out += parens ? "(" + child->to_string(names) + ")"
-                      : child->to_string(names);
-      }
-      return out;
-    }
-    case Kind::kOr: {
-      std::string out;
-      for (const auto& child : children) {
-        if (!out.empty()) out += " + ";
-        out += child->to_string(names);
+        if (!out.empty()) out += is_and ? syntax.and_op : syntax.or_op;
+        const std::string term = child->to_string(names, syntax);
+        out += is_and && child->kind == Kind::kOr ? "(" + term + ")" : term;
       }
       return out;
     }
   }
-  return "?";
+  return syntax.zero;
 }
 
 namespace {
@@ -202,7 +160,5 @@ std::unique_ptr<FactoredForm> factor_rec(const Cover& f) {
 std::unique_ptr<FactoredForm> quick_factor(const Cover& f) {
   return factor_rec(f);
 }
-
-int factored_literals(const Cover& f) { return quick_factor(f)->num_literals(); }
 
 }  // namespace sitm

@@ -72,12 +72,6 @@ class Netlist {
   /// Largest gate complexity in the netlist.
   int max_gate_complexity() const;
 
-  /// Structural equality of the implementations (the SGs may be distinct
-  /// objects) — bit-identity across serial and parallel synthesis.
-  bool same_impls(const Netlist& other) const {
-    return impls_ == other.impls_;
-  }
-
   /// Pretty printer ("a = C(set = ..., reset = ...)").
   std::string to_string() const;
 

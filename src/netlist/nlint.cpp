@@ -186,12 +186,6 @@ const char* nlint_severity_name(NlintSeverity severity) {
   return severity == NlintSeverity::kError ? "error" : "warning";
 }
 
-bool NlintReport::has(NlintRule rule) const {
-  return std::any_of(
-      diagnostics.begin(), diagnostics.end(),
-      [rule](const NlintDiagnostic& d) { return d.rule == rule; });
-}
-
 std::string NlintReport::first_error() const {
   for (const auto& d : diagnostics)
     if (d.severity == NlintSeverity::kError) return "nlint: " + d.message;

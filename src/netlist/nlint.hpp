@@ -56,7 +56,6 @@ struct NlintReport {
   /// equivalence checker.
   bool ok() const { return errors == 0; }
   bool clean() const { return diagnostics.empty(); }
-  bool has(NlintRule rule) const;
   /// Message of the first error, prefixed "nlint: "; empty when ok().
   std::string first_error() const;
 

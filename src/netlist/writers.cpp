@@ -18,38 +18,7 @@ std::vector<std::string> signal_names(const Netlist& netlist) {
 /// Verilog expression of a cover (factored; '~' for negation, '&', '|').
 std::string verilog_expr(const Cover& cover,
                          const std::vector<std::string>& names) {
-  const auto form = quick_factor(cover);
-  // Re-render the factored tree with Verilog operators.
-  auto rec = [&](auto&& self, const FactoredForm& node) -> std::string {
-    switch (node.kind) {
-      case FactoredForm::Kind::kZero:
-        return "1'b0";
-      case FactoredForm::Kind::kOne:
-        return "1'b1";
-      case FactoredForm::Kind::kLiteral:
-        return (node.positive ? "" : "~") +
-               names[static_cast<std::size_t>(node.var)];
-      case FactoredForm::Kind::kAnd: {
-        std::string out;
-        for (const auto& child : node.children) {
-          if (!out.empty()) out += " & ";
-          const bool parens = child->kind == FactoredForm::Kind::kOr;
-          out += parens ? "(" + self(self, *child) + ")" : self(self, *child);
-        }
-        return out;
-      }
-      case FactoredForm::Kind::kOr: {
-        std::string out;
-        for (const auto& child : node.children) {
-          if (!out.empty()) out += " | ";
-          out += self(self, *child);
-        }
-        return out;
-      }
-    }
-    return "1'b0";
-  };
-  return rec(rec, *form);
+  return quick_factor(cover)->to_string(names, kVerilogSyntax);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "sg/regions.hpp"
 
-#include <iterator>
-
 namespace sitm {
 
 DynBitset enabled_set(const StateGraph& sg, Event e) {
@@ -123,14 +121,6 @@ std::vector<Region> excitation_regions(const StateGraph& sg, Event e) {
       if (k != j) regions[j].qr -= reach[k];
   }
   return regions;
-}
-
-std::vector<Region> signal_regions(const StateGraph& sg, int sig) {
-  auto rise = excitation_regions(sg, Event{sig, true});
-  auto fall = excitation_regions(sg, Event{sig, false});
-  rise.insert(rise.end(), std::make_move_iterator(fall.begin()),
-              std::make_move_iterator(fall.end()));
-  return rise;
 }
 
 DynBitset union_er(const StateGraph& sg, const std::vector<Region>& regions) {

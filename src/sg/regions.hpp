@@ -26,9 +26,6 @@ struct Region {
 /// All excitation regions of event `e`, with SR/QR filled in.
 std::vector<Region> excitation_regions(const StateGraph& sg, Event e);
 
-/// All regions of every transition of signal `sig` (both polarities).
-std::vector<Region> signal_regions(const StateGraph& sg, int sig);
-
 /// Set of states where event `e` is enabled (union of its ERs).
 DynBitset enabled_set(const StateGraph& sg, Event e);
 

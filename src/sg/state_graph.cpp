@@ -31,10 +31,6 @@ void StateGraphBuilder::add_arc(StateId from, Event ev, StateId to) {
   arcs_.push_back(Arc{ev, from, to});
 }
 
-StateGraph StateGraphBuilder::freeze() const& {
-  return StateGraphBuilder(*this).freeze();
-}
-
 StateGraph StateGraphBuilder::freeze() && {
   StateGraph sg;
   sg.signals_ = std::move(signals_);

@@ -57,9 +57,8 @@ class StateGraphBuilder {
   int num_signals() const { return static_cast<int>(signals_.size()); }
   const std::vector<Signal>& signals() const { return signals_; }
 
-  /// The graph as built so far.  Each state's successors (and
-  /// predecessors) keep the order in which their arcs were added.
-  StateGraph freeze() const&;
+  /// The graph as built, consuming the builder.  Each state's successors
+  /// (and predecessors) keep the order in which their arcs were added.
   StateGraph freeze() &&;
 
  private:

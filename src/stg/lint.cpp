@@ -31,11 +31,6 @@ const char* lint_severity_name(LintSeverity severity) {
   return severity == LintSeverity::kError ? "error" : "warning";
 }
 
-bool LintReport::has(LintRule rule) const {
-  return std::any_of(diagnostics.begin(), diagnostics.end(),
-                     [rule](const LintDiagnostic& d) { return d.rule == rule; });
-}
-
 std::string LintReport::first_error() const {
   for (const auto& d : diagnostics)
     if (d.severity == LintSeverity::kError) return "lint: " + d.message;

@@ -83,8 +83,6 @@ struct LintReport {
   bool ok() const { return errors == 0; }
   /// No diagnostics at all.
   bool clean() const { return diagnostics.empty(); }
-  /// True when some diagnostic names `rule`.
-  bool has(LintRule rule) const;
   /// First error message, prefixed with "lint: "; empty when ok().
   std::string first_error() const;
 

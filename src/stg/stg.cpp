@@ -252,14 +252,11 @@ class InitialValues {
     const int required_initial = tr.rising ? rel : 1 - rel;
     if (value_[tr.signal] < 0) {
       value_[tr.signal] = required_initial;
-      ++known_;
     } else if (value_[tr.signal] != required_initial) {
       throw Error("Stg: inconsistent labeling for signal " +
                   stg_.signal(tr.signal).name);
     }
   }
-
-  int known() const { return known_; }
 
   StateCode code() const {
     StateCode out = 0;
@@ -271,7 +268,6 @@ class InitialValues {
  private:
   const Stg& stg_;
   std::vector<int> value_;
-  int known_ = 0;
 };
 
 struct PendingArc {
@@ -291,14 +287,13 @@ struct GameResult {
 };
 
 /// The token game: depth-first exploration from the initial marking with a
-/// flat-hash marking store.  Shared by full reachability (record_arcs) and
-/// initial-code inference (`stop` ends exploration early once the caller has
-/// what it needs).  Throws on 1-safety violations, inconsistent labeling,
-/// markings reached under two signal codes, and state explosion.
-template <typename Fire, typename StopFn>
+/// flat-hash marking store, recording every reached marking and arc and the
+/// initial signal values the fired transitions imply.  Throws on 1-safety
+/// violations, inconsistent labeling, markings reached under two signal
+/// codes, and state explosion.
+template <typename Fire>
 GameResult<Fire> token_game(const Stg& stg, const Fire& fire,
-                            std::size_t max_states, bool record_arcs,
-                            StopFn&& stop, const RunGuard* guard = nullptr) {
+                            std::size_t max_states, const RunGuard* guard) {
   GameResult<Fire> result{{}, {}, InitialValues(stg)};
   auto& nodes = result.nodes;
   using Node = typename GameResult<Fire>::Node;
@@ -310,7 +305,7 @@ GameResult<Fire> token_game(const Stg& stg, const Fire& fire,
   std::vector<StateId> queue{0};
 
   const auto n_trans = static_cast<TransId>(stg.num_transitions());
-  while (!queue.empty() && !stop(result.initial)) {
+  while (!queue.empty()) {
     const StateId sid = queue.back();
     queue.pop_back();
     const Node node = nodes[sid];  // copy: nodes may reallocate
@@ -337,8 +332,7 @@ GameResult<Fire> token_game(const Stg& stg, const Fire& fire,
       } else if (nodes[*slot].mask != next_mask) {
         throw Error("Stg: marking reached with two different signal codes");
       }
-      if (record_arcs)
-        result.arcs.push_back(PendingArc{sid, *slot, stg.transition(t).event()});
+      result.arcs.push_back(PendingArc{sid, *slot, stg.transition(t).event()});
     }
   }
   return result;
@@ -364,8 +358,6 @@ StateGraph emit_state_graph(const Stg& stg, const GameResult<Fire>& game) {
   return sg;
 }
 
-constexpr auto kNeverStop = [](const InitialValues&) { return false; };
-
 }  // namespace
 
 StateGraph Stg::to_state_graph(std::size_t max_states,
@@ -373,35 +365,9 @@ StateGraph Stg::to_state_graph(std::size_t max_states,
   if (initial_marking_.empty()) throw Error("Stg: empty initial marking");
   if (places_.size() <= 64)
     return emit_state_graph(
-        *this, token_game(*this, SmallFire(*this), max_states, true, kNeverStop,
-                          guard));
+        *this, token_game(*this, SmallFire(*this), max_states, guard));
   return emit_state_graph(
-      *this,
-      token_game(*this, WideFire(*this), max_states, true, kNeverStop, guard));
-}
-
-StateCode Stg::infer_initial_code() const {
-  if (initial_marking_.empty()) throw Error("Stg: empty initial marking");
-
-  // Stop the token game as soon as every signal with at least one
-  // transition has a known initial value (signals without transitions
-  // stay 0, exactly as in the full game).
-  int signals_with_transitions = 0;
-  {
-    std::uint64_t seen = 0;
-    for (const auto& tr : transitions_) seen |= std::uint64_t{1} << tr.signal;
-    signals_with_transitions = __builtin_popcountll(seen);
-  }
-  const auto all_known = [&](const InitialValues& iv) {
-    return iv.known() >= signals_with_transitions;
-  };
-
-  if (places_.size() <= 64)
-    return token_game(*this, SmallFire(*this), kDefaultMaxStates, false,
-                      all_known)
-        .initial.code();
-  return token_game(*this, WideFire(*this), kDefaultMaxStates, false, all_known)
-      .initial.code();
+      *this, token_game(*this, WideFire(*this), max_states, guard));
 }
 
 }  // namespace sitm

@@ -88,13 +88,6 @@ class Stg {
   StateGraph to_state_graph(std::size_t max_states = kDefaultMaxStates,
                             const RunGuard* guard = nullptr) const;
 
-  /// Infer initial signal values (bit per signal) without building the SG.
-  /// Runs a token game that stops as soon as every signal's value is known,
-  /// so it is much cheaper than `to_state_graph` on large nets.  Only
-  /// meaningful for consistently labeled STGs (like `to_state_graph`, but
-  /// inconsistencies beyond the explored prefix are not detected).
-  StateCode infer_initial_code() const;
-
  private:
   static std::uint64_t tt_key(TransId from, TransId to);
   /// Register `p` in the implicit-place index if it is unnamed with exactly

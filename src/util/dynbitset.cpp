@@ -4,8 +4,6 @@
 
 namespace sitm {
 
-void DynBitset::clear() { std::fill(words_.begin(), words_.end(), 0); }
-
 void DynBitset::set_all() {
   std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
   trim_tail();
@@ -55,12 +53,6 @@ bool DynBitset::disjoint(const DynBitset& o) const {
   return true;
 }
 
-bool DynBitset::subset_of(const DynBitset& o) const {
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] & ~o.words_[i]) return false;
-  return true;
-}
-
 std::size_t DynBitset::first() const {
   for (std::size_t w = 0; w < words_.size(); ++w)
     if (words_[w]) return w * 64 + static_cast<std::size_t>(__builtin_ctzll(words_[w]));
@@ -77,13 +69,6 @@ std::size_t DynBitset::next(std::size_t i) const {
     if (++w >= words_.size()) return npos;
     bits = words_[w];
   }
-}
-
-std::vector<std::size_t> DynBitset::to_vector() const {
-  std::vector<std::size_t> out;
-  out.reserve(count());
-  for_each([&](std::size_t i) { out.push_back(i); });
-  return out;
 }
 
 }  // namespace sitm

@@ -32,7 +32,6 @@ class DynBitset {
   }
   void set(std::size_t i, bool v) { v ? set(i) : reset(i); }
 
-  void clear();
   void set_all();
 
   std::size_t count() const;
@@ -54,8 +53,6 @@ class DynBitset {
 
   /// True if this set and `o` share no element.
   bool disjoint(const DynBitset& o) const;
-  /// True if this set is a subset of `o`.
-  bool subset_of(const DynBitset& o) const;
 
   /// Index of the first set bit, or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -75,9 +72,6 @@ class DynBitset {
       }
     }
   }
-
-  /// Collect set bits into a vector of indices.
-  std::vector<std::size_t> to_vector() const;
 
   /// Packed 64-bit words (tail bits zeroed); equal sets have equal words.
   /// Exposed so set-keyed memo tables can hash/compare without re-walking

@@ -43,7 +43,6 @@ class Json {
   }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
 
   /// Value accessors for parsed documents; each returns the default-
   /// constructed value when the kind does not match (callers validate kind()

@@ -70,12 +70,6 @@ class RunGuard {
   /// Request cooperative cancellation; the next poll from any thread throws.
   void request_cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
-  bool cancel_requested() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-  bool has_deadline() const {
-    return deadline_ns_.load(std::memory_order_relaxed) != 0;
-  }
   /// Total work units charged so far.
   std::uint64_t work() const { return work_.load(std::memory_order_relaxed); }
 

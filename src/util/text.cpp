@@ -26,18 +26,6 @@ std::vector<std::string_view> split_ws(std::string_view s) {
   return out;
 }
 
-std::vector<std::string_view> split_char(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -13,9 +13,6 @@ std::string_view trim(std::string_view s);
 /// Split on any run of whitespace; no empty tokens.
 std::vector<std::string_view> split_ws(std::string_view s);
 
-/// Split on a single character delimiter; keeps empty fields.
-std::vector<std::string_view> split_char(std::string_view s, char delim);
-
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 

@@ -110,8 +110,12 @@ TEST(Csc, SixtyFourSignalGraphFailsTyped) {
   EXPECT_EQ(result.candidates_scored, 0);
 
   // Through the flow the same spec ends at the csc stage as a spec failure.
+  Spec spec;
+  spec.name = "ring32";
+  spec.format = SpecFormat::kSg;
+  spec.sg = sg;
   Flow flow;
-  const FlowReport report = flow.run_state_graph(sg, "ring32");
+  const FlowReport report = flow.run_spec(std::move(spec));
   EXPECT_FALSE(report.ok);
   ASSERT_TRUE(report.failed_stage.has_value());
   EXPECT_EQ(*report.failed_stage, Stage::kCsc);
@@ -132,7 +136,7 @@ TEST(Csc, RejectsNonSpeedIndependentInput) {
   builder.add_arc(s0, Event{p, true}, s1);
   builder.add_arc(s0, Event{q, true}, s2);
   builder.set_initial(s0);
-  const StateGraph bad = builder.freeze();
+  const StateGraph bad = std::move(builder).freeze();
   EXPECT_THROW(resolve_csc(bad), Error);
 }
 

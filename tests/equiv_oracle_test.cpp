@@ -312,7 +312,7 @@ TEST(EquivOracle, MoreThanThirtyTwoImplsFitTheStridedTable) {
     builder.add_signal("o" + std::to_string(i), SignalKind::kOutput);
   const StateCode code = 0xA5A5A5A5A5ULL & ((StateCode{1} << kSignals) - 1);
   builder.set_initial(builder.add_state(code));
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   Netlist netlist(&sg);
   for (int i = 0; i < kSignals; ++i) {
     SignalImpl impl;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mlogic/factor.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +18,34 @@ Cube cube(std::initializer_list<std::pair<int, bool>> lits) {
   return c;
 }
 
+int literals(const FactoredForm& form) {
+  if (form.kind == FactoredForm::Kind::kLiteral) return 1;
+  int n = 0;
+  for (const auto& child : form.children) n += literals(*child);
+  return n;
+}
+
+int factored_literals(const Cover& f) { return literals(*quick_factor(f)); }
+
+/// The form's value on a full assignment.
+bool eval(const FactoredForm& form, std::uint64_t code) {
+  switch (form.kind) {
+    case FactoredForm::Kind::kLiteral:
+      return (((code >> form.var) & 1) != 0) == form.positive;
+    case FactoredForm::Kind::kZero:
+      return false;
+    case FactoredForm::Kind::kOne:
+      return true;
+    case FactoredForm::Kind::kAnd:
+      return std::all_of(form.children.begin(), form.children.end(),
+                         [&](const auto& child) { return eval(*child, code); });
+    case FactoredForm::Kind::kOr:
+      return std::any_of(form.children.begin(), form.children.end(),
+                         [&](const auto& child) { return eval(*child, code); });
+  }
+  return false;
+}
+
 TEST(Factor, Constants) {
   EXPECT_EQ(quick_factor(Cover::zero(3))->to_string(kNames), "0");
   EXPECT_EQ(quick_factor(Cover::one(3))->to_string(kNames), "1");
@@ -25,7 +55,7 @@ TEST(Factor, Constants) {
 TEST(Factor, SingleCube) {
   Cover f(3, {cube({{0, true}, {2, false}})});
   const auto form = quick_factor(f);
-  EXPECT_EQ(form->num_literals(), 2);
+  EXPECT_EQ(literals(*form), 2);
   EXPECT_EQ(form->to_string(kNames), "a c'");
 }
 
@@ -86,7 +116,7 @@ TEST(Factor, SemanticallyEquivalent) {
     }
     const auto form = quick_factor(f);
     for (std::uint64_t code = 0; code < (1u << n); ++code)
-      ASSERT_EQ(form->eval(code), f.eval(code)) << "round " << round;
+      ASSERT_EQ(eval(*form, code), f.eval(code)) << "round " << round;
   }
 }
 
@@ -102,7 +132,7 @@ TEST(Factor, DeepKernelStructure) {
   // Still equivalent.
   const auto form = quick_factor(f);
   for (std::uint64_t code = 0; code < (1u << 7); ++code)
-    ASSERT_EQ(form->eval(code), f.eval(code));
+    ASSERT_EQ(eval(*form, code), f.eval(code));
 }
 
 }  // namespace

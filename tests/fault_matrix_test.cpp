@@ -192,13 +192,16 @@ TEST_F(FaultTest, CscExhaustionCommitsBestSoFarInsertion) {
   // candidate in hand: the engine still commits that best-so-far insertion
   // (degraded), and the stage failure reports the remaining conflicts —
   // with the partial resolution left inspectable in the context.
-  const StateGraph input = bench::make_csc_ring(3).to_state_graph();
-  const int signals_before = input.num_signals();
+  Spec spec;
+  spec.name = "csc_ring3";
+  spec.format = SpecFormat::kSg;
+  spec.sg = bench::make_csc_ring(3).to_state_graph();
+  const int signals_before = spec.sg->num_signals();
   fault::arm("csc.candidate", fault::Action::kBudget, /*nth=*/2);
   FlowOptions opts;
   opts.on_budget = FlowOptions::OnBudget::kDegrade;
   Flow flow(opts);
-  const FlowReport report = flow.run_state_graph(input, "csc_ring3");
+  const FlowReport report = flow.run_spec(std::move(spec));
   ASSERT_FALSE(report.ok);
   EXPECT_EQ(report.failed_stage, Stage::kCsc);
   EXPECT_EQ(report.failure_kind, FailureKind::kBudget);

@@ -215,7 +215,7 @@ TEST(Flow, ReportSerializesToJson) {
   Flow flow(opts);
   const FlowReport report = flow.run_string(kCscConflictSpec);
   ASSERT_TRUE(report.ok) << report.failure;
-  const std::string json = report.to_json_string();
+  const std::string json = report.to_json().dump(2);
   EXPECT_NE(json.find("\"name\": \"twophase\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"stage\": \"synth\""), std::string::npos);
   EXPECT_NE(json.find("\"csc_conflict_pairs\""), std::string::npos);
@@ -225,7 +225,7 @@ TEST(Flow, ReportSerializesToJson) {
   // Failure reports carry the failed stage.
   Flow bad;
   const std::string bad_json =
-      bad.run_string(kNonPersistentSpec).to_json_string();
+      bad.run_string(kNonPersistentSpec).to_json().dump(2);
   EXPECT_NE(bad_json.find("\"failed_stage\": \"properties\""),
             std::string::npos)
       << bad_json;
@@ -246,7 +246,7 @@ TEST(Flow, JsonEscapePreservesNonAsciiBytes) {
   report.name = "sp\xc3\xa9" "c";
   report.stage(Stage::kSynth).warnings.push_back(
       "temp\xc3\xa9rature \xe2\x89\xa4 0\x01");
-  const std::string json = report.to_json_string();
+  const std::string json = report.to_json().dump(2);
   EXPECT_NE(json.find("\"sp\xc3\xa9" "c\""), std::string::npos) << json;
   EXPECT_NE(json.find("temp\xc3\xa9rature \xe2\x89\xa4 0\\u0001"),
             std::string::npos)
@@ -267,8 +267,12 @@ TEST(Flow, RunSpecAndRunStateGraphRecordTheInputSpine) {
 
   // Explicit SG input.
   const StateGraph sg = bench::suite_benchmark("half").stg.to_state_graph();
+  Spec sg_spec;
+  sg_spec.name = "half-sg";
+  sg_spec.format = SpecFormat::kSg;
+  sg_spec.sg = sg;
   Flow flow2;
-  const FlowReport report2 = flow2.run_state_graph(sg, "half-sg");
+  const FlowReport report2 = flow2.run_spec(std::move(sg_spec));
   ASSERT_TRUE(report2.ok) << report2.failure;
   EXPECT_EQ(report2.name, "half-sg");
   EXPECT_EQ(report2.stage(Stage::kReachability).metric_value("states"),

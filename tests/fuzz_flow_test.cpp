@@ -24,9 +24,9 @@
 #include "core/mapper.hpp"
 #include "netlist/si_verify.hpp"
 #include "netlist/tech_decomp.hpp"
-#include "sg/observe.hpp"
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
+#include "support/observe.hpp"
 
 namespace sitm {
 namespace {

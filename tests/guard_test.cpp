@@ -51,9 +51,9 @@ TEST(RunGuard, BudgetTripsWithCountAndLimit) {
 TEST(RunGuard, CancelTripsOnNextCharge) {
   RunGuard guard;
   guard.charge(100, "test.site");  // unbudgeted work is free
-  EXPECT_FALSE(guard.cancel_requested());
+  EXPECT_EQ(guard.status(), GuardStop::kNone);
   guard.request_cancel();
-  EXPECT_TRUE(guard.cancel_requested());
+  EXPECT_EQ(guard.status(), GuardStop::kCancelled);
   EXPECT_THROW(guard.charge(1, "test.site"), GuardExhausted);
   EXPECT_THROW(guard.check("test.site"), GuardExhausted);
   EXPECT_EQ(guard.status(), GuardStop::kCancelled);
@@ -153,13 +153,13 @@ TEST(FlowGuard, FailureKindSerializedInJson) {
   FlowOptions opts;
   opts.max_states = 4;
   Flow flow(opts);
-  const std::string json = flow.run_string(kCscConflictSpec).to_json_string();
+  const std::string json = flow.run_string(kCscConflictSpec).to_json().dump(2);
   EXPECT_NE(json.find("failure_kind"), std::string::npos) << json;
   EXPECT_NE(json.find("\"budget\""), std::string::npos) << json;
   // An ok run serializes no failure_kind at all.
   Flow ok_flow;
   const std::string ok_json =
-      ok_flow.run_string(kCscConflictSpec).to_json_string();
+      ok_flow.run_string(kCscConflictSpec).to_json().dump(2);
   EXPECT_EQ(ok_json.find("failure_kind"), std::string::npos);
 }
 

@@ -166,13 +166,13 @@ TEST(Insertion, VerifyCatchesBrokenGraph) {
   builder.add_arc(s11, Event{p, false}, s10);
   builder.add_arc(s10, Event{q, false}, s00);
   builder.set_initial(s00);
-  const StateGraph before = builder.freeze();
+  const StateGraph before = StateGraphBuilder(builder).freeze();
 
   // Same signals; break persistency with a choice: a competing arc from
   // s00 that disables p+ (output choice).  q+ from s00 leads to s10 where
   // p+ is not enabled.
   builder.add_arc(s00, Event{q, true}, s10);
-  const StateGraph after = builder.freeze();
+  const StateGraph after = std::move(builder).freeze();
   EXPECT_FALSE(InsertionVerifier(before).verify(
       after, /*require_csc=*/true, ~DynBitset(before.num_signals())));
 }
@@ -194,7 +194,7 @@ TEST(StateLatchInsertion, InitialValueForcedToOneIsResolved) {
   builder.add_arc(s11, Event{a, false}, s01);
   builder.add_arc(s01, Event{b, false}, s00);
   builder.set_initial(s11);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
 
   DynBitset set_states = sg.empty_set();    // SR(a+)
   set_states.set(s10);
@@ -228,7 +228,7 @@ TEST(StateLatchInsertion, TrulyAmbiguousValueStillRejected) {
   builder.add_arc(sa, Event{b, true}, s11);
   builder.add_arc(sb, Event{a, true}, s11);
   builder.set_initial(s00);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
 
   DynBitset set_states = sg.empty_set();
   set_states.set(sa);
@@ -267,7 +267,7 @@ Ring make_ring(StateId Ring::*start, bool orphan) {
   builder.add_arc(r.s11, Event{r.a, false}, r.s01);
   builder.add_arc(r.s01, Event{r.b, false}, r.s00);
   builder.set_initial(r.*start);
-  r.sg = builder.freeze();
+  r.sg = std::move(builder).freeze();
   return r;
 }
 

@@ -111,7 +111,7 @@ TEST(Mapper, RejectsNonImplementableInput) {
   builder.add_arc(s4, Event{b, true}, s5);  // b+ enabled at s4 but not s0
   builder.add_arc(s5, Event{b, false}, s0);
   builder.set_initial(s0);
-  const StateGraph bad = builder.freeze();
+  const StateGraph bad = std::move(builder).freeze();
   EXPECT_THROW(technology_map(bad, with_library(2)), Error);
 }
 

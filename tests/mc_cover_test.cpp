@@ -430,7 +430,7 @@ TEST(McCover, ComplementWinsAtItsForcedLiteralCount) {
       builder.add_arc(s, Event{x, true}, builder.add_state(code | 8));
   }
   builder.set_initial(0);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
 
   const SignalSynthesis s = synthesize_signal(sg, x);
   ASSERT_TRUE(s.complete.has_value());
@@ -462,7 +462,7 @@ TEST(CoverBounds, DisjointCubesSkipTheCElementsCompleteCover) {
   builder.add_arc(3, Event{c, true}, 7);
   builder.add_arc(4, Event{c, false}, 0);
   builder.set_initial(0);
-  StateGraph sg = builder.freeze();
+  StateGraph sg = std::move(builder).freeze();
   sg.prune_unreachable();
   ASSERT_EQ(sg.num_states(), 8u);
 

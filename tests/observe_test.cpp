@@ -7,9 +7,9 @@
 #include "benchlib/generators.hpp"
 #include "core/insertion.hpp"
 #include "core/mapper.hpp"
-#include "sg/observe.hpp"
 #include "sg/sg_io.hpp"
 #include "stg/stg.hpp"
+#include "support/observe.hpp"
 #include "util/error.hpp"
 
 namespace sitm {
@@ -127,7 +127,7 @@ TEST(Observe, DetectsDroppedBehaviour) {
     }
   }
   builder.set_initial(sg.initial());
-  StateGraph pruned = builder.freeze();
+  StateGraph pruned = std::move(builder).freeze();
   pruned.prune_unreachable();
   ASSERT_TRUE(dropped);
   std::vector<std::string> visible;

@@ -48,7 +48,7 @@ void expect_parallel_identical(const StateGraph& sg,
     opts.threads = threads;
     std::vector<SignalSynthesis> par_synth;
     const Netlist parallel = synthesize_all(sg, opts, &par_synth);
-    EXPECT_TRUE(parallel.same_impls(serial))
+    EXPECT_TRUE(parallel.impls() == serial.impls())
         << label << " at " << threads << " threads";
     EXPECT_EQ(parallel.to_string(), serial_text)
         << label << " at " << threads << " threads";

@@ -118,7 +118,7 @@ StateGraph reference_state_graph(const Stg& stg) {
   for (const auto& node : nodes) sg.add_state(init_code ^ node.mask);
   for (const auto& arc : arcs) sg.add_arc(arc.from, arc.event, arc.to);
   sg.set_initial(0);
-  return sg.freeze();
+  return std::move(sg).freeze();
 }
 
 /// Structural equality including state numbering and arc order.
@@ -293,7 +293,7 @@ TEST(PerfEquiv, WideSignalMasksDoNotAlias) {
   builder.add_arc(p, Event{1, true}, p2);
   builder.add_arc(q, Event{33, true}, q2);
   builder.set_initial(p);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_EQ(count_csc_conflicts(sg), 1);
 }
 
@@ -686,20 +686,13 @@ TEST(PerfEquiv, BitSlicedExpandMatchesReferenceRandomized) {
       std::iota(order.begin(), order.end(), 0);
       std::vector<int> reversed(order.rbegin(), order.rend());
       for (const auto code : on) {
-        EXPECT_EQ(expand_minterm(code, sliced, order),
+        EXPECT_EQ(expand_on_minterm(code, sliced, order),
                   expand_minterm(code, off, num_vars, order))
             << "vars=" << num_vars << " code=" << code;
-        EXPECT_EQ(expand_minterm(code, sliced, reversed),
-                  expand_minterm(code, off, num_vars, reversed));
-        // What minimize_onoff calls: on-minterms skip the off-set test.
-        EXPECT_EQ(expand_on_minterm(code, sliced, order),
-                  expand_minterm(code, off, num_vars, order));
         EXPECT_EQ(expand_on_minterm(code, sliced, reversed),
                   expand_minterm(code, off, num_vars, reversed));
       }
       // Degenerate input: expanding an off-minterm keeps the full minterm.
-      EXPECT_EQ(expand_minterm(off[0], sliced, order),
-                Cube::minterm(off[0], num_vars));
       EXPECT_EQ(expand_minterm(off[0], off, num_vars, order),
                 Cube::minterm(off[0], num_vars));
 
@@ -828,12 +821,11 @@ TEST(PerfEquiv, PlannerStateLatchMatchesOneShot) {
         const auto one_shot =
             InsertionPlanner(sg).plan_state_latch(region[e1], region[e2]);
         expect_plan_equal(shared, one_shot, ctx);
-        // Second query hits the memo; the answer must not drift.
+        // Asked twice, the shared planner must give the same answer.
         const auto again = planner.plan_state_latch(region[e1], region[e2]);
-        expect_plan_equal(again, one_shot, ctx + " (memoized)");
+        expect_plan_equal(again, one_shot, ctx + " (asked twice)");
       }
     }
-    EXPECT_GT(planner.region_memo_hits() + planner.finish_memo_hits(), 0u);
   }
 }
 
@@ -1053,18 +1045,6 @@ TEST(PerfEquiv, ResolveCscLazyMatchesReferenceRandomized) {
     EXPECT_EQ(eager.graphs_materialized, eager.candidates_scored);
     EXPECT_LE(lazy.graphs_materialized, eager.graphs_materialized);
     EXPECT_GE(lazy.graphs_materialized, lazy.signals_inserted);
-  }
-}
-
-TEST(PerfEquiv, InferInitialCodeMatchesFullTokenGame) {
-  for (const Stg& stg : family_instances()) {
-    const StateGraph sg = stg.to_state_graph();
-    EXPECT_EQ(stg.infer_initial_code(), sg.code(sg.initial()));
-  }
-  for (const auto& entry : bench::table1_suite()) {
-    const StateGraph sg = entry.stg.to_state_graph();
-    EXPECT_EQ(entry.stg.infer_initial_code(), sg.code(sg.initial()))
-        << entry.name;
   }
 }
 

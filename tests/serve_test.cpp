@@ -151,7 +151,7 @@ TEST(JsonParse, FullGrammarRoundTrip) {
   EXPECT_EQ(a->items()[2].number(), -300.0);
   EXPECT_EQ(j.find("s")->string_value(), "x\n\"y\xc3\xa9");
   EXPECT_TRUE(j.find("o")->find("t")->bool_value());
-  EXPECT_TRUE(j.find("o")->find("n")->is_null());
+  EXPECT_EQ(j.find("o")->find("n")->kind(), Json::Kind::kNull);
 
   // dump -> parse -> dump is a fixed point.
   const std::string once = j.dump(0);

@@ -68,7 +68,7 @@ StateGraph diamond() {
   sg.add_arc(s01, Event{b, true}, s11);
   sg.add_arc(s10, Event{a, true}, s11);
   sg.set_initial(s00);
-  return sg.freeze();
+  return std::move(sg).freeze();
 }
 
 TEST(StateGraph, BasicQueries) {
@@ -98,7 +98,7 @@ TEST(StateGraph, DuplicateSignalThrows) {
 TEST(StateGraph, ReachableAndPrune) {
   StateGraphBuilder builder = handshake_builder();
   builder.add_state(0b10);  // an orphan
-  StateGraph sg = builder.freeze();
+  StateGraph sg = std::move(builder).freeze();
   EXPECT_EQ(sg.reachable().count(), 4u);
   EXPECT_EQ(sg.prune_unreachable(), 1u);
   EXPECT_EQ(sg.num_states(), 4u);
@@ -107,7 +107,7 @@ TEST(StateGraph, ReachableAndPrune) {
 
 TEST(StateGraph, AllReachableFlagFollowsTheMutators) {
   StateGraphBuilder builder = handshake_builder();
-  StateGraph sg = builder.freeze();
+  StateGraph sg = StateGraphBuilder(builder).freeze();
   EXPECT_FALSE(sg.all_reachable());
   sg.prune_unreachable();
   EXPECT_TRUE(sg.all_reachable());
@@ -115,7 +115,7 @@ TEST(StateGraph, AllReachableFlagFollowsTheMutators) {
 
   // A fresh freeze does not know, even when nothing is stranded.
   const StateId orphan = builder.add_state(0b10);
-  sg = builder.freeze();
+  sg = StateGraphBuilder(builder).freeze();
   EXPECT_FALSE(sg.all_reachable());
   EXPECT_FALSE(sg.reachable().test(static_cast<std::size_t>(orphan)));
   EXPECT_EQ(sg.reachable().count(), 4u);
@@ -124,12 +124,12 @@ TEST(StateGraph, AllReachableFlagFollowsTheMutators) {
   const StateId head = builder.add_state(0b01);
   builder.add_arc(head, Event{1, true}, 0);
   builder.set_initial(head);
-  sg = builder.freeze();
+  sg = StateGraphBuilder(builder).freeze();
   sg.prune_unreachable();
   EXPECT_EQ(sg.num_states(), 5u);
   EXPECT_TRUE(sg.all_reachable());
   builder.set_initial(0);
-  sg = builder.freeze();
+  sg = std::move(builder).freeze();
   EXPECT_FALSE(sg.all_reachable());
   EXPECT_EQ(sg.reachable().count(), 4u);
 
@@ -170,7 +170,7 @@ TEST(StateGraph, FlaggedReachableMatchesTheSearch) {
           builder.add_arc(s, Event{rng.below(2) ? a : b, rng.below(2) == 0},
                           static_cast<StateId>(rng.below(n)));
     builder.set_initial(0);
-    StateGraph sg = builder.freeze();
+    StateGraph sg = std::move(builder).freeze();
     const std::size_t found = sg.reachable().count();
     EXPECT_EQ(sg.num_states() - sg.prune_unreachable(), found) << what;
     EXPECT_TRUE(sg.all_reachable()) << what;
@@ -196,7 +196,7 @@ TEST(Properties, InconsistentArcDetected) {
   const StateId s1 = builder.add_state(0);  // a+ but code unchanged
   builder.add_arc(s0, Event{a, true}, s1);
   builder.set_initial(s0);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_FALSE(check_consistency(sg));
 }
 
@@ -211,7 +211,7 @@ TEST(Properties, NondeterminismDetected) {
   builder.add_arc(s0, Event{a, true}, s1);
   builder.add_arc(s0, Event{a, true}, s2);
   builder.set_initial(s0);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_FALSE(check_determinism(sg));
 }
 
@@ -234,7 +234,7 @@ TEST(Properties, NonCommutativeDiamondDetected) {
   builder.set_initial(s000);
   // s011b's code differs in c, so the joint state differs: commutativity
   // requires identical states, not just codes.
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_FALSE(check_commutativity(sg));
 }
 
@@ -249,7 +249,7 @@ TEST(Properties, PersistencyViolationDetected) {
   builder.add_arc(s00, Event{a, true}, s01);
   builder.add_arc(s00, Event{b, true}, s10);
   builder.set_initial(s00);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_FALSE(check_output_persistency(sg));
   // Restricting the watch to signal a only: a+ is disabled by b+.
   EXPECT_FALSE(check_persistency(sg, {a}));
@@ -268,7 +268,7 @@ TEST(Properties, InputChoiceIsAllowed) {
   builder.add_arc(s00, Event{a, true}, s01);
   builder.add_arc(s00, Event{b, true}, s10);
   builder.set_initial(s00);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   EXPECT_TRUE(check_output_persistency(sg));
 }
 
@@ -289,14 +289,14 @@ TEST(Properties, CscConflictDetected) {
   // s4 enables nothing; s0 enables only input a+ -- CSC holds (same output
   // events: none), USC fails.
   builder.set_initial(s0);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = StateGraphBuilder(builder).freeze();
   EXPECT_TRUE(check_csc(sg));
   EXPECT_FALSE(check_usc(sg));
 
   // Now give s4 an output event not enabled in s0.
   const StateId s5 = builder.add_state(0b10);
   builder.add_arc(s4, Event{b, true}, s5);
-  EXPECT_FALSE(check_csc(builder.freeze()));
+  EXPECT_FALSE(check_csc(std::move(builder).freeze()));
 }
 
 TEST(Diamonds, EnumerationFindsTheDiamond) {
@@ -351,7 +351,7 @@ TEST(Regions, MultipleExcitationRegions) {
   builder.add_arc(s11, Event{m, false}, s10);
   builder.add_arc(s10, Event{a, false}, s00);
   builder.set_initial(s00);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
   const auto rise = excitation_regions(sg, Event{a, true});
   ASSERT_EQ(rise.size(), 1u);
 

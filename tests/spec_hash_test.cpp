@@ -187,15 +187,14 @@ TEST(OptionsFingerprint, EveryOptionsFieldHasARow) {
                          f13, f14, f15, f16, f17, f18, f19] = FlowOptions{};
   [[maybe_unused]] auto [mc1, mc2, mc3] = McOptions{};
   [[maybe_unused]] auto [c1, c2, c3] = CscOptions{};
-  [[maybe_unused]] auto [m1, m2, m3, m4, m5, m6, m7, m8] = MapperOptions{};
+  [[maybe_unused]] auto [m1, m2, m3, m4, m5, m6, m7] = MapperOptions{};
   [[maybe_unused]] auto [lib1] = GateLibrary{};
-  [[maybe_unused]] auto [div1] = DivisorOptions{};
   [[maybe_unused]] auto [k1] = CheckOptions{};
   [[maybe_unused]] auto [n1] = NlintOptions{};
   // Leaf settings: nested structs count as their members, and
   // FlowOptions::guard is a runtime handle with no row.
   constexpr std::size_t kLeaves = (19 - 4 - 1) + 3 + 3 +
-                                  (8 - 3 + 1 + 3 + 1) + (1 - 1 + 1);
+                                  (7 - 2 + 1 + 3) + (1 - 1 + 1);
   EXPECT_EQ(option_table().size(), kLeaves);
 
   std::set<std::string> fields, keys, flags;

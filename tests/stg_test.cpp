@@ -49,7 +49,8 @@ TEST(Stg, InitialCodeInference) {
   stg.connect_tt(ap, rp);
   stg.connect_tt(rp, am);
   stg.mark_initial(stg.connect_tt(am, rm));
-  EXPECT_EQ(stg.infer_initial_code(), 0b01u);  // r=1, a=0
+  const StateGraph sg = stg.to_state_graph();
+  EXPECT_EQ(sg.code(sg.initial()), 0b01u);  // r=1, a=0
 }
 
 TEST(Stg, ConcurrencyExpandsToDiamond) {

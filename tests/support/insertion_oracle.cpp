@@ -58,7 +58,7 @@ bool grow_region(const StateGraph& sg, const DynBitset& block,
         er->set(edge.target);
       }
     });
-    if (!er->subset_of(block)) return false;
+    if ((*er - block).any()) return false;
 
     // Step 3: the top of every diamond with both middle corners in the ER.
     for (const auto& d : diamonds) {

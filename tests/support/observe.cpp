@@ -1,4 +1,4 @@
-#include "sg/observe.hpp"
+#include "support/observe.hpp"
 
 #include <map>
 
@@ -125,14 +125,14 @@ ObserveResult weakly_bisimilar(const StateGraph& a, const StateGraph& b,
   while (changed) {
     changed = false;
     for (StateId s = 0; s < static_cast<StateId>(na); ++s) {
-      auto pairs = relation[static_cast<std::size_t>(s)].to_vector();
-      for (std::size_t t : pairs) {
+      DynBitset& pairs = relation[static_cast<std::size_t>(s)];
+      pairs.for_each([&](std::size_t t) {
         if (violates(wa, wb, s, static_cast<StateId>(t), relation, false) ||
             violates(wb, wa, static_cast<StateId>(t), s, relation, true)) {
-          relation[static_cast<std::size_t>(s)].reset(t);
+          pairs.reset(t);
           changed = true;
         }
-      }
+      });
     }
   }
 

@@ -6,7 +6,8 @@
 // to the original one.  This module implements weak bisimulation over a
 // chosen set of visible signals (internal transitions become tau moves) and
 // is used by the test suite to validate every accepted insertion end to end
-// — a stronger statement than the per-property SIP checks.
+// — a stronger statement than the per-property SIP checks.  It lives in the
+// test support library because nothing in the flow calls it.
 
 #include <string>
 #include <vector>

@@ -75,8 +75,8 @@ TEST(Writers, VerilogInternalSignalsAreWiresNotPorts) {
 
 TEST(Writers, VerilogGcInitMatchesInitialCode) {
   // Round-trip: every emitted C element's INIT parameter must equal the
-  // signal's value in the SG's initial state (which the reachability engine
-  // pins to the specification's inferred initial code).
+  // signal's value in the SG's initial state, where the specification's
+  // signals keep the initial values of the unresolved graph.
   const Stg ring = bench::make_csc_ring(2);
   StateGraph sg = ring.to_state_graph();
   const CscResult csc = resolve_csc(sg);
@@ -84,7 +84,7 @@ TEST(Writers, VerilogGcInitMatchesInitialCode) {
   const StateGraph& resolved = *csc.sg;
   EXPECT_EQ(resolved.code(resolved.initial()) &
                 ((StateCode{1} << ring.num_signals()) - 1),
-            ring.infer_initial_code());
+            sg.code(sg.initial()));
 
   const Netlist netlist = synthesize_all(resolved);
   const std::string v = write_verilog_string(netlist, "ring");
@@ -124,7 +124,7 @@ TEST(Writers, VerilogGcInitOneIsEmitted) {
   builder.add_arc(s101, Event{a, false}, s001);
   builder.add_arc(s001, Event{c, false}, s000);
   builder.set_initial(s111);
-  const StateGraph sg = builder.freeze();
+  const StateGraph sg = std::move(builder).freeze();
 
   const Netlist netlist = synthesize_all(sg);
   const std::string v = write_verilog_string(netlist, "celem");
