@@ -32,8 +32,6 @@ struct ProgressEstimate {
   bool others_ok = false;    ///< Property 3.2 satisfied for all other events
   int estimated_delta = 0;   ///< literal-count change estimate (negative=good)
   int new_triggers = 0;      ///< events for which x becomes a new trigger
-
-  bool acceptable() const { return target_ok && others_ok; }
 };
 
 /// The state sets Property 3.1 reads that depend only on the target event

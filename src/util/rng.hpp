@@ -42,11 +42,6 @@ class Rng {
     return lo + below(hi - lo + 1);
   }
 
-  /// Bernoulli draw with probability num/den.
-  bool chance(std::uint64_t num, std::uint64_t den) {
-    return below(den) < num;
-  }
-
   /// Uniform double in [0,1).
   double uniform() {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;

@@ -85,7 +85,6 @@ class RunGuard {
       raise(GuardStop::kCancelled, site, now, 0);
     if ((before / kPollStride) != (now / kPollStride)) check_clock(site, now);
   }
-  void tick(const char* site) const { charge(1, site); }
 
   /// Immediate full check (stage boundaries, loop preambles): no work
   /// charged, but budget / cancellation / deadline all consulted now.

@@ -129,7 +129,7 @@ TEST(RandomDivisors, PlannedInsertionsAlwaysVerify) {
     const int lits = 2 + static_cast<int>(rng.below(2));
     for (int i = 0; i < lits; ++i) {
       const int v = static_cast<int>(rng.below(sg.num_signals()));
-      c = c.with_literal(v, rng.chance(1, 2));
+      c = c.with_literal(v, rng.below(2) == 0);
     }
     ++tried;
     const Cover f(sg.num_signals(), {c});
