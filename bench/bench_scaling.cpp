@@ -17,7 +17,9 @@
 #include "core/mapper.hpp"
 #include "core/mc_cover.hpp"
 #include "flow/flow.hpp"
+#include "mlogic/divisors.hpp"
 #include "netlist/si_verify.hpp"
+#include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "stg/stg.hpp"
 #include "util/run_guard.hpp"
@@ -381,6 +383,65 @@ BENCHMARK(BM_InsertSignal)
     ->Args({5, 0})
     ->Args({5, 1})
     ->Unit(benchmark::kMillisecond);
+
+// One mapper iteration's candidate checks in isolation (args: parallelizer
+// segments, engine): every divisor plan of every cover of the parallelizer,
+// judged the way technology_map judges it before resynthesis.  Engine 0 is
+// the copy product: PreviewVerifier plus ParentBounds::after.  Engine 1 is
+// the built graph: insert_signal, the property checks on the result
+// (consistency, speed independence, CSC, and persistency of the signals
+// persistent before), then cover_lower_bounds.  Both engines give the same
+// verdicts and bounds (tests/perf_equiv_test.cpp); each builds its shared
+// per-iteration state once per pass, as the mapper does.
+void BM_MapCandidateCheck(benchmark::State& state) {
+  const StateGraph sg =
+      bench::make_parallelizer(static_cast<int>(state.range(0)))
+          .to_state_graph();
+  std::vector<SignalSynthesis> syntheses;
+  synthesize_all(sg, {}, &syntheses);
+  InsertionPlanner planner(sg);
+  std::vector<InsertionPlan> plans;
+  for (const SignalSynthesis& s : syntheses)
+    for (const EventCover* cover : {&s.set, &s.reset})
+      for (const Cover& f : generate_divisors(cover->cover))
+        if (auto plan = planner.plan(f)) plans.push_back(std::move(*plan));
+
+  const bool build = state.range(1) != 0;
+  long verified = 0;
+  for (auto _ : state) {
+    verified = 0;
+    if (build) {
+      std::vector<int> persistent;
+      for (int sig = 0; sig < sg.num_signals(); ++sig)
+        if (check_persistency(sg, {sig})) persistent.push_back(sig);
+      for (const InsertionPlan& plan : plans) {
+        const StateGraph next = insert_signal(sg, plan, "bz0");
+        if (!check_consistency(next) || !check_speed_independence(next) ||
+            !check_csc(next) || !check_persistency(next, persistent))
+          continue;
+        ++verified;
+        benchmark::DoNotOptimize(cover_lower_bounds(next));
+      }
+    } else {
+      const PreviewVerifier verifier(sg, /*require_csc=*/true);
+      const ParentBounds parent(sg);
+      for (const InsertionPlan& plan : plans) {
+        const InsertionPreview preview(sg, plan);
+        if (!verifier.verify(preview)) continue;
+        ++verified;
+        benchmark::DoNotOptimize(parent.after(preview));
+      }
+    }
+  }
+  state.counters["plans"] = static_cast<double>(plans.size());
+  state.counters["verified"] = static_cast<double>(verified);
+}
+BENCHMARK(BM_MapCandidateCheck)
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({6, 0})
+    ->Args({6, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // resolve_csc end to end on the diamond ring (args: segments, width): shared
 // incremental planner, copy-map scoring, winner-only materialization and a

@@ -267,16 +267,15 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
     bool exhausted = false;
 
     // Score every candidate from its plan's copy structure
-    // (InsertionPreview) and defer both graph construction and verification
-    // to the scan's tentative winner.  The committed latch is the earliest
+    // (InsertionPreview) and defer verification, on the preview too, to the
+    // scan's tentative winner.  The committed latch is the earliest
     // candidate minimizing (pairs_after, states) among the filter- and
     // verify-passing ones, subject to two truncations: the scan stops once a
     // passing candidate reaches zero pairs, and at the ranked-prefix
     // boundary once any passing candidate exists.  The scan applies those
     // truncations assuming unverified candidates pass; a tentative winner
     // failing verification is marked rejected and the scan resumes — so only
-    // verification attempts (in the common case exactly one per iteration)
-    // materialize a graph.
+    // the committed winner materializes a graph.
     struct Scored {
       std::size_t ci;  ///< index into cands
       InsertionPlan plan;
@@ -320,7 +319,7 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
         if (scored.back().pairs == 0) return;  // best_at is this candidate
       }
     };
-    const InsertionVerifier verifier(sg);
+    const PreviewVerifier verifier(sg, /*require_csc=*/false);
     while (true) {
       if (!exhausted) {
         try {
@@ -332,13 +331,11 @@ CscResult resolve_csc(const StateGraph& input, const CscOptions& opts,
       }
       if (!best_at) break;
       Scored& w = scored[*best_at];
-      StateGraph next = insert_signal(sg, w.plan, name);
-      ++result.graphs_materialized;
-      const DynBitset disturbed = disturbed_signals(sg, w.plan);
-      if (verifier.verify(next, /*require_csc=*/false, disturbed)) {
-        best = Best{std::move(next), CscStep{name, cands[w.ci].e1,
-                                             cands[w.ci].e2, conflicts.pairs,
-                                             w.pairs}};
+      if (verifier.verify(InsertionPreview(sg, w.plan))) {
+        ++result.graphs_materialized;
+        best = Best{insert_signal(sg, w.plan, name),
+                    CscStep{name, cands[w.ci].e1, cands[w.ci].e2,
+                            conflicts.pairs, w.pairs}};
         break;
       }
       w.rejected = true;

@@ -52,8 +52,8 @@ struct CscResult {
   /// Search-work counters, summed over all iterations: candidates that
   /// passed the static filters and received a conflict/state score, and
   /// successor graphs actually materialized via insert_signal.  Candidates
-  /// are scored from their InsertionPreview, so graphs_materialized stays at
-  /// one per inserted signal plus one per winner rejected by verification.
+  /// are scored and verified on their InsertionPreview, so
+  /// graphs_materialized is one per inserted signal.
   long candidates_scored = 0;
   long graphs_materialized = 0;
   /// Guard exhaustion that ended the search early (kNone = ran to

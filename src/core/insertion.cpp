@@ -1,6 +1,9 @@
 #include "core/insertion.hpp"
 
+#include <optional>
 #include <utility>
+
+#include "util/text.hpp"
 
 namespace sitm {
 
@@ -18,26 +21,6 @@ void input_borders(const StateGraph& sg, const DynBitset& s1, DynBitset* rise,
       if (s1.test(s) && !s1.test(edge.target)) fall->set(edge.target);
     }
   }
-}
-
-/// Does the x=`x` copy of state `s` exist?  States of ER(x+) and ER(x-) are
-/// split into both copies; every other state keeps the one copy whose x
-/// value is its S1 membership.  ER(x+) lies in S1 and ER(x-) outside it, so
-/// the other copy exists only in ER(x+) for x=0 and in ER(x-) for x=1.
-bool copy_exists(const InsertionPlan& plan, std::size_t s, bool x) {
-  return plan.s1.test(s) == x || (x ? plan.er_fall : plan.er_rise).test(s);
-}
-
-/// Does the original arc u -> v carry from the x=`x` copy of u, which must
-/// exist, to the x=`x` copy of v?  That copy must exist, and a crossing
-/// between the two excitation regions must not skip the pending x
-/// transition: on an ER(x+) -> ER(x-) arc only the x=1 copies connect, and
-/// on an ER(x-) -> ER(x+) arc only the x=0 copies.
-bool arc_carries(const InsertionPlan& plan, std::size_t u, std::size_t v,
-                 bool x) {
-  if (!copy_exists(plan, v, x)) return false;
-  if (!x) return !(plan.er_rise.test(u) && plan.er_fall.test(v));
-  return !(plan.er_fall.test(u) && plan.er_rise.test(v));
 }
 
 }  // namespace
@@ -371,10 +354,19 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
 
 InsertionPreview::InsertionPreview(const StateGraph& sg,
                                    const InsertionPlan& plan)
-    : sg_(sg), plan_(plan), reached_(2 * sg.num_states()) {
+    : sg_(sg),
+      plan_(plan),
+      reached_(2 * sg.num_states()),
+      masks_(2 * sg.num_states()) {
   // Reachability over the implicit copy product, mirroring insert_signal's
   // arc construction: original arcs stay on their x side when they carry,
   // and the pending x transition moves between the sides of an ER state.
+  // Each reached copy's enabled events are recorded on the way: its
+  // state's, less the arcs that do not carry, plus the pending x event.
+  // Only excitation-region copies drop arcs: every arc crossing the S0/S1
+  // boundary lands inside an ER (the input borders seed the regions), so
+  // an interior copy keeps its full bitmap.
+  const int x_rise = 2 * sg.num_signals() + 1;
   std::vector<std::size_t> work;
   const std::size_t start = pair_index(sg.initial(), plan.initial_value);
   reached_.set(start);
@@ -391,86 +383,187 @@ InsertionPreview::InsertionPreview(const StateGraph& sg,
         work.push_back(q);
       }
     };
-    if (!v && plan.er_rise.test(static_cast<std::size_t>(s))) visit(s, true);
-    if (v && plan.er_fall.test(static_cast<std::size_t>(s))) visit(s, false);
-    for (const auto& edge : sg.succs(s))
-      if (arc_carries(plan, s, edge.target, v)) visit(edge.target, v);
+    std::array<std::uint64_t, 2>& mask = masks_[p];
+    mask = sg.enabled_mask(s);
+    auto enable = [&](int id) {
+      mask[id >> 6] |= std::uint64_t{1} << (id & 63);
+    };
+    if (!v && plan.er_rise.test(static_cast<std::size_t>(s))) {
+      enable(x_rise);
+      visit(s, true);
+    }
+    if (v && plan.er_fall.test(static_cast<std::size_t>(s))) {
+      enable(x_rise - 1);
+      visit(s, false);
+    }
+    for (const auto& edge : sg.succs(s)) {
+      if (arc_carries(plan, s, edge.target, v)) {
+        visit(edge.target, v);
+      } else {
+        const int id = 2 * edge.event.signal + (edge.event.rising ? 1 : 0);
+        mask[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+      }
+    }
   }
   num_states_ = reached_.count();
 }
 
-std::array<std::uint64_t, 2> InsertionPreview::enabled_mask(StateId s,
-                                                            bool value) const {
-  std::array<std::uint64_t, 2> mask = sg_.enabled_mask(s);
-  const auto i = static_cast<std::size_t>(s);
-  const bool in_rise = plan_.er_rise.test(i);
-  const bool in_fall = plan_.er_fall.test(i);
-  if (in_rise || in_fall) {
-    // Only excitation-region copies differ from their source state: they may
-    // drop arcs (partner copy missing on this side, or a cross-region skip)
-    // and they carry the pending x event.  Interior copies keep their full
-    // bitmap — every arc crossing the S0/S1 boundary lands inside an ER (the
-    // input borders seed the regions), so all their arcs carry.
-    for (const auto& edge : sg_.succs(s)) {
-      if (arc_carries(plan_, s, edge.target, value)) continue;
+PreviewVerifier::PreviewVerifier(const StateGraph& before, bool require_csc)
+    : before_(before), require_csc_(require_csc) {
+  const auto n = static_cast<StateId>(before.num_states());
+  const int x = before.num_signals();
+  const std::array<std::uint64_t, 2> noninput = before.noninput_event_mask();
+  noninput_ = noninput;
+  noninput_[(2 * x) >> 6] |= std::uint64_t{3} << ((2 * x) & 63);
+
+  // Persistency baseline, one pass for every signal: the events some arc of
+  // `before` disables.  A signal is persistent when neither of its events
+  // is ever disabled.
+  std::array<std::uint64_t, 2> disabled{0, 0};
+  for (StateId s = 0; s < n; ++s) {
+    const auto& enabled = before.enabled_mask(s);
+    for (const auto& edge : before.succs(s)) {
+      const auto& after = before.enabled_mask(edge.target);
+      std::array<std::uint64_t, 2> lost{enabled[0] & ~after[0],
+                                        enabled[1] & ~after[1]};
       const int id = 2 * edge.event.signal + (edge.event.rising ? 1 : 0);
-      mask[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
-    }
-    if ((!value && in_rise) || (value && in_fall)) {
-      const int id = 2 * sg_.num_signals() + (value ? 0 : 1);
-      mask[id >> 6] |= std::uint64_t{1} << (id & 63);
+      lost[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+      disabled[0] |= lost[0];
+      disabled[1] |= lost[1];
     }
   }
-  return mask;
+  watched_ = noninput_;
+  for (int sig = 0; sig < x; ++sig) {
+    const std::uint64_t both = std::uint64_t{3} << ((2 * sig) & 63);
+    if ((disabled[sig >> 5] & both) == 0) watched_[sig >> 5] |= both;
+  }
+  if (!require_csc) return;
+
+  // Code classes, and the ones that already conflict.
+  FlatMap<StateCode, std::uint32_t> class_id(before.num_states());
+  class_of_.resize(static_cast<std::size_t>(n));
+  std::vector<StateId> first;  // each class's first state
+  std::vector<char> conflicts;
+  auto outputs = [&](StateId s) {
+    const auto& m = before.enabled_mask(s);
+    return std::array<std::uint64_t, 2>{m[0] & noninput[0],
+                                        m[1] & noninput[1]};
+  };
+  for (StateId s = 0; s < n; ++s) {
+    const auto [slot, inserted] = class_id.emplace(
+        before.code(s), static_cast<std::uint32_t>(first.size()));
+    if (inserted) {
+      first.push_back(s);
+      conflicts.push_back(0);
+    } else if (outputs(first[*slot]) != outputs(s)) {
+      conflicts[*slot] = 1;
+    }
+    class_of_[static_cast<std::size_t>(s)] = *slot;
+  }
+  class_begin_.assign(first.size() + 1, 0);
+  for (const std::uint32_t c : class_of_) ++class_begin_[c + 1];
+  for (std::size_t c = 1; c < class_begin_.size(); ++c)
+    class_begin_[c] += class_begin_[c - 1];
+  class_states_.resize(class_of_.size());
+  std::vector<std::uint32_t> fill(class_begin_.begin(), class_begin_.end() - 1);
+  for (StateId s = 0; s < n; ++s)
+    class_states_[fill[class_of_[static_cast<std::size_t>(s)]]++] =
+        static_cast<std::uint32_t>(s);
+  for (std::uint32_t c = 0; c < conflicts.size(); ++c)
+    if (conflicts[c]) conflicting_.push_back(c);
 }
 
-DynBitset disturbed_signals(const StateGraph& sg, const InsertionPlan& plan) {
-  DynBitset out(static_cast<std::size_t>(sg.num_signals()));
+/// Does firing any arc of the surviving copy (s, value) leave every other
+/// watched event it enables enabled?
+bool PreviewVerifier::persistent_at(const InsertionPreview& preview,
+                                    StateId s, bool value) const {
+  const auto enabled = preview.enabled_mask(s, value);
+  const std::array<std::uint64_t, 2> live{watched_[0] & enabled[0],
+                                          watched_[1] & enabled[1]};
+  if ((live[0] | live[1]) == 0) return true;
+  bool ok = true;
+  preview.for_each_succ(s, value, [&](Event e, StateId t, bool t_value) {
+    if (!ok) return;
+    const auto after = preview.enabled_mask(t, t_value);
+    std::array<std::uint64_t, 2> lost{live[0] & ~after[0],
+                                      live[1] & ~after[1]};
+    const int id = 2 * e.signal + (e.rising ? 1 : 0);
+    lost[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+    ok = (lost[0] | lost[1]) == 0;
+  });
+  return ok;
+}
+
+/// Do the surviving copies of code class `cls`, on each x side, all enable
+/// the same non-input events?
+bool PreviewVerifier::class_coded(const InsertionPreview& preview,
+                                  std::uint32_t cls) const {
+  const std::uint32_t begin = class_begin_[cls], end = class_begin_[cls + 1];
+  if (end - begin < 2) return true;
+  for (const bool value : {false, true}) {
+    std::optional<std::array<std::uint64_t, 2>> first;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const auto s = static_cast<StateId>(class_states_[i]);
+      if (!preview.copy_reachable(s, value)) continue;
+      const auto m = preview.enabled_mask(s, value);
+      const std::array<std::uint64_t, 2> out{m[0] & noninput_[0],
+                                             m[1] & noninput_[1]};
+      if (!first) first = out;
+      else if (*first != out) return false;
+    }
+  }
+  return true;
+}
+
+PropertyResult PreviewVerifier::verify(const InsertionPreview& preview) const {
+  const InsertionPlan& plan = preview.plan();
   const DynBitset er = plan.er_rise | plan.er_fall;
-  er.for_each([&](std::size_t s) {
-    for (const auto& edge : sg.succs(static_cast<StateId>(s))) {
-      const auto t = static_cast<std::size_t>(edge.target);
-      if (!arc_carries(plan, s, t, false) || !arc_carries(plan, s, t, true))
-        out.set(static_cast<std::size_t>(edge.event.signal));
+
+  // Persistency (output and SIP) at the region copies and their
+  // predecessors, each copy once.
+  DynBitset checked(2 * before_.num_states());
+  std::optional<std::size_t> failed;  // the offending state
+  auto check = [&](StateId s, bool value) {
+    const std::size_t p = 2 * static_cast<std::size_t>(s) + (value ? 1 : 0);
+    if (failed || checked.test(p)) return;
+    checked.set(p);
+    if (!persistent_at(preview, s, value))
+      failed = static_cast<std::size_t>(s);
+  };
+  er.for_each([&](std::size_t i) {
+    const auto s = static_cast<StateId>(i);
+    for (const bool value : {false, true}) {
+      if (!preview.copy_reachable(s, value)) continue;
+      check(s, value);
+      preview.for_each_pred(s, value,
+                            [&](Event, StateId u, bool u_value) {
+                              check(u, u_value);
+                            });
     }
   });
-  return out;
-}
+  if (failed)
+    return PropertyResult::fail(
+        strfmt("an event is disabled in a copy of state %s",
+               before_.code_string(static_cast<StateId>(*failed)).c_str()));
 
-InsertionVerifier::InsertionVerifier(const StateGraph& before)
-    : before_(before),
-      persistent_(static_cast<std::size_t>(before.num_signals())) {
-  for (int sig = 0; sig < before.num_signals(); ++sig)
-    persistent_[static_cast<std::size_t>(sig)] =
-        check_persistency(before, {sig}) ? 1 : 0;
-}
-
-PropertyResult InsertionVerifier::verify(const StateGraph& after,
-                                         bool require_csc,
-                                         const DynBitset& disturbed) const {
-  if (auto r = check_consistency(after); !r) return r;
-  if (auto r = check_speed_independence(after); !r) return r;
-  if (require_csc) {
-    if (auto r = check_csc(after); !r) return r;
-  }
-
-  // SIP: every signal whose events were persistent before must stay
-  // persistent (inputs included; outputs are covered by the SI check).  A
-  // baseline-persistent signal outside the disturbed set cannot fail — its
-  // enabledness is untouched on every surviving copy — so its re-check is
-  // skipped.
-  std::vector<int> sip;
-  for (int sig = 0; sig < before_.num_signals(); ++sig) {
-    if (!persistent_[static_cast<std::size_t>(sig)]) continue;
-    if (!disturbed.test(static_cast<std::size_t>(sig))) continue;
-    sip.push_back(sig);
-  }
-  // One pass checks them all; a violation is then named by the first
-  // signal, in signal order, that breaks on its own.
-  if (check_persistency(after, sip)) return PropertyResult::pass();
-  for (const int sig : sip)
-    if (auto r = check_persistency(after, {sig}); !r)
-      return PropertyResult::fail("SIP violated: " + r.why);
+  if (!require_csc_) return PropertyResult::pass();
+  // CSC in the classes of region states and in the already conflicting
+  // ones.
+  DynBitset seen(class_begin_.size() - 1);
+  std::optional<std::uint32_t> conflict;
+  auto code_check = [&](std::uint32_t cls) {
+    if (conflict || seen.test(cls)) return;
+    seen.set(cls);
+    if (!class_coded(preview, cls)) conflict = cls;
+  };
+  er.for_each([&](std::size_t s) { code_check(class_of_[s]); });
+  for (const std::uint32_t cls : conflicting_) code_check(cls);
+  if (conflict)
+    return PropertyResult::fail(strfmt(
+        "CSC conflict among copies of code %s",
+        before_
+            .code_string(static_cast<StateId>(class_states_[class_begin_[*conflict]]))
+            .c_str()));
   return PropertyResult::pass();
 }
 

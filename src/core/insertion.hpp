@@ -22,6 +22,7 @@
 // `insert_signal` then splits every state of ER(x+) / ER(x-) into a
 // pre/post pair per the insertion scheme of Figure 3 and returns the new SG.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -165,10 +166,32 @@ struct InsertionCopies {
   std::vector<StateId> x0, x1;
 };
 
+/// The copy rule, the one statement of which state copies and arcs an
+/// insertion makes (insert_signal, InsertionPreview and the preview checks
+/// all read it).  The x=`x` copy of state `s` exists when `s` lies in the
+/// block x settles to (S1 for x=1), or in the excitation region that leaves
+/// it: ER(x+) lies in S1 and ER(x-) outside it, so ER states are split into
+/// both copies and every other state keeps one.
+inline bool copy_exists(const InsertionPlan& plan, std::size_t s, bool x) {
+  return plan.s1.test(s) == x || (x ? plan.er_fall : plan.er_rise).test(s);
+}
+
+/// Does the original arc u -> v carry from the x=`x` copy of u, which must
+/// exist, to the x=`x` copy of v?  That copy must exist, and a crossing
+/// between the two excitation regions must not skip the pending x
+/// transition: on an ER(x+) -> ER(x-) arc only the x=1 copies connect, and
+/// on an ER(x-) -> ER(x+) arc only the x=0 copies.
+inline bool arc_carries(const InsertionPlan& plan, std::size_t u,
+                        std::size_t v, bool x) {
+  if (!copy_exists(plan, v, x)) return false;
+  if (!x) return !(plan.er_rise.test(u) && plan.er_fall.test(v));
+  return !(plan.er_fall.test(u) && plan.er_rise.test(v));
+}
+
 /// Insert a new internal signal named `name` according to `plan`.
-/// The result is verified for consistency by construction; behavioural
-/// properties (speed-independence, CSC, SIP-ness) should be re-checked by
-/// the caller via `InsertionVerifier`.
+/// The result is consistent by construction; whether it keeps the
+/// behavioural properties (speed independence, CSC, SIP) is answered
+/// before building it, from its InsertionPreview, by `PreviewVerifier`.
 StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
                          const std::string& name,
                          InsertionCopies* copies = nullptr);
@@ -178,19 +201,23 @@ StateGraph insert_signal(const StateGraph& sg, const InsertionPlan& plan,
 /// exactly the surviving (old state, x value) copies, so one reachability
 /// walk over that implicit copy product — copy existence and the x0/x1 arc
 /// carry-over rules are pure functions of the plan's region bitsets —
-/// answers the questions candidate scoring asks: how many states the pruned
-/// graph has, which copies survive, and each surviving copy's enabled-event
-/// bitmap.  This replaces the full graph copy + `prune_unreachable` that
-/// scoring a candidate used to pay; `resolve_csc` scores every candidate
-/// through this view and calls `insert_signal` only for the ones it must
-/// verify (normally just the committed winner).  All answers are
-/// bit-identical to querying the materialized graph and its
+/// answers what a candidate is judged on: how many states the pruned graph
+/// has, which copies survive, each surviving copy's enabled-event bitmap
+/// and its arcs.  `resolve_csc` scores its candidates from the preview,
+/// and both `resolve_csc` and `technology_map` verify them on it
+/// (`PreviewVerifier`); the mapper also bounds its candidates' covers from
+/// it (`ParentBounds::after`).  Each builds a graph only for a candidate it
+/// goes on with: `resolve_csc` its committed winner, the mapper the
+/// candidates its best-first search starts resynthesizing.  All answers
+/// are bit-identical to querying the materialized graph and its
 /// `InsertionCopies` (pinned by tests/perf_equiv_test.cpp).
 ///
 /// Holds references to `sg` and `plan`; both must outlive the preview.
 class InsertionPreview {
  public:
   InsertionPreview(const StateGraph& sg, const InsertionPlan& plan);
+
+  const InsertionPlan& plan() const { return plan_; }
 
   /// State count of the materialized graph after `prune_unreachable`.
   std::size_t num_states() const { return num_states_; }
@@ -204,8 +231,45 @@ class InsertionPreview {
   /// Enabled-event bitmap of the surviving copy (s, value), laid out like
   /// `StateGraph::enabled_mask` of the successor graph: old signals keep
   /// their event ids, the new signal's events sit at signal index
-  /// `sg.num_signals()`.  Only meaningful for reachable copies.
-  std::array<std::uint64_t, 2> enabled_mask(StateId s, bool value) const;
+  /// `sg.num_signals()`.  Recorded by the reachability walk, so O(1).  Only
+  /// meaningful for reachable copies.
+  const std::array<std::uint64_t, 2>& enabled_mask(StateId s,
+                                                   bool value) const {
+    return masks_[pair_index(s, value)];
+  }
+
+  /// Calls `f(event, t, t_value)` for every arc of the materialized graph
+  /// that leaves the surviving copy (s, value): the pending x transition
+  /// first, then the carried original arcs in `sg.succs(s)` order.  The new
+  /// signal's events carry signal index `sg.num_signals()`.
+  template <class F>
+  void for_each_succ(StateId s, bool value, F&& f) const {
+    const auto i = static_cast<std::size_t>(s);
+    const int x = sg_.num_signals();
+    if (!value && plan_.er_rise.test(i)) f(Event{x, true}, s, true);
+    if (value && plan_.er_fall.test(i)) f(Event{x, false}, s, false);
+    for (const auto& edge : sg_.succs(s))
+      if (arc_carries(plan_, i, static_cast<std::size_t>(edge.target), value))
+        f(edge.event, edge.target, value);
+  }
+
+  /// Calls `f(event, u, u_value)` for every arc of the materialized graph
+  /// that enters the surviving copy (s, value) from a surviving copy
+  /// (u, u_value): the x transition first, then the carried original arcs
+  /// in `sg.preds(s)` order.
+  template <class F>
+  void for_each_pred(StateId s, bool value, F&& f) const {
+    const auto i = static_cast<std::size_t>(s);
+    const int x = sg_.num_signals();
+    if (value && plan_.er_rise.test(i) && copy_reachable(s, false))
+      f(Event{x, true}, s, false);
+    if (!value && plan_.er_fall.test(i) && copy_reachable(s, true))
+      f(Event{x, false}, s, true);
+    for (const auto& edge : sg_.preds(s))
+      if (copy_reachable(edge.target, value) &&
+          arc_carries(plan_, static_cast<std::size_t>(edge.target), i, value))
+        f(edge.event, edge.target, value);
+  }
 
  private:
   static std::size_t pair_index(StateId s, bool value) {
@@ -215,46 +279,86 @@ class InsertionPreview {
   const StateGraph& sg_;
   const InsertionPlan& plan_;
   DynBitset reached_;  ///< surviving (old state, x value) copies
+  /// Enabled-event bitmaps, by pair index (reached copies only).
+  std::vector<std::array<std::uint64_t, 2>> masks_;
   std::size_t num_states_ = 0;
 };
 
-/// Signals whose enabled-event sets the insertion can change on some state
-/// copy: the signals of original arcs dropped at excitation-region states
-/// (copy missing on one x side, or an ER(x+)/ER(x-) crossing skipping the
-/// pending transition).  A signal persistent in `sg` and outside this set is
-/// provably still persistent after `insert_signal(sg, plan, ...)`: every
-/// state copy keeps its old enabled set except ER copies, whose only edits
-/// are these drops plus the new x events — so a persistency check of the
-/// inserted graph only needs to revisit the disturbed signals.
-DynBitset disturbed_signals(const StateGraph& sg, const InsertionPlan& plan);
-
-/// Full post-insertion check: the new SG must be deterministic, commutative,
-/// output-persistent (including x), optionally satisfy CSC, and every signal
-/// persistent in the old SG must remain persistent (the SIP condition).
+/// The post-insertion check, answered on the copy product: the verdict of
+/// building `insert_signal(before, plan, ...)` and requiring it to be
+/// consistent, deterministic, commutative and output-persistent (x
+/// included), to satisfy CSC when asked, and to keep persistent every
+/// signal persistent in `before` (the SIP condition).
 ///
-/// Which signals of `before` are persistent is a property of that graph
-/// alone, so one resolve_csc / mapper iteration computes the baseline once
-/// and every candidate's SIP check reuses it.  The baseline is computed
-/// eagerly in the constructor and `verify` touches no mutable state, so one
-/// verifier can serve concurrent candidate checks (the mapper verifies
-/// inside parallel_for workers).  Holds a reference to `before`.
-class InsertionVerifier {
+/// Preconditions: `before` is consistent, deterministic, commutative and
+/// output-persistent, as the flow's graphs are (the properties stage and
+/// every earlier verified insertion make them so), and the plan's regions
+/// hold the input borders of its S1 (IB(f+) ⊆ ER(x+) ⊆ S1 and
+/// IB(f-) ⊆ ER(x-) ⊆ ~S1), as every InsertionPlanner plan's do.  Under
+/// them the checks are local:
+///
+///  * Consistency and determinism hold by construction.  A copy keeps its
+///    state's code with x's bit added, every carried arc joins two copies
+///    with x's bit equal, and an x arc joins the two copies of one state;
+///    a copy's carried arcs are a subset of its state's arcs, plus at most
+///    one x arc.
+///  * Commutativity holds by construction.  Two original events a, b from
+///    (s, v) stay on side v, so both orders, when they exist, end at
+///    (sab, v) = (sba, v).  An original event b and the x transition from
+///    (s, 0) both reach (sb, 1): via (s, 1) -b-> and via (sb, 0) -x+->.
+///    Likewise for x-.
+///  * Persistency can only break at excitation-region copies and at their
+///    predecessors.  A copy of a state outside ER(x+) ∪ ER(x-) has its
+///    state's enabled set (every arc that crosses the S0/S1 boundary lands
+///    in an excitation region, which has both copies, so all its arcs
+///    carry) and no x event.  If p = (s, v) and its successor q = (t, v)
+///    are both such copies, an event disabled from p to q is disabled from
+///    s to t in `before`: a non-input signal there would break `before`'s
+///    output persistency, and a signal persistent in `before` is by
+///    definition never disabled.  Inputs not persistent in `before` are
+///    not watched.  So only p whose successor is an excitation-region copy
+///    (a predecessor of it) or p itself in a region can fail, and x's own
+///    events are enabled only in region copies.
+///  * CSC can only break in the code class of an excitation-region state
+///    or in a class that already conflicts in `before`.  The copies of a
+///    class split by x's value into two classes of the inserted graph; a
+///    copy outside the regions keeps its state's output events, so a class
+///    with no region state and no conflict in `before` stays clean.
+///
+/// The persistency baseline of `before` (one pass for every signal) and,
+/// when CSC is required, its code classes are computed once, in the
+/// constructor; `verify` is const, so one verifier serves every candidate
+/// of an iteration, also from concurrent workers.  The built-graph checks
+/// are the oracle (tests/support/insertion_verifier.hpp); the verdicts are
+/// compared in tests/insertion_oracle_test.cpp and
+/// tests/perf_equiv_test.cpp.  Holds a reference to `before`.
+class PreviewVerifier {
  public:
-  explicit InsertionVerifier(const StateGraph& before);
+  PreviewVerifier(const StateGraph& before, bool require_csc);
 
-  /// Check `after` against `before`.  Pass `require_csc = false` while
-  /// resolving CSC conflicts (the input SG itself violates CSC and
-  /// intermediate steps may still).  The SIP re-checks skip
-  /// baseline-persistent signals outside `disturbed` (see
-  /// `disturbed_signals`; pass every signal for the unrestricted check);
-  /// the verdict and failure message are unchanged — the skipped checks
-  /// cannot fail.
-  PropertyResult verify(const StateGraph& after, bool require_csc,
-                        const DynBitset& disturbed) const;
+  /// The verdict for `preview` (a preview of an insertion into `before`).
+  /// Pass `require_csc = false` while resolving CSC conflicts (the input
+  /// SG itself violates CSC and intermediate steps may still).
+  PropertyResult verify(const InsertionPreview& preview) const;
 
  private:
+  bool persistent_at(const InsertionPreview& preview, StateId s,
+                     bool value) const;
+  bool class_coded(const InsertionPreview& preview, std::uint32_t cls) const;
+
   const StateGraph& before_;
-  std::vector<char> persistent_;  ///< per-signal: persistent in `before`?
+  bool require_csc_;
+  /// Events the inserted graph must keep persistent, in the enabled_mask
+  /// layout of the inserted graph: the non-input signals' (x's included)
+  /// and those of every signal persistent in `before`.
+  std::array<std::uint64_t, 2> watched_{0, 0};
+  /// The inserted graph's non-input events (x's included).
+  std::array<std::uint64_t, 2> noninput_{0, 0};
+  /// Code classes of `before` (only when CSC is required): each state's
+  /// class, and each class's states as compressed sparse rows.
+  std::vector<std::uint32_t> class_of_, class_begin_, class_states_;
+  /// Classes whose states already disagree on their output events.
+  std::vector<std::uint32_t> conflicting_;
 };
 
 }  // namespace sitm

@@ -1,6 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/progress.hpp"
 #include "mlogic/division.hpp"
@@ -197,9 +198,10 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     fault::hit("map.round");
     StateGraph& sg = *result.sg;
 
-    // Shared per-iteration planning state: one diamond enumeration and one
-    // region memo serve every divisor candidate of every target below, and
-    // the reachable set and signal values feed the duplicate-signal filter.
+    // Shared per-iteration planning state: one diamond enumeration and the
+    // planner's S1 finish memo serve every divisor candidate of every
+    // target below, and the reachable set and signal values feed the
+    // duplicate-signal filter.
     InsertionPlanner planner(sg);
     const DynBitset reachable = sg.reachable();
     const std::vector<DynBitset> values = signal_values(sg, reachable);
@@ -233,10 +235,12 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
     bool committed = false;
     const MapMetrics current_metrics =
         metrics_of(result.syntheses, opts.library);
-    // Shared per-iteration verification state: the persistency baseline of
-    // `sg` is candidate-independent, so every pre-check round below reuses
-    // it (the verifier is const and safe to share across the worker pool).
-    const InsertionVerifier verifier(sg);
+    // Shared per-iteration candidate state: the verifier's persistency
+    // baseline and code classes of `sg`, and (built on first use) its
+    // forced states for the cover bounds.  Both are const and shared across
+    // the worker pool.
+    const PreviewVerifier verifier(sg, /*require_csc=*/true);
+    std::optional<ParentBounds> parent_bounds;
 
     int tried_targets = 0;
     for (const auto& target : targets) {
@@ -290,13 +294,16 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // ---- full evaluation (best-first bounded resynthesis) ------------
       // Three phases, each fanned out to the worker pool
       // (MapperOptions::threads); every evaluation reads only the shared
-      // (const) SG and its own candidate.
-      //  (a) Insert and verify in rank order, one candidate per worker a
-      //      round, until max_full_evals candidates verify: the evaluated
+      // (const) SG and its own candidate.  A candidate is judged on its
+      // InsertionPreview, and its graph is built only when (c) starts
+      // resynthesizing it.
+      //  (a) Verify on the preview in rank order, one candidate per worker
+      //      a round, until max_full_evals candidates verify: the evaluated
       //      set, whatever the round width.  A candidate's position is its
       //      index in it.
-      //  (b) Bound each: cover_lower_bounds and the suffix sums over
-      //      bound_order (`remaining`).
+      //  (b) Bound each from the parent (ParentBounds::after, equal to
+      //      cover_lower_bounds of the built graph), with the suffix sums
+      //      over bound_order (`remaining`).
       //  (c) Resynthesize in rounds of the same width, in the order of
       //      (remaining[0], states, position).  A candidate is abandoned
       //      once its bounded key is not below the best complete key of
@@ -309,7 +316,8 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // `current_metrics`, at every thread count (see mapper.hpp); the
       // work counters depend on the round width.
       struct Evaluated {
-        StateGraph sg;
+        std::optional<InsertionPreview> preview;
+        std::optional<StateGraph> sg;  ///< built when (c) starts it
         std::vector<SignalSynthesis> syntheses;
         const Candidate* candidate = nullptr;
         std::vector<CoverBounds> bounds;
@@ -334,24 +342,22 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       // (a) The evaluated set.  A round over-checks at most one chunk past
       // the serial stop.
       std::vector<Evaluated> evaluated;
-      std::vector<std::optional<StateGraph>> verified;
+      std::vector<std::optional<InsertionPreview>> verified;
       for (std::size_t pos = 0;
            pos < candidates.size() && evaluated.size() < cap;) {
         const std::size_t chunk =
             std::min(candidates.size() - pos, round_width);
         guard_charge(guard, chunk, "map.candidates");
-        verified.assign(chunk, std::nullopt);
+        verified.clear();
+        verified.resize(chunk);
         parallel_for(chunk, eval_threads, [&](std::size_t k) {
-          const InsertionPlan& plan = candidates[pos + k].plan;
-          StateGraph next = insert_signal(sg, plan, name);
-          const DynBitset disturbed = disturbed_signals(sg, plan);
-          if (verifier.verify(next, /*require_csc=*/true, disturbed))
-            verified[k] = std::move(next);
+          InsertionPreview preview(sg, candidates[pos + k].plan);
+          if (verifier.verify(preview)) verified[k].emplace(std::move(preview));
         });
         for (std::size_t k = 0; k < chunk && evaluated.size() < cap; ++k) {
           if (!verified[k]) continue;
           Evaluated ev;
-          ev.sg = std::move(*verified[k]);
+          ev.preview.emplace(std::move(*verified[k]));
           ev.candidate = &candidates[pos + k];
           evaluated.push_back(std::move(ev));
         }
@@ -360,10 +366,11 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       result.resyntheses += static_cast<long>(evaluated.size());
 
       // (b) The bounds.
+      if (!evaluated.empty() && !parent_bounds) parent_bounds.emplace(sg);
       parallel_for(evaluated.size(), eval_threads, [&](std::size_t k) {
         Evaluated& ev = evaluated[k];
-        ev.states = ev.sg.num_states();
-        ev.bounds = cover_lower_bounds(ev.sg);
+        ev.states = ev.preview->num_states();
+        ev.bounds = parent_bounds->after(*ev.preview);
         ev.remaining.assign(order.size() + 1, MapMetrics{});
         for (std::size_t i = order.size(); i-- > 0;) {
           ev.remaining[i] = signal_metrics_bound(
@@ -401,9 +408,10 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
             bound += ev.remaining[ev.syntheses.size()];
             return can_win(i, bound);
           };
+          if (!within(MapMetrics{})) return;
+          ev.sg.emplace(insert_signal(sg, ev.candidate->plan, name));
           ev.complete =
-              within(MapMetrics{}) &&
-              synthesize_while(ev.sg, order, opts.mc, guard, ev.bounds,
+              synthesize_while(*ev.sg, order, opts.mc, guard, ev.bounds,
                                &ev.syntheses, [&](const SignalSynthesis& s) {
                                  ev.metrics += signal_metrics(s, opts.library);
                                  return within(ev.metrics);
@@ -422,6 +430,7 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         head += width;
       }
       for (const Evaluated& ev : evaluated) {
+        if (ev.sg) ++result.graphs_materialized;
         result.signals_resynthesized += static_cast<long>(ev.syntheses.size());
         for (const auto& s : ev.syntheses) result.minimizations += s.minimizations;
         if (!ev.complete) ++result.resyntheses_pruned;
@@ -437,12 +446,12 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
         step.target_signal = target.synth->signal;
         step.target_event = target.cover->event;
         step.states_before = sg.num_states();
-        step.states_after = best->sg.num_states();
+        step.states_after = best->states;
         step.before = current_metrics;
         step.after = best->metrics;
         result.steps.push_back(std::move(step));
 
-        result.sg = std::make_shared<StateGraph>(std::move(best->sg));
+        result.sg = std::make_shared<StateGraph>(std::move(*best->sg));
         result.syntheses = std::move(best->syntheses);
         ++result.signals_inserted;
         ++name_counter;

@@ -11,11 +11,18 @@
 //       which realizes the paper's global acknowledgement automatically);
 //     commit the candidate with the best global progress, or give up (n.i.).
 //
+// A candidate is judged before its graph exists.  Its InsertionPreview
+// (the copy product of the current SG and the plan) is verified by
+// PreviewVerifier, and its bounds are derived from the current SG's by
+// ParentBounds::after; both answer exactly what the built graph would.
+// The graph is built only when the search below starts resynthesizing the
+// candidate.
+//
 // The resynthesis is an exact best-first branch-and-bound (Lawler & Wood,
-// Oper. Res. 14, 1966).  Before anything is minimized, cover_lower_bounds
-// reads from each candidate SG, in one pass over its arcs, a lower bound of
-// every signal's gates: the literals that cross-boundary arcs force into
-// each cover (mc_cover.hpp).  Summed over the signals, that is a
+// Oper. Res. 14, 1966).  Before anything is minimized, the cover bounds
+// (cover_lower_bounds of each candidate SG) give a lower bound of every
+// signal's gates: the literals that cross-boundary arcs force into each
+// cover (mc_cover.hpp).  Summed over the signals, that is a
 // lexicographic lower bound of the candidate's final cost tuple.
 // Candidates are resynthesized in the order of that bound (then state
 // count, then candidate position), signal by signal, and after each signal
@@ -71,12 +78,12 @@ struct MapperOptions {
   int max_insertions = 48;
   /// How many filtered candidates are fully resynthesized per target.
   int max_full_evals = 12;
-  /// Worker threads for the candidate resynthesis loop.  Each candidate is
-  /// an independent insert/verify/resynthesize over the read-only current
-  /// SG, so candidates are evaluated in parallel and the winner is chosen
-  /// in candidate order — the mapped SG, netlist, steps and search counters
-  /// are bit-identical at every thread count.  1 = serial, 0 = one thread
-  /// per hardware core.
+  /// Worker threads for the candidate loop.  Each candidate is an
+  /// independent verify/bound/insert/resynthesize over the read-only
+  /// current SG, so candidates are evaluated in parallel and the winner is
+  /// chosen in candidate order — the mapped SG, netlist and steps are
+  /// bit-identical at every thread count.  1 = serial, 0 = one thread per
+  /// hardware core.
   int threads = 1;
 };
 
@@ -150,6 +157,10 @@ struct MapResult {
   /// minimize_onoff calls of those per-signal syntheses, summed from
   /// SignalSynthesis::minimizations.  Depends on the round width too.
   long minimizations = 0;
+  /// Candidate graphs built by insert_signal: the resyntheses that started
+  /// (the others were verified and bounded on their previews only).
+  /// Depends on the round width too.
+  long graphs_materialized = 0;
   /// Final SG (with the inserted signals), its synthesis, and the options
   /// that synthesis was made with.
   std::shared_ptr<StateGraph> sg;

@@ -32,11 +32,14 @@
 // cover, the heuristic minimizer's included: a cover must hold each on-state
 // in a cube that avoids every off-state, and nothing else is assumed.
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "boolf/cover.hpp"
+#include "core/insertion.hpp"
 #include "netlist/netlist.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
@@ -169,7 +172,79 @@ struct CoverBounds {
 /// (1,1) lies in its final off-set.  So every side is a subset of the
 /// states its cover must hold, every forcing neighbour is in the states it
 /// must avoid, and the bounds hold for any valid cover.
+///
+/// After an insertion.  Each bound is a function of its signal's forced
+/// states alone: their codes, forced variables and sides, in state id
+/// order, and the literals their outgoing arcs force (the union terms).
+/// ParentBounds keeps those of one graph and derives the bounds of
+/// `insert_signal(sg, plan)` from its InsertionPreview, equal to
+/// `cover_lower_bounds` of the built graph.  Call T the states the
+/// insertion touches: the excitation-region states, which are split and
+/// whose copies may lose arcs or gain x's, and the states whose one copy
+/// is pruned.  A state s outside T and outside T's neighbours N(T) keeps one
+/// copy (s, v), v its S1 membership, and its arcs map one to one onto arcs
+/// to copies (t, v) of states outside T: an arc that crossed the S0/S1
+/// boundary would land in an excitation region.  Those copies enable what
+/// their states did and never x, so next_a of every copy involved is its
+/// state's, with x's bit v on both ends; the same signals cross at the same
+/// arcs and force the same variables and literals, x's never.  An arc
+/// contributes by its crossing signals alone, so the same holds for a
+/// neighbour of T whose arcs into T cross the same signals as in the
+/// parent (or crossed none, where the T end is pruned).  So the forced
+/// states of the inserted graph are the parent's outside the area (T and
+/// its other neighbours), codes extended by x's bit, plus those recomputed
+/// at the area's surviving copies from the preview's arcs and masks.  A
+/// signal whose recomputed states equal the parent's there (one copy each,
+/// same variables, literals and side) has the parent's forced states, in
+/// the same order, since `prune_unreachable` keeps the copies in parent id
+/// order, and no x among their variables, so x's bit in the codes changes
+/// no `apart` test: its bound is the parent's verbatim.  Only the other
+/// signals, and x, rerun the union and the disjoint-cube greedy.  The
+/// equality is pinned by tests/insertion_oracle_test.cpp and
+/// tests/perf_equiv_test.cpp.
 std::vector<CoverBounds> cover_lower_bounds(const StateGraph& sg);
+
+/// cover_lower_bounds of one graph with the forced states it was read
+/// from, so that the bounds of any insertion into the graph follow without
+/// building the inserted graph (see the cover_lower_bounds comment).  Holds
+/// a reference to `sg`, which must be fully reachable.  `after` is const:
+/// one ParentBounds serves concurrent candidates.
+class ParentBounds {
+ public:
+  explicit ParentBounds(const StateGraph& sg);
+
+  /// cover_lower_bounds(sg).
+  const std::vector<CoverBounds>& bounds() const { return bounds_; }
+
+  /// cover_lower_bounds(insert_signal(sg, preview.plan(), ...)), indexed by
+  /// the inserted graph's signals (x last), from the preview.
+  std::vector<CoverBounds> after(const InsertionPreview& preview) const;
+
+  /// A state with the variables forced at it for one signal a, the
+  /// literals its outgoing arcs force, and its side.
+  struct Forced {
+    std::uint64_t code = 0;
+    std::uint64_t vars = 0;                   ///< F(s)
+    std::array<std::uint64_t, 2> lits{0, 0};  ///< bit 2*v + polarity
+    StateId state = kNoState;
+    unsigned side = 0;  ///< 2 * (value of a) + next_a
+  };
+
+ private:
+  const StateGraph& sg_;
+  std::uint64_t noninput_ = 0;       ///< non-input signals, one bit each
+  std::vector<std::uint64_t> next_;  ///< next-state code of every state
+  /// Forced states grouped by signal, in state id order within a signal:
+  /// signal a's are forced_[signal_begin_[a] .. signal_begin_[a + 1]).
+  std::vector<Forced> forced_;
+  std::vector<std::uint32_t> signal_begin_;
+  /// Each state's entries of forced_, in signal order, as compressed
+  /// sparse rows: state s's are at_state_[state_begin_[s] ..
+  /// state_begin_[s + 1]), with their signals in signal_of_.
+  std::vector<std::uint32_t> state_begin_, at_state_;
+  std::vector<int> signal_of_;
+  std::vector<CoverBounds> bounds_;
+};
 
 /// Synthesize one signal (choosing combinational vs standard-C).  The
 /// complete cover is not minimized under kStandardC, which never reads it,

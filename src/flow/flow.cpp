@@ -398,9 +398,9 @@ void Flow::stage_csc(StageReport& sr) {
                 std::to_string(step.conflicts_after) + " conflicts)");
   sr.metric("signals_inserted", resolved.signals_inserted);
   sr.metric("states_after", static_cast<double>(resolved.sg->num_states()));
-  // Search-work counters of the candidate scan: graphs_materialized stays
-  // near signals_inserted unless verification rejects tentative winners,
-  // and candidates_scored sizes the scan behind a slow csc stage.
+  // Search-work counters of the candidate scan: graphs_materialized is one
+  // per inserted signal (candidates are scored and verified on their
+  // previews), and candidates_scored sizes the scan behind a slow csc stage.
   sr.metric("candidates_scored",
             static_cast<double>(resolved.candidates_scored));
   sr.metric("graphs_materialized",
@@ -463,6 +463,8 @@ void Flow::stage_map(StageReport& sr) {
   sr.metric("signals_resynthesized",
             static_cast<double>(result.signals_resynthesized));
   sr.metric("minimizations", static_cast<double>(result.minimizations));
+  sr.metric("graphs_materialized",
+            static_cast<double>(result.graphs_materialized));
   if (!result.implementable)
     throw Error("not implementable with " +
                 std::to_string(opts_.mapper.library.max_literals) +

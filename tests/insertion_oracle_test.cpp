@@ -10,9 +10,20 @@
 // does.  The oracle's failure messages sort the rejections, so the test can
 // require both region growth and the cross-region check to have rejected
 // some.
+//
+// Every plan is then checked on its copy product against its built graph
+// (tests/support/insertion_verifier): PreviewVerifier's verdict, with and
+// without CSC, must equal InsertionVerifier's on insert_signal's result,
+// and ParentBounds::after must equal cover_lower_bounds of that result,
+// whenever the graph meets the verifier's preconditions (consistent and
+// speed-independent).  Each plan is checked as planned and cut back to its
+// input borders (input_border_plan): the planner's own plans never fail
+// persistency, the cut ones do.  Each sweep must hold failing verdicts of
+// both kinds, CSC-only and persistency.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +38,7 @@
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "support/insertion_oracle.hpp"
+#include "support/insertion_verifier.hpp"
 
 namespace sitm {
 namespace {
@@ -54,12 +66,61 @@ struct Tally {
   long failed = 0;
   long growth_failed = 0;  ///< rejected by region growth
   long cross_failed = 0;   ///< rejected by the cross-region check
+  long verified = 0;       ///< plans checked on their copy product
+  long csc_failed = 0;     ///< of those, failing only with CSC required
+  long si_failed = 0;      ///< failing without CSC required
+};
+
+/// The preview checks of one graph against its built insertions.
+class PreviewCheck {
+ public:
+  explicit PreviewCheck(const StateGraph& sg)
+      : sg_(sg), loose_(sg, false), strict_(sg, true), oracle_(sg),
+        bounds_(sg) {}
+
+  /// The plan as planned, and cut back to its input borders.
+  void check(const InsertionPlan& plan, const std::string& ctx, Tally* tally) {
+    check_one(plan, ctx, tally);
+    check_one(input_border_plan(sg_, plan), ctx + " (input borders)", tally);
+  }
+
+ private:
+  void check_one(const InsertionPlan& plan, const std::string& ctx,
+                 Tally* tally) {
+    const InsertionPreview preview(sg_, plan);
+    const StateGraph next = insert_signal(sg_, plan, "zz0");
+    const DynBitset every = ~DynBitset(sg_.num_signals());
+    const bool loose = oracle_.verify(next, false, every).ok;
+    const bool strict = oracle_.verify(next, true, every).ok;
+    EXPECT_EQ(loose_.verify(preview).ok, loose) << ctx;
+    EXPECT_EQ(strict_.verify(preview).ok, strict) << ctx;
+    ++tally->verified;
+    if (!loose) ++tally->si_failed;
+    if (loose && !strict) ++tally->csc_failed;
+
+    const std::vector<CoverBounds> want = cover_lower_bounds(next);
+    const std::vector<CoverBounds> got = bounds_.after(preview);
+    ASSERT_EQ(got.size(), want.size()) << ctx;
+    for (std::size_t a = 0; a < want.size(); ++a) {
+      EXPECT_EQ(got[a].set, want[a].set) << ctx << " signal " << a;
+      EXPECT_EQ(got[a].reset, want[a].reset) << ctx << " signal " << a;
+      EXPECT_EQ(got[a].complete, want[a].complete) << ctx << " signal " << a;
+    }
+  }
+
+  const StateGraph& sg_;
+  PreviewVerifier loose_, strict_;
+  InsertionVerifier oracle_;
+  ParentBounds bounds_;
 };
 
 class PlannerCheck {
  public:
   PlannerCheck(const StateGraph& sg, std::string label, Tally* tally)
-      : sg_(sg), planner_(sg), label_(std::move(label)), tally_(tally) {}
+      : sg_(sg), planner_(sg), label_(std::move(label)), tally_(tally) {
+    if (check_consistency(sg) && check_speed_independence(sg))
+      preview_.emplace(sg);
+  }
 
   template <class Query>
   void compare(const std::string& what, Query&& query,
@@ -79,6 +140,7 @@ class PlannerCheck {
     EXPECT_EQ(got->er_rise, ref.er_rise) << ctx;
     EXPECT_EQ(got->er_fall, ref.er_fall) << ctx;
     EXPECT_EQ(got->initial_value, ref.initial_value) << ctx;
+    if (preview_) preview_->check(*got, ctx, tally_);
   }
 
   /// The mapper's divisors of every signal's set and reset covers.
@@ -137,6 +199,7 @@ class PlannerCheck {
   InsertionPlanner planner_;
   std::string label_;
   Tally* tally_;
+  std::optional<PreviewCheck> preview_;  ///< when the preconditions hold
 };
 
 void check_graph(const StateGraph& sg, const std::string& label,
@@ -188,6 +251,9 @@ TEST(InsertionOracle, CorpusAndItsMapRevisions) {
   EXPECT_GT(tally.planned, 0);
   EXPECT_GT(tally.growth_failed, 0);
   EXPECT_GT(tally.cross_failed, 0);
+  EXPECT_GT(tally.verified, 0);
+  EXPECT_GT(tally.csc_failed, 0);
+  EXPECT_GT(tally.si_failed, 0);
 }
 
 TEST(InsertionOracle, GeneratorFamiliesAndRandomStgs) {
@@ -213,6 +279,9 @@ TEST(InsertionOracle, GeneratorFamiliesAndRandomStgs) {
                 "random" + std::to_string(seed), &tally);
   EXPECT_GT(tally.planned, 0);
   EXPECT_GT(tally.growth_failed, 0);
+  EXPECT_GT(tally.verified, 0);
+  EXPECT_GT(tally.csc_failed, 0);
+  EXPECT_GT(tally.si_failed, 0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
 #include "support/insertion_oracle.hpp"
+#include "support/insertion_verifier.hpp"
 
 namespace sitm {
 namespace {

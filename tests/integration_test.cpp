@@ -10,6 +10,7 @@
 #include "sg/properties.hpp"
 #include "sg/sg_io.hpp"
 #include "stg/g_io.hpp"
+#include "support/insertion_verifier.hpp"
 
 namespace sitm {
 namespace {

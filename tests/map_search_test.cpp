@@ -10,7 +10,8 @@
 // abandoned fewer (326 against 345 at i=2) because it kept resynthesizing
 // candidates that a later one beat.  Checked on a direct technology_map
 // call and through the Flow's map-stage report, which must also carry the
-// mapper's count of per-signal syntheses and minimizations.
+// mapper's count of per-signal syntheses, minimizations and built
+// candidate graphs.
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,15 @@ TEST_P(MapSearch, ResynthesesMatchTheTable) {
         << label;
     EXPECT_EQ(map.metric_value("minimizations"),
               static_cast<double>(direct.minimizations))
+        << label;
+    // Only the candidates the search started were built, and every one it
+    // finished was started.
+    EXPECT_EQ(map.metric_value("graphs_materialized"),
+              static_cast<double>(direct.graphs_materialized))
+        << label;
+    EXPECT_LE(direct.graphs_materialized, want.resyntheses) << label;
+    EXPECT_GE(direct.graphs_materialized,
+              want.resyntheses - want.resyntheses_pruned)
         << label;
   }
 }

@@ -10,6 +10,7 @@
 #include "sg/sg_io.hpp"
 #include "stg/stg.hpp"
 #include "support/observe.hpp"
+#include "support/insertion_verifier.hpp"
 #include "util/error.hpp"
 
 namespace sitm {

@@ -22,10 +22,12 @@
 #include "boolf/minimize.hpp"
 #include "core/csc.hpp"
 #include "core/insertion.hpp"
+#include "core/mc_cover.hpp"
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/stg.hpp"
+#include "support/insertion_verifier.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -1010,6 +1012,61 @@ TEST(PerfEquiv, InsertionVerifierMatchesFreeVerify) {
     }
     EXPECT_GT(checked, 0u);
   }
+}
+
+TEST(PerfEquiv, PreviewChecksMatchBuiltGraph) {
+  // The mapper and resolve_csc judge a candidate on its copy product:
+  // PreviewVerifier's verdict, with and without CSC, must equal
+  // InsertionVerifier's on the built graph, and ParentBounds::after must
+  // equal cover_lower_bounds of the built graph, for every state-latch plan
+  // of every switching-region pair, and for the same plan with its regions
+  // cut back to the input borders.  The conflicted rings must supply
+  // failing CSC verdicts: a latch that leaves some conflict.  (Persistency
+  // failures come from the insertion oracle sweep's cut divisor plans.)
+  long checked = 0, csc_failed = 0;
+  for (const StateGraph& sg : insertion_test_graphs()) {
+    ASSERT_TRUE(check_consistency(sg) && check_speed_independence(sg));
+    const std::vector<DynBitset> region = all_switching_regions(sg);
+    std::vector<const DynBitset*> occupied;
+    for (const auto& r : region)
+      if (r.any()) occupied.push_back(&r);
+
+    InsertionPlanner planner(sg);
+    const InsertionVerifier oracle(sg);
+    const PreviewVerifier loose(sg, /*require_csc=*/false);
+    const PreviewVerifier strict(sg, /*require_csc=*/true);
+    const ParentBounds parent(sg);
+    const DynBitset every = ~DynBitset(sg.num_signals());
+    for (const DynBitset* r1 : occupied) {
+      for (const DynBitset* r2 : occupied) {
+        if (r1 == r2) continue;
+        const auto planned = planner.plan_state_latch(*r1, *r2);
+        if (!planned) continue;
+        for (const InsertionPlan& plan : {*planned, input_border_plan(sg, *planned)}) {
+          ++checked;
+          const InsertionPreview preview(sg, plan);
+          const StateGraph next = insert_signal(sg, plan, "zz0");
+          const bool loose_ok = oracle.verify(next, false, every).ok;
+          const bool strict_ok = oracle.verify(next, true, every).ok;
+          EXPECT_EQ(loose.verify(preview).ok, loose_ok) << checked;
+          EXPECT_EQ(strict.verify(preview).ok, strict_ok) << checked;
+          if (loose_ok && !strict_ok) ++csc_failed;
+          const std::vector<CoverBounds> want = cover_lower_bounds(next);
+          const std::vector<CoverBounds> got = parent.after(preview);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t a = 0; a < want.size(); ++a) {
+            EXPECT_EQ(got[a].set, want[a].set) << checked << " signal " << a;
+            EXPECT_EQ(got[a].reset, want[a].reset)
+                << checked << " signal " << a;
+            EXPECT_EQ(got[a].complete, want[a].complete)
+                << checked << " signal " << a;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(csc_failed, 0);
 }
 
 TEST(PerfEquiv, ResolveCscLazyMatchesReferenceRandomized) {

@@ -15,6 +15,7 @@
 #include "netlist/si_verify.hpp"
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
+#include "support/insertion_verifier.hpp"
 #include "util/rng.hpp"
 
 namespace sitm {
