@@ -519,26 +519,25 @@ PropertyResult PreviewVerifier::verify(const InsertionPreview& preview) const {
   const InsertionPlan& plan = preview.plan();
   const DynBitset er = plan.er_rise | plan.er_fall;
 
-  // Persistency (output and SIP) at the region copies and their
-  // predecessors, each copy once.
-  DynBitset checked(2 * before_.num_states());
+  // Persistency (output and SIP) on the arcs out of region copies, and on
+  // the arcs into them from copies outside the regions.
   std::optional<std::size_t> failed;  // the offending state
-  auto check = [&](StateId s, bool value) {
-    const std::size_t p = 2 * static_cast<std::size_t>(s) + (value ? 1 : 0);
-    if (failed || checked.test(p)) return;
-    checked.set(p);
-    if (!persistent_at(preview, s, value))
-      failed = static_cast<std::size_t>(s);
-  };
   er.for_each([&](std::size_t i) {
     const auto s = static_cast<StateId>(i);
     for (const bool value : {false, true}) {
-      if (!preview.copy_reachable(s, value)) continue;
-      check(s, value);
-      preview.for_each_pred(s, value,
-                            [&](Event, StateId u, bool u_value) {
-                              check(u, u_value);
-                            });
+      if (failed || !preview.copy_reachable(s, value)) continue;
+      if (!persistent_at(preview, s, value)) failed = i;
+      const auto& after = preview.enabled_mask(s, value);
+      preview.for_each_pred(s, value, [&](Event e, StateId u, bool u_value) {
+        if (failed || er.test(static_cast<std::size_t>(u))) return;
+        const auto& enabled = preview.enabled_mask(u, u_value);
+        std::array<std::uint64_t, 2> lost{
+            watched_[0] & enabled[0] & ~after[0],
+            watched_[1] & enabled[1] & ~after[1]};
+        const int id = 2 * e.signal + (e.rising ? 1 : 0);
+        lost[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+        if ((lost[0] | lost[1]) != 0) failed = static_cast<std::size_t>(u);
+      });
     }
   });
   if (failed)

@@ -307,18 +307,17 @@ class InsertionPreview {
 ///    (sab, v) = (sba, v).  An original event b and the x transition from
 ///    (s, 0) both reach (sb, 1): via (s, 1) -b-> and via (sb, 0) -x+->.
 ///    Likewise for x-.
-///  * Persistency can only break at excitation-region copies and at their
-///    predecessors.  A copy of a state outside ER(x+) ∪ ER(x-) has its
-///    state's enabled set (every arc that crosses the S0/S1 boundary lands
-///    in an excitation region, which has both copies, so all its arcs
-///    carry) and no x event.  If p = (s, v) and its successor q = (t, v)
-///    are both such copies, an event disabled from p to q is disabled from
-///    s to t in `before`: a non-input signal there would break `before`'s
-///    output persistency, and a signal persistent in `before` is by
-///    definition never disabled.  Inputs not persistent in `before` are
-///    not watched.  So only p whose successor is an excitation-region copy
-///    (a predecessor of it) or p itself in a region can fail, and x's own
-///    events are enabled only in region copies.
+///  * Persistency can only break on an arc into or out of an
+///    excitation-region copy.  A copy of a state outside ER(x+) ∪ ER(x-)
+///    has its state's enabled set (every arc that crosses the S0/S1
+///    boundary lands in an excitation region, which has both copies, so
+///    all its arcs carry) and no x event.  If p = (s, v) and its successor
+///    q = (t, v) are both such copies, an event disabled from p to q is
+///    disabled from s to t in `before`: a non-input signal there would
+///    break `before`'s output persistency, and a signal persistent in
+///    `before` is by definition never disabled.  Inputs not persistent in
+///    `before` are not watched, and x's own events are enabled only in
+///    region copies.
 ///  * CSC can only break in the code class of an excitation-region state
 ///    or in a class that already conflicts in `before`.  The copies of a
 ///    class split by x's value into two classes of the inserted graph; a
