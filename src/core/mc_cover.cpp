@@ -536,21 +536,6 @@ std::vector<CoverBounds> ParentBounds::after(
     changed |= twice | (seen & ~had);
   });
 
-  // The fresh states of the changed signals, grouped by signal (a stable
-  // counting sort, so each group stays in copy order).
-  std::vector<std::uint32_t> fresh_begin(static_cast<std::size_t>(x) + 2, 0);
-  for (const auto& [signal, f] : fresh)
-    if ((changed >> signal) & 1)
-      ++fresh_begin[static_cast<std::size_t>(signal) + 1];
-  std::partial_sum(fresh_begin.begin(), fresh_begin.end(), fresh_begin.begin());
-  std::vector<Forced> by_signal(fresh_begin.back());
-  {
-    std::vector<std::uint32_t> at(fresh_begin.begin(), fresh_begin.end() - 1);
-    for (const auto& [signal, f] : fresh)
-      if ((changed >> signal) & 1)
-        by_signal[at[static_cast<std::size_t>(signal)]++] = f;
-  }
-
   // The changed signals, and x, from the parent's forced states outside
   // the area (their one copy is on their S1 side) and the fresh ones.
   std::vector<CoverBounds> out(bounds_);
@@ -576,9 +561,10 @@ std::vector<CoverBounds> ParentBounds::after(
       }
     };
     group.clear();
-    for (std::uint32_t k = fresh_begin[ai]; k < fresh_begin[ai + 1]; ++k) {
-      parent_before(by_signal[k].state);
-      group.push_back(by_signal[k]);
+    for (const auto& [signal, f] : fresh) {
+      if (signal != a) continue;
+      parent_before(f.state);
+      group.push_back(f);
     }
     parent_before(static_cast<StateId>(n));
     out[ai] = forced_bound(group, a, ordered, kept);
