@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "util/error.hpp"
 #include "util/text.hpp"
 
 namespace sitm {
@@ -358,6 +359,9 @@ InsertionPreview::InsertionPreview(const StateGraph& sg,
       plan_(plan),
       reached_(2 * sg.num_states()),
       masks_(2 * sg.num_states()) {
+  // x's events take bits 2 * num_signals() and up of a copy's mask.
+  if (sg.num_signals() >= 64)
+    throw Error("InsertionPreview: no room for a signal in a 64-signal graph");
   // Reachability over the implicit copy product, mirroring insert_signal's
   // arc construction: original arcs stay on their x side when they carry,
   // and the pending x transition moves between the sides of an ER state.
@@ -410,6 +414,8 @@ InsertionPreview::InsertionPreview(const StateGraph& sg,
 
 PreviewVerifier::PreviewVerifier(const StateGraph& before, bool require_csc)
     : before_(before), require_csc_(require_csc) {
+  if (before.num_signals() >= 64)
+    throw Error("PreviewVerifier: no room for a signal in a 64-signal graph");
   const auto n = static_cast<StateId>(before.num_states());
   const int x = before.num_signals();
   const std::array<std::uint64_t, 2> noninput = before.noninput_event_mask();

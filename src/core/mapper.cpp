@@ -225,6 +225,12 @@ MapResult technology_map(const StateGraph& input, const MapperOptions& opts,
       result.failure = "insertion limit reached";
       return result;
     }
+    // A state code holds 64 signals: no room for a decomposition signal.
+    if (sg.num_signals() >= 64) {
+      result.failure = "no room for a decomposition signal: the graph has " +
+                       std::to_string(sg.num_signals()) + " signals";
+      return result;
+    }
 
     // Most complex covers first (the paper's target selection).
     std::stable_sort(targets.begin(), targets.end(),

@@ -4,6 +4,7 @@
 
 #include "benchlib/generators.hpp"
 #include "core/mapper.hpp"
+#include "flow/flow.hpp"
 #include "netlist/si_verify.hpp"
 #include "sg/properties.hpp"
 #include "stg/stg.hpp"
@@ -122,6 +123,40 @@ TEST(Mapper, InsertionLimitProducesFailure) {
   const MapResult result = technology_map(sg, opts);
   EXPECT_FALSE(result.implementable);
   EXPECT_FALSE(result.failure.empty());
+}
+
+TEST(Mapper, SixtyFourSignalGraphFailsTyped) {
+  // 63 clients and the shared output are 64 signals, the width of a state
+  // code; a's set cover ORs all 63 requests, far over the library.  There
+  // is no room for a decomposition signal, so mapping must fail typed, not
+  // write past a 64-signal code.
+  const StateGraph sg = bench::make_choice_mixer(63).to_state_graph();
+  ASSERT_EQ(sg.num_signals(), 64);
+  MapResult result;
+  ASSERT_NO_THROW(result = technology_map(sg, with_library(4)));
+  EXPECT_FALSE(result.implementable);
+  EXPECT_EQ(result.failure,
+            "no room for a decomposition signal: the graph has 64 signals");
+  EXPECT_EQ(result.signals_inserted, 0);
+  EXPECT_EQ(result.candidates_planned, 0);
+  EXPECT_EQ(result.graphs_materialized, 0);
+
+  // Through the flow the same spec ends at the map stage as a spec failure.
+  Spec spec;
+  spec.name = "mixer63";
+  spec.format = SpecFormat::kSg;
+  spec.sg = sg;
+  FlowOptions options;
+  options.mapper.library.max_literals = 4;
+  Flow flow(options);
+  const FlowReport report = flow.run_spec(std::move(spec));
+  EXPECT_FALSE(report.ok);
+  ASSERT_TRUE(report.failed_stage.has_value());
+  EXPECT_EQ(*report.failed_stage, Stage::kMap);
+  EXPECT_EQ(report.stage(Stage::kMap).failure_kind, FailureKind::kSpec);
+  EXPECT_NE(report.failure.find("no room for a decomposition signal"),
+            std::string::npos)
+      << report.failure;
 }
 
 TEST(Mapper, LocalAcknowledgementIsWeaker) {
